@@ -3,6 +3,7 @@ package synth
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +241,96 @@ func TestStageTimings(t *testing.T) {
 	if st.Generation <= 0 || st.Dedupe <= 0 || st.Execution <= 0 || st.Minimality <= 0 {
 		t.Errorf("missing stage timings: %+v", st)
 	}
+	// Generation is generator work on the coordinating goroutine, without
+	// backpressure waits, so it never exceeds the run's wall-clock time.
+	if st.Generation > res.Stats.Elapsed {
+		t.Errorf("Stages.Generation = %v exceeds Elapsed = %v", st.Generation, res.Stats.Elapsed)
+	}
+}
+
+// power5Raw is the number of programs the power bound-5 generate phases
+// emit (sizes 2 to 5).
+const power5Raw = 289547
+
+// TestCancelDuringGenerate cancels power@5 as soon as its size-5 generate
+// phase starts, a stream of thousands of dedupe batches. The call must
+// return promptly, interrupted, before the stream is exhausted, leave no
+// engine goroutine behind, and hold exactly the size 2-4 results: the
+// partial size-5 batches are neither stranded nor merged.
+func TestCancelDuringGenerate(t *testing.T) {
+	want := Synthesize(memmodel.Power(), Options{MaxEvents: 4, Workers: 2})
+
+	// cancelOnSize5 returns options whose progress callback cancels the
+	// returned context on the size-5 generate event.
+	cancelOnSize5 := func() (context.Context, context.CancelFunc, Options) {
+		ctx, cancel := context.WithCancel(context.Background())
+		return ctx, cancel, Options{
+			MaxEvents: 5,
+			Workers:   2,
+			Progress: func(ev ProgressEvent) {
+				if ev.Phase == PhaseGenerate && ev.Size == 5 {
+					cancel()
+				}
+			},
+		}
+	}
+	check := func(t *testing.T, run func() Stats) {
+		t.Helper()
+		before := runtime.NumGoroutine()
+		start := time.Now()
+		st := run()
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("cancellation not prompt: returned after %v", elapsed)
+		}
+		if !st.Interrupted {
+			t.Error("Stats.Interrupted not set")
+		}
+		if st.ProgramsRaw >= power5Raw {
+			t.Errorf("ProgramsRaw = %d, want below the full %d", st.ProgramsRaw, power5Raw)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%d goroutines outlive the call (%d before it)", n-before, before)
+		}
+	}
+
+	t.Run("SynthesizeContext", func(t *testing.T) {
+		ctx, cancel, opts := cancelOnSize5()
+		defer cancel()
+		var res *Result
+		check(t, func() Stats {
+			var err error
+			res, err = SynthesizeContext(ctx, memmodel.Power(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats
+		})
+		if got, wantFP := fingerprint(res), fingerprint(want); got != wantFP {
+			t.Errorf("interrupted suites differ from the bound-4 suites:\n--- got\n%s\n--- want\n%s", got, wantFP)
+		}
+	})
+	t.Run("SynthesizeShard", func(t *testing.T) {
+		ctx, cancel, opts := cancelOnSize5()
+		defer cancel()
+		var res *ShardResult
+		check(t, func() Stats {
+			var err error
+			res, err = SynthesizeShard(ctx, memmodel.Power(), opts, ShardSpec{Index: 0, Stride: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats
+		})
+		for _, se := range res.Entries {
+			if se.Size > 4 {
+				t.Fatalf("shard entry of size %d merged from the interrupted size", se.Size)
+			}
+		}
+	})
 }
 
 func TestShardedSet(t *testing.T) {

@@ -99,8 +99,9 @@ func (s *Suite) CountUpTo(bound int) int {
 // StageTimes breaks the synthesis work down by pipeline stage. Worker
 // stages (Dedupe, Execution, Minimality) are summed across goroutines, so
 // they are CPU time and can exceed Stats.Elapsed on parallel runs.
-// Generation is the wall-clock time of the skeleton enumerator (it
-// includes backpressure waiting when the dedupe workers lag).
+// Generation is the wall-clock time of the skeleton enumerator, excluding
+// the time it spends blocked handing programs to dedupe workers that lag
+// behind (backpressure).
 type StageTimes struct {
 	// Generation is skeleton enumeration (thread shapes, instruction
 	// assignments, addresses, deps, scopes).
@@ -356,26 +357,35 @@ type seqTest struct {
 	t   *litmus.Test
 }
 
+// dedupeBatch is the number of programs the generator hands to the dedupe
+// workers per channel send.
+const dedupeBatch = 64
+
 // generateAndDedupe enumerates all size-n program skeletons and fans their
-// canonical-key computation out over the workers. It returns one
-// representative per symmetry class — the generation-order-first program,
-// sorted by generation order — so downstream processing is deterministic.
+// canonical-key computation out over the workers, in batches of
+// dedupeBatch programs. It returns one representative per symmetry class —
+// the generation-order-first program, sorted by generation order — so
+// downstream processing is deterministic.
 func (e *engine) generateAndDedupe(n int) []progClaim {
 	claims := newClaimMap(e.opts.Workers)
-	ch := make(chan seqTest, 4*e.opts.Workers)
+	// One queued batch per worker lets every worker start its next batch
+	// while the generator fills another.
+	ch := make(chan []seqTest, e.opts.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < e.opts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var dedupeNS int64
-			for st := range ch {
+			for batch := range ch {
 				if e.stopped.Load() {
 					continue // drain so the producer never blocks
 				}
 				t0 := time.Now()
-				if claims.Offer(canon.ProgramKey(st.t), st.seq, st.t) {
-					e.programs.Add(1)
+				for _, st := range batch {
+					if claims.Offer(canon.ProgramKey(st.t), st.seq, st.t) {
+						e.programs.Add(1)
+					}
 				}
 				dedupeNS += int64(time.Since(t0))
 			}
@@ -389,18 +399,40 @@ func (e *engine) generateAndDedupe(n int) []progClaim {
 		opts:          e.opts,
 		pruneIsolated: !e.opts.KeepIsolatedAddrs && len(vocab.DepTypes) == 0,
 	}
+	// Generation time excludes the sends that block because the dedupe
+	// workers lag behind.
+	var blockedNS int64
+	send := func(batch []seqTest) {
+		select {
+		case ch <- batch:
+		default:
+			t0 := time.Now()
+			ch <- batch
+			blockedNS += int64(time.Since(t0))
+		}
+	}
 	var seq int64
+	batch := make([]seqTest, 0, dedupeBatch)
 	t0 := time.Now()
-	gen.run(n, func(t *litmus.Test) bool {
+	completed := gen.run(n, func(t *litmus.Test) bool {
 		if e.stopped.Load() {
 			return false
 		}
 		e.programsRaw.Add(1)
-		ch <- seqTest{seq: seq, t: t}
+		batch = append(batch, seqTest{seq: seq, t: t})
 		seq++
+		if len(batch) == dedupeBatch {
+			send(batch)
+			batch = make([]seqTest, 0, dedupeBatch)
+		}
 		return true
 	})
-	e.genNS.Add(int64(time.Since(t0)))
+	// An interrupted size is discarded whole, so its partial batch is
+	// dropped rather than deduped.
+	if completed && len(batch) > 0 {
+		send(batch)
+	}
+	e.genNS.Add(int64(time.Since(t0)) - blockedNS)
 	close(ch)
 	wg.Wait()
 
