@@ -12,6 +12,7 @@
 // Endpoints:
 //
 //	POST   /v1/synthesize              {"model":"tso","max_events":4}
+//	GET    /v1/backends                synthesis backends; sat's fallbacks
 //	GET    /v1/jobs/{id}[?stream=1]    async job status / NDJSON progress
 //	GET    /v1/suites                  list stored suites
 //	GET    /v1/suites/{digest}         manifest (or ?format=litmus&axiom=...)
@@ -25,6 +26,12 @@
 //	POST   /v1/models                  register a cat model definition
 //	POST   /v1/models/lint             dry-run lint of a definition
 //	GET    /healthz, /metrics          probes
+//
+// A synthesize request's "backend" field picks "enum" (the default,
+// exhaustive enumeration) or "sat" (the paper's SAT-guided minimality
+// query, which falls back to enumeration, with a logged warning, for
+// models it cannot encode); both store the identical suite under the same
+// digest.
 //
 // -models preloads every *.cat definition in a directory at startup, as if
 // each had been POSTed to /v1/models. -pprof serves net/http/pprof on a
@@ -42,8 +49,7 @@
 //	                                            # coordinator's store on misses
 //
 // -cluster-workers fixes the shard count per request (default: the live
-// worker count at submission). -race-backends races the enumerative and
-// SAT-guided backends on cold local runs and keeps the first finisher.
+// worker count at submission).
 //
 // On SIGINT/SIGTERM the daemon stops accepting connections, waits for
 // in-flight requests and async jobs to drain (bounded by -drain-timeout),
@@ -89,7 +95,6 @@ func main() {
 		clusterWorkers = flag.Int("cluster-workers", 0, "shards per distributed request (0 = live worker count at submission)")
 		workerName     = flag.String("worker-name", "", "worker name reported to the coordinator (default: the hostname)")
 		warmupEvery    = flag.Duration("warmup-interval", 0, "coordinator warmup prefetch cadence (0 disables; e.g. 1m)")
-		raceBackends   = flag.Bool("race-backends", false, "race the enum and sat backends on cold local synthesis; first complete result wins")
 	)
 	flag.Parse()
 	if *coordinator && *joinURL != "" {
@@ -145,11 +150,10 @@ func main() {
 	}
 
 	cfg := server.Config{
-		Store:        st,
-		MaxJobs:      *maxJobs,
-		Models:       registry,
-		Logf:         log.Printf,
-		RaceBackends: *raceBackends,
+		Store:   st,
+		MaxJobs: *maxJobs,
+		Models:  registry,
+		Logf:    log.Printf,
 	}
 	var coord *cluster.Coordinator
 	if *coordinator {

@@ -154,8 +154,8 @@ func (q shardQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q shardQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *shardQueue) Push(x any)        { *q = append(*q, x.(*shardState)) }
+func (q shardQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *shardQueue) Push(x any)   { *q = append(*q, x.(*shardState)) }
 func (q *shardQueue) Pop() any {
 	old := *q
 	n := len(old)

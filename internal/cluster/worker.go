@@ -500,7 +500,7 @@ func (ps *progressStream) observe(ev synth.ProgressEvent) {
 		ElapsedMS:   ev.Elapsed.Milliseconds(),
 	}
 	select {
-	case ps.ch <-pw:
+	case ps.ch <- pw:
 	default:
 	}
 }

@@ -30,7 +30,7 @@
 //	                                 text body); returns the full catlint
 //	                                 report without registering anything
 //	                                 (?bound= overrides the tier-2 bound)
-//	GET    /v1/backends              registered synthesis backends with
+//	GET    /v1/backends              synthesis backends (enum, sat) with
 //	                                 per-model fallback reasons
 //	GET    /v1/admit                 fast-admissibility capability matrix:
 //	                                 per builtin model, whether the explore
@@ -68,10 +68,7 @@ import (
 	"memsynth/internal/memmodel"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
-
-	// Register the SAT-guided backend so "backend": "sat" resolves even
-	// when the server is embedded without the memsynth facade.
-	_ "memsynth/internal/synth/satgen"
+	"memsynth/internal/synth/satgen"
 )
 
 // Config configures a Server.
@@ -102,12 +99,6 @@ type Config struct {
 	// synthesizing (store.GetThrough): the cluster's shared cache tier.
 	// Worker nodes point it at the coordinator's suites API.
 	Peer store.Peer
-	// RaceBackends races the enumerative and SAT-guided backends on cold
-	// local synthesis runs when the client did not explicitly pick a
-	// backend: both run concurrently, the first complete result wins,
-	// the loser is cancelled, and the winner is recorded in the stored
-	// Manifest.Backend and the race_backend_wins metric.
-	RaceBackends bool
 }
 
 // DefaultMaxJobs is the engine-run concurrency bound when Config.MaxJobs
@@ -138,8 +129,6 @@ type metrics struct {
 	backendReqs *expvar.Map
 	// peerHits counts store misses served by the peer cache tier.
 	peerHits *expvar.Int
-	// raceWins counts cold-run backend races by winning backend.
-	raceWins *expvar.Map
 	// stressRuns counts stress jobs started; stressIterations accumulates
 	// iterations executed across them; stressUnexplained accumulates
 	// iterations whose observed outcome the model forbids.
@@ -171,8 +160,6 @@ func newMetrics() *metrics {
 	m.backendReqs = new(expvar.Map).Init()
 	m.all.Set("synth_backend_requests", m.backendReqs)
 	m.peerHits = mk("peer_hits")
-	m.raceWins = new(expvar.Map).Init()
-	m.all.Set("race_backend_wins", m.raceWins)
 	m.stressRuns = mk("stress_runs")
 	m.stressIterations = mk("stress_iterations")
 	m.stressUnexplained = mk("stress_unexplained_outcomes")
@@ -191,9 +178,8 @@ type Server struct {
 	mux      *http.ServeMux
 	lintOpts catlint.Options
 
-	cluster      *cluster.Coordinator
-	peer         store.Peer
-	raceBackends bool
+	cluster *cluster.Coordinator
+	peer    store.Peer
 
 	logFn func(format string, args ...any)
 
@@ -216,17 +202,16 @@ func New(cfg Config) *Server {
 		models = memmodel.NewRegistry()
 	}
 	s := &Server{
-		store:        cfg.Store,
-		models:       models,
-		sem:          make(chan struct{}, maxJobs),
-		metrics:      newMetrics(),
-		mux:          http.NewServeMux(),
-		lintOpts:     catlint.Options{Bound: cfg.LintBound},
-		logFn:        cfg.Logf,
-		synthFn:      synth.SynthesizeContext,
-		cluster:      cfg.Cluster,
-		peer:         cfg.Peer,
-		raceBackends: cfg.RaceBackends,
+		store:    cfg.Store,
+		models:   models,
+		sem:      make(chan struct{}, maxJobs),
+		metrics:  newMetrics(),
+		mux:      http.NewServeMux(),
+		lintOpts: catlint.Options{Bound: cfg.LintBound},
+		logFn:    cfg.Logf,
+		synthFn:  synth.SynthesizeContext,
+		cluster:  cfg.Cluster,
+		peer:     cfg.Peer,
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.flights = newFlightGroup()
@@ -468,9 +453,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if backendName == "" {
 		backendName = synth.DefaultBackend
 	}
-	be, err := synth.BackendByName(backendName)
-	if err != nil {
-		// The error text lists the registered backends.
+	if err := synth.CheckBackend(backendName); err != nil {
+		// The error text lists the known backends.
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
@@ -483,8 +467,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.backendReqs.Add(backendName, 1)
 	s.logf("synthesize model=%s max_events=%d backend=%s", model.Name(), opts.MaxEvents, backendName)
-	if sup, ok := be.(synth.Supporter); ok {
-		if native, reason := sup.Supports(model); !native {
+	if backendName == synth.SATBackend {
+		if native, reason := satgen.Supports(model); !native {
 			s.logf("warning: backend %s falls back to the enum engine for model %s: %s",
 				backendName, model.Name(), reason)
 		}
@@ -614,19 +598,16 @@ func (s *Server) handleAdmit(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, admit.Models())
 }
 
-// handleBackends lists the registered synthesis backends and, per visible
-// model, whether each backend would fall back to the enumerative engine.
+// handleBackends lists the synthesis backends and, per visible model,
+// whether each backend would fall back to the enumerative engine (only
+// the sat backend ever does).
 func (s *Server) handleBackends(w http.ResponseWriter, _ *http.Request) {
 	var out []backendInfo
 	for _, name := range synth.Backends() {
-		be, err := synth.BackendByName(name)
-		if err != nil {
-			continue // racing deregistration cannot happen; defensive
-		}
 		info := backendInfo{Name: name, Default: name == synth.DefaultBackend}
-		if sup, ok := be.(synth.Supporter); ok {
+		if name == synth.SATBackend {
 			for _, m := range s.models.All() {
-				if native, reason := sup.Supports(m); !native {
+				if native, reason := satgen.Supports(m); !native {
 					if info.Fallbacks == nil {
 						info.Fallbacks = make(map[string]string)
 					}

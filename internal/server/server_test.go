@@ -724,90 +724,3 @@ func BenchmarkServerSynthesizeCached(b *testing.B) {
 		}
 	}
 }
-
-// TestRaceBackendsMode pins the -race-backends contract: a cold run on
-// the default backend races enum against sat, the first complete result
-// wins (and is recorded in the manifest and the race_backend_wins
-// metric), and the loser is cancelled rather than left running.
-func TestRaceBackendsMode(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{Store: st, RaceBackends: true})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-
-	// Fake both racers: "sat" completes a real engine run; the default
-	// backend stalls until the race cancels it, proving the loser's
-	// context is torn down.
-	loserCancelled := make(chan struct{})
-	s.synthFn = func(ctx context.Context, m memmodel.Model, opts synth.Options) (*synth.Result, error) {
-		run := opts
-		run.Backend = "" // both fakes drive the real enumerative engine
-		if opts.Backend == "sat" {
-			res, err := synth.SynthesizeContext(ctx, m, run)
-			if err == nil {
-				res.Backend = "sat"
-			}
-			return res, err
-		}
-		<-ctx.Done()
-		close(loserCancelled)
-		return synth.SynthesizeContext(ctx, m, run) // returns interrupted
-	}
-
-	resp, data := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	select {
-	case <-loserCancelled:
-	case <-time.After(10 * time.Second):
-		t.Fatal("losing backend was never cancelled")
-	}
-
-	var out SynthesizeResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	ss, err := st.Get(out.Digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Manifest.Backend != "sat" {
-		t.Errorf("Manifest.Backend = %q, want sat (the race winner)", ss.Manifest.Backend)
-	}
-
-	metrics := readMetrics(t, ts.URL)
-	wins, _ := metrics["race_backend_wins"].(map[string]any)
-	if got, _ := wins["sat"].(float64); got != 1 {
-		t.Errorf("race_backend_wins[sat] = %v, want 1", wins["sat"])
-	}
-
-	// A cache hit must not re-race: the winner count stays put.
-	resp2, _ := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3}`)
-	if resp2.Header.Get("X-Memsynth-Cached") != "true" {
-		t.Error("second request missed the cache")
-	}
-	metrics = readMetrics(t, ts.URL)
-	wins, _ = metrics["race_backend_wins"].(map[string]any)
-	if got, _ := wins["sat"].(float64); got != 1 {
-		t.Errorf("race_backend_wins[sat] after cache hit = %v, want 1", wins["sat"])
-	}
-
-	// An explicit non-default backend bypasses the race entirely.
-	s.synthFn = synth.SynthesizeContext
-	resp3, data := postSynthesize(t, ts.URL, `{"model":"tso","max_events":3,"backend":"sat"}`)
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("explicit backend: status %d: %s", resp3.StatusCode, data)
-	}
-	metrics = readMetrics(t, ts.URL)
-	wins, _ = metrics["race_backend_wins"].(map[string]any)
-	if got, _ := wins["enum"].(float64); got != 0 {
-		t.Errorf("race ran for an explicit backend selection: %v", wins)
-	}
-}

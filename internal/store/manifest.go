@@ -172,21 +172,21 @@ type SuiteManifest struct {
 
 // Manifest is the JSON sidecar of one stored suite set.
 type Manifest struct {
-	FormatVersion int                      `json:"format_version"`
-	Digest        string                   `json:"digest"`
-	EngineVersion string                   `json:"engine_version"`
-	Model         string                   `json:"model"`
-	ModelSource   string                   `json:"model_source,omitempty"`
-	ModelDigest   string                   `json:"model_digest,omitempty"`
+	FormatVersion int    `json:"format_version"`
+	Digest        string `json:"digest"`
+	EngineVersion string `json:"engine_version"`
+	Model         string `json:"model"`
+	ModelSource   string `json:"model_source,omitempty"`
+	ModelDigest   string `json:"model_digest,omitempty"`
 	// Backend records which synthesis backend produced the suites.
 	// Provenance only: every backend emits byte-identical suites, so the
 	// digest deliberately excludes it and a cached suite is a hit for any
 	// requested backend.
-	Backend string `json:"backend,omitempty"`
-	Options       RequestOptions           `json:"options"`
-	CreatedAt     time.Time                `json:"created_at"`
-	Stats         StatsManifest            `json:"stats"`
-	Suites        map[string]SuiteManifest `json:"suites"`
+	Backend   string                   `json:"backend,omitempty"`
+	Options   RequestOptions           `json:"options"`
+	CreatedAt time.Time                `json:"created_at"`
+	Stats     StatsManifest            `json:"stats"`
+	Suites    map[string]SuiteManifest `json:"suites"`
 }
 
 // UnionSuite is the key of the per-model union suite in Manifest.Suites

@@ -1,143 +1,36 @@
 package synth
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-
-	"memsynth/internal/exec"
-	"memsynth/internal/litmus"
-	"memsynth/internal/memmodel"
 )
 
-// Backend is one synthesis engine implementation. Every backend must
-// produce byte-identical suites for the same (model, Options) — backends
-// differ in how they search, never in what they find — which is why
-// Options.Backend is normalized out of store digests.
-type Backend interface {
-	// Name is the registered identifier ("enum", "sat", ...).
-	Name() string
-	// Synthesize runs minimal-test synthesis for model m. Implementations
-	// must honor ctx like SynthesizeContext: cancellation returns partial
-	// suites with Stats.Interrupted set, not an error.
-	Synthesize(ctx context.Context, m memmodel.Model, opts Options) (*Result, error)
-}
-
-// Supporter is optionally implemented by backends that handle only some
-// models natively. Supports reports whether m gets the backend's native
-// search; when false, reason says what construct forces the backend to
-// fall back (the daemon logs it as a warning). A backend that does not
-// implement Supporter supports every model.
-type Supporter interface {
-	Supports(m memmodel.Model) (bool, string)
-}
-
-// DefaultBackend is the backend used when Options.Backend is empty.
-const DefaultBackend = "enum"
-
-var (
-	backendMu  sync.RWMutex
-	backendReg = make(map[string]Backend)
+// The synthesis backends, selected by Options.Backend. Both run the same
+// engine and produce byte-identical suites for the same (model, Options);
+// they differ only in where the explore phase draws each program's
+// candidate executions from, which is why Options.Backend is normalized
+// out of store digests.
+const (
+	// DefaultBackend enumerates every candidate execution (filtered by
+	// fast admissibility where the model supports it). It is the backend
+	// used when Options.Backend is empty.
+	DefaultBackend = "enum"
+	// SATBackend draws candidates from the relational minimality query of
+	// internal/synth/satgen (the paper's pipeline, Fig. 5c) for the models
+	// satgen.Supports, and falls back to DefaultBackend's enumeration for
+	// the rest.
+	SATBackend = "sat"
 )
 
-// RegisterBackend adds a backend to the registry (typically from an init
-// function). It panics on a duplicate or empty name.
-func RegisterBackend(b Backend) {
-	name := b.Name()
-	if name == "" {
-		panic("synth: RegisterBackend with empty name")
+// Backends returns the backend names, sorted.
+func Backends() []string { return []string{DefaultBackend, SATBackend} }
+
+// CheckBackend accepts "" (meaning DefaultBackend) and the names Backends
+// returns; the error for any other name lists the known ones.
+func CheckBackend(name string) error {
+	switch name {
+	case "", DefaultBackend, SATBackend:
+		return nil
 	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backendReg[name]; dup {
-		panic(fmt.Sprintf("synth: duplicate backend %q", name))
-	}
-	backendReg[name] = b
+	return fmt.Errorf("synth: unknown backend %q (known: %s)", name, strings.Join(Backends(), ", "))
 }
-
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	names := make([]string, 0, len(backendReg))
-	for name := range backendReg {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// BackendByName resolves a backend ("" means DefaultBackend). The error
-// for an unknown name lists the registered backends.
-func BackendByName(name string) (Backend, error) {
-	if name == "" {
-		name = DefaultBackend
-	}
-	backendMu.RLock()
-	b, ok := backendReg[name]
-	backendMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("synth: unknown backend %q (known: %s)",
-			name, strings.Join(Backends(), ", "))
-	}
-	return b, nil
-}
-
-// ProgramGuide proposes candidate executions for one program, replacing
-// exhaustive execution enumeration in the explore phase. Candidates must
-// include every minimal (program, outcome) witness, ordered by the rank
-// the exhaustive enumerator would visit them in (so first-wins dedupe
-// picks the same representatives); the engine re-confirms each candidate
-// with the full minimality checker. Candidates returns ok=false to decline
-// the program (too small to pay for encoding, unsupported shape, solver
-// budget exhausted), sending the engine down the exhaustive path. stop
-// reports engine cancellation; a guide should poll it and bail out early,
-// returning ok=false.
-type ProgramGuide interface {
-	Candidates(t *litmus.Test, stop func() bool) ([]*exec.Execution, bool)
-}
-
-// GuideFactory builds one ProgramGuide per explore worker, so guides can
-// keep per-worker solver scratch state without locking.
-type GuideFactory func() ProgramGuide
-
-// SynthesizeWithGuide runs the shared synthesis pipeline with each explore
-// worker drawing candidate executions from its own guide. It is the entry
-// point backends build on: generation, dedupe, merge, and all invariants
-// of SynthesizeContext are identical; only per-program exploration is
-// swapped. A nil factory (or one declined program by program) is exactly
-// the exhaustive engine. CountForbidden forces the exhaustive path — a
-// guide only surfaces minimal witnesses, which would undercount the
-// all-forbidden-outcomes census. The caller, not this function, stamps
-// Result.Backend.
-func SynthesizeWithGuide(ctx context.Context, m memmodel.Model, opts Options, factory GuideFactory) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	if opts.CountForbidden {
-		factory = nil
-	}
-	e := newEngine(m, opts)
-	e.guideFactory = factory
-	return e.run(ctx), nil
-}
-
-// enumBackend is the exhaustive enumeration engine behind the Backend
-// interface — the zero-behavior-change extraction of the original
-// Synthesize path.
-type enumBackend struct{}
-
-func (enumBackend) Name() string { return "enum" }
-
-func (enumBackend) Synthesize(ctx context.Context, m memmodel.Model, opts Options) (*Result, error) {
-	res, err := SynthesizeWithGuide(ctx, m, opts, nil)
-	if res != nil {
-		res.Backend = "enum"
-	}
-	return res, err
-}
-
-func init() { RegisterBackend(enumBackend{}) }

@@ -19,10 +19,11 @@ type Options struct {
 	MaxDeps int
 	// MaxRMWs bounds the number of RMW pairs (default 1).
 	MaxRMWs int
-	// Backend selects the synthesis engine implementation by registered
-	// name ("" means DefaultBackend, i.e. "enum"). Every backend produces
-	// byte-identical suites, so Normalize strips the field and backend
-	// choice never affects store digests.
+	// Backend selects where the explore phase draws candidate executions
+	// from: "enum" (or "", DefaultBackend) enumerates them, "sat"
+	// (SATBackend) asks the SAT-guided minimality query. Every backend
+	// produces byte-identical suites, so Normalize strips the field and
+	// backend choice never affects store digests.
 	Backend string
 	// Admit selects the fast-admissibility filter (internal/admit), which
 	// refutes reads-from assignments that provably cannot extend into a
@@ -90,10 +91,8 @@ func (o Options) Validate() error {
 	case o.ProgressInterval < 0:
 		return fmt.Errorf("synth: Options.ProgressInterval must be non-negative, got %v", o.ProgressInterval)
 	}
-	if o.Backend != "" {
-		if _, err := BackendByName(o.Backend); err != nil {
-			return err
-		}
+	if err := CheckBackend(o.Backend); err != nil {
+		return err
 	}
 	switch o.Admit {
 	case "", "auto", "off":

@@ -1,4 +1,4 @@
-package satgen
+package satgen_test
 
 // Backend benchmark rows for BENCH_synth.json: `make bench` first runs
 // the synth package's TestBenchSnapshot (which rewrites the file), then

@@ -1,4 +1,4 @@
-package satgen
+package satgen_test
 
 import (
 	"context"
@@ -13,15 +13,16 @@ import (
 	"memsynth/internal/memmodel"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
+	"memsynth/internal/synth/satgen"
 )
 
 // forceSAT lowers the execution-count threshold so every program goes
 // through the SAT guide, restoring it when the test ends.
 func forceSAT(t *testing.T) {
 	t.Helper()
-	old := execThreshold
-	execThreshold = 1
-	t.Cleanup(func() { execThreshold = old })
+	old := *satgen.ExecThreshold
+	*satgen.ExecThreshold = 1
+	t.Cleanup(func() { *satgen.ExecThreshold = old })
 }
 
 func runBackend(t *testing.T, m memmodel.Model, backend string, bound int) *synth.Result {
@@ -92,7 +93,7 @@ func TestDifferentialNative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, reason := (backend{}).Supports(m); !ok {
+		if ok, reason := satgen.Supports(m); !ok {
 			t.Fatalf("expected native support for %s, got fallback: %s", name, reason)
 		}
 		requireIdentical(t, m, bound, runBackend(t, m, "enum", bound), runBackend(t, m, "sat", bound))
@@ -127,13 +128,43 @@ func TestDifferentialCatModels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		if ok, reason := (backend{}).Supports(m); ok {
+		if ok, reason := satgen.Supports(m); ok {
 			t.Fatalf("%s: expected SAT fallback for cat model, got native support", f)
 		} else if reason == "" {
 			t.Fatalf("%s: fallback with empty reason", f)
 		}
 		requireIdentical(t, m, 4, runBackend(t, m, "enum", 4), runBackend(t, m, "sat", 4))
 	}
+}
+
+// TestSATCountForbidden: CountForbidden keeps the sat backend on the
+// enumeration path (a guide surfaces only minimal witnesses, which would
+// undercount the census), so it reports the enum backend's count of
+// distinct forbidden outcomes and the same suites.
+func TestSATCountForbidden(t *testing.T) {
+	forceSAT(t)
+	m, err := memmodel.ByName("tso")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 4
+	run := func(backend string) *synth.Result {
+		opts := synth.Options{MaxEvents: bound, Backend: backend, Workers: 2, CountForbidden: true}
+		res, err := synth.SynthesizeContext(context.Background(), m, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		return res
+	}
+	enum, sat := run("enum"), run("sat")
+	if enum.Stats.ForbiddenOutcomes == 0 {
+		t.Fatal("enum run counted no forbidden outcomes")
+	}
+	if sat.Stats.ForbiddenOutcomes != enum.Stats.ForbiddenOutcomes {
+		t.Errorf("sat ForbiddenOutcomes = %d, enum = %d",
+			sat.Stats.ForbiddenOutcomes, enum.Stats.ForbiddenOutcomes)
+	}
+	requireIdentical(t, m, bound, enum, sat)
 }
 
 // TestSATCancellation: the SAT backend honors context deadlines, returning

@@ -1,44 +1,40 @@
-// Package satgen is the SAT-guided synthesis backend: the paper's actual
-// pipeline (Fig. 5c), where minimal litmus tests fall out of a relational
-// model finder instead of exhaustive execution enumeration. For each
-// candidate program it encodes the per-program minimality criterion — some
-// relaxation-bounded execution is forbidden, and every strictly-weaker
-// perturbation of it is observable — as one internal/rml problem over
-// internal/sat, and enumerates the satisfying executions with blocking
-// clauses on an incrementally-solved instance.
+// Package satgen is the SAT-guided candidate source behind the synth
+// engine's "sat" backend: the paper's actual pipeline (Fig. 5c), where
+// minimal litmus tests fall out of a relational model finder instead of
+// exhaustive execution enumeration. For each candidate program it encodes
+// the per-program minimality criterion — some relaxation-bounded execution
+// is forbidden, and every strictly-weaker perturbation of it is observable
+// — as one internal/rml problem over internal/sat, and enumerates the
+// satisfying executions with blocking clauses on an incrementally-solved
+// instance.
 //
-// The backend plugs into the shared synth engine as a ProgramGuide:
-// generation, symmetry dedupe, and suite merging are untouched, and every
-// SAT-proposed candidate is re-confirmed by the exhaustive minimality
-// checker (which also attributes the violated axioms), so suites and store
-// digests are byte-identical to the enum backend's. Programs whose
-// execution space is small enough that exhaustive enumeration beats
-// encoding are declined back to the enum path, as are models the encoder
-// does not support (those fall back wholesale, with the daemon logging a
-// warning).
+// The package is a plain library: synth asks Supports whether a model has
+// a native encoding and, when it does, gives each explore worker its own
+// Guide. Generation, symmetry dedupe, and suite merging are untouched, and
+// every SAT-proposed candidate is re-confirmed by the exhaustive
+// minimality checker (which also attributes the violated axioms), so
+// suites and store digests are byte-identical to the enum backend's.
+// Programs whose execution space is small enough that exhaustive
+// enumeration beats encoding are declined back to the enum path, as are
+// models the encoder does not support (those fall back wholesale, with the
+// daemon logging a warning).
 package satgen
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"strconv"
 
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
-	"memsynth/internal/synth"
 )
-
-// BackendName is the registered name of this backend.
-const BackendName = "sat"
 
 // execThreshold is the candidate-execution count below which a program is
 // declined to the exhaustive path: encoding plus solving has a fixed cost
 // of a few hundred microseconds per program, so small execution spaces are
 // cheaper to enumerate directly. The value was tuned on the TSO bound-7
 // workload, where programs above this threshold hold ~1/3 of all
-// executions in ~1% of the programs.
+// executions in ~1% of the programs. The output is identical at any value;
+// tests lower it to force every program through the solver.
 var execThreshold = 512
 
 // maxConflictsPerSolve bounds each incremental solve; a program whose
@@ -47,42 +43,13 @@ var execThreshold = 512
 // events) resolve in well under a thousand conflicts.
 const maxConflictsPerSolve = 100_000
 
-type backend struct{}
-
-func init() {
-	// MEMSYNTH_SAT_THRESHOLD overrides the hand-off point for tuning and
-	// benchmarking; the output is identical at any value, only speed moves.
-	if v := os.Getenv("MEMSYNTH_SAT_THRESHOLD"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			execThreshold = n
-		}
-	}
-	synth.RegisterBackend(backend{})
-}
-
-func (backend) Name() string { return BackendName }
-
-// Synthesize runs the shared engine with the SAT guide for natively
-// supported models, and falls back to the exhaustive path wholesale
-// otherwise; either way the result is stamped as this backend's.
-func (b backend) Synthesize(ctx context.Context, m memmodel.Model, opts synth.Options) (*synth.Result, error) {
-	var factory synth.GuideFactory
-	if ok, _ := b.Supports(m); ok {
-		factory = func() synth.ProgramGuide { return newGuide(m) }
-	}
-	res, err := synth.SynthesizeWithGuide(ctx, m, opts, factory)
-	if res != nil {
-		res.Backend = BackendName
-	}
-	return res, err
-}
-
-// Supports reports whether model m gets the native SAT encoding. The check
-// is conservative: only built-in Go models whose axioms all have
-// registered encoders qualify; definition-language models (cat) fall back
-// even under a supported name, since a redefinition may change semantics
-// the encoder tables cannot see.
-func (backend) Supports(m memmodel.Model) (bool, string) {
+// Supports reports whether model m gets the native SAT encoding; when it
+// does not, the reason says what construct forces the fallback to
+// exhaustive enumeration. The check is conservative: only built-in Go
+// models whose axioms all have registered encoders qualify;
+// definition-language models (cat) fall back even under a supported name,
+// since a redefinition may change semantics the encoder tables cannot see.
+func Supports(m memmodel.Model) (bool, string) {
 	if src, _ := memmodel.SourceOf(m); src != "builtin" {
 		return false, fmt.Sprintf("%s-defined models are not yet supported by the SAT encoder", src)
 	}
@@ -101,23 +68,28 @@ func (backend) Supports(m memmodel.Model) (bool, string) {
 	return true, ""
 }
 
-// guide is one worker's ProgramGuide: it owns no cross-program solver
-// state (each program compiles its own instance), but the per-worker
-// instantiation keeps the door open for scratch reuse.
-type guide struct {
+// Guide proposes candidate executions for the programs of one model. Each
+// program compiles its own solver instance; the engine gives every explore
+// worker its own Guide.
+type Guide struct {
 	m     memmodel.Model
 	table map[string]axiomEncoder
 }
 
-func newGuide(m memmodel.Model) *guide {
-	return &guide{m: m, table: encoders[m.Name()]}
+// NewGuide returns a guide for model m, which must satisfy Supports.
+func NewGuide(m memmodel.Model) *Guide {
+	return &Guide{m: m, table: encoders[m.Name()]}
 }
 
 // Candidates encodes the minimality criterion for t and enumerates the
 // satisfying executions, ordered by the rank the exhaustive enumerator
-// would visit them in. It declines programs below the execution-count
-// threshold and any program whose solve exceeds the conflict budget.
-func (g *guide) Candidates(t *litmus.Test, stop func() bool) ([]*exec.Execution, bool) {
+// would visit them in, so first-wins dedupe picks the same
+// representatives. The candidates include every minimal (program, outcome)
+// witness of t. It returns ok=false to decline the program — below the
+// execution-count threshold, an encoding or compile failure, an exhausted
+// conflict budget, or stop reporting cancellation — and the caller then
+// enumerates t exhaustively.
+func (g *Guide) Candidates(t *litmus.Test, stop func() bool) ([]*exec.Execution, bool) {
 	if exec.CountExecutions(t, exec.EnumerateOptions{}) < execThreshold {
 		return nil, false
 	}

@@ -38,6 +38,7 @@ import (
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/minimal"
+	"memsynth/internal/synth/satgen"
 )
 
 // Entry is one synthesized litmus test: a program together with the
@@ -170,8 +171,8 @@ type Result struct {
 	// excluded from store digests.
 	Admit    string
 	PerAxiom map[string]*Suite
-	Union       *Suite
-	Stats       Stats
+	Union    *Suite
+	Stats    Stats
 }
 
 // AxiomNames returns the axiom suite names in sorted order.
@@ -209,15 +210,25 @@ func Synthesize(m memmodel.Model, opts Options) *Result {
 // the suites synthesized so far with Stats.Interrupted set (and a nil
 // error — partial results are results). The only error returned is an
 // Options validation failure.
+//
+// The sat backend draws candidates from the SAT guide only for models
+// satgen.Supports, and never under CountForbidden: a guide surfaces only
+// minimal witnesses, which would undercount the all-forbidden-outcomes
+// census. Otherwise it runs the enumeration path unchanged, still stamped
+// "sat" in Result.Backend.
 func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	b, err := BackendByName(opts.Backend)
-	if err != nil {
-		return nil, err
+	opts = opts.withDefaults()
+	e := newEngine(m, opts)
+	e.res.Backend = DefaultBackend
+	if opts.Backend == SATBackend {
+		e.res.Backend = SATBackend
+		supported, _ := satgen.Supports(m)
+		e.satOn = supported && !opts.CountForbidden
 	}
-	return b.Synthesize(ctx, m, opts)
+	return e.run(ctx), nil
 }
 
 // engine holds one synthesis run's shared state. Counters are atomics so
@@ -250,10 +261,10 @@ type engine struct {
 	seenEntry     *shardedSet
 	seenForbidden *shardedSet
 
-	// guideFactory, when non-nil, supplies each explore worker with a
-	// ProgramGuide that proposes candidate executions instead of
-	// exhaustive enumeration (see SynthesizeWithGuide).
-	guideFactory GuideFactory
+	// satOn gives each explore worker a satgen.Guide that proposes
+	// candidate executions instead of exhaustive enumeration (see
+	// SynthesizeContext).
+	satOn bool
 
 	start time.Time
 	prog  *progressSink
@@ -459,9 +470,9 @@ func (e *engine) explore(winners []progClaim) [][]foundEntry {
 			if e.admitOn {
 				adm = admit.NewChecker(e.model)
 			}
-			var guide ProgramGuide
-			if e.guideFactory != nil {
-				guide = e.guideFactory()
+			var guide *satgen.Guide
+			if e.satOn {
+				guide = satgen.NewGuide(e.model)
 			}
 			for {
 				i := int(next.Add(1) - 1)
@@ -491,55 +502,26 @@ func (e *engine) merge(results [][]foundEntry) {
 
 // processProgram explores the executions of t and applies the minimality
 // criterion through the caller's pooled checker; each goroutine must pass
-// its own. A non-nil adm filters reads-from assignments before their
-// coherence orders are enumerated: a refuted assignment's extensions are
-// counted as fast-decided instead of visited (the filter is sound, so
-// every finding an unfiltered run makes survives). When a guide is
-// supplied and accepts the program, only its candidates are checked; a
-// declined program falls back to exhaustive enumeration. On cancellation
-// mid-program the partial findings are discarded (counters keep what was
-// actually checked).
-func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, g ProgramGuide, t *litmus.Test) []foundEntry {
-	if g != nil {
-		if found, ok := e.processProgramGuided(c, g, t); ok {
-			return found
-		}
-		if e.stopped.Load() {
-			return nil
-		}
-	}
-	c.Bind(t)
+// its own. Every candidate execution goes through one visit closure, drawn
+// from one of two sources:
+//
+//   - A non-nil guide that accepts t proposes the candidates, ordered by
+//     the rank exhaustive enumeration would visit them in; each is
+//     re-confirmed by the checker, so a guide can never introduce a wrong
+//     entry. A declined program falls through to enumeration.
+//   - Otherwise exec.Enumerate visits every execution. A non-nil adm
+//     filters reads-from assignments before their coherence orders are
+//     enumerated: a refuted assignment's extensions are counted as
+//     fast-decided instead of visited (the filter is sound, so every
+//     finding an unfiltered run makes survives).
+//
+// On cancellation mid-program the partial findings are discarded
+// (counters keep what was actually checked).
+func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, g *satgen.Guide, t *litmus.Test) []foundEntry {
 	var found []foundEntry
 	var execs, fastExecs, minNS, dedupeNS int64
 	completed := true
-	t0 := time.Now()
-	// sc orders are quantified inside the checker (they are auxiliary,
-	// not part of the outcome), so enumeration here covers rf and co only.
-	eopts := exec.EnumerateOptions{}
-	if adm != nil {
-		adm.Bind(t, c.Apps())
-		perRF := int64(exec.ExtensionsPerRF(t, eopts))
-		var rfPolls int64
-		// The visit callback polls for cancellation too, but a heavily
-		// filtered program may visit almost nothing, so poll at the rf
-		// level as well.
-		eopts.Stop = func() bool {
-			rfPolls++
-			if rfPolls&0x3F == 0x3F && e.stopped.Load() {
-				completed = false
-				return true
-			}
-			return false
-		}
-		eopts.RFFilter = func(rf []int) bool {
-			if adm.Decide(rf) {
-				return true
-			}
-			fastExecs += perRF
-			return false
-		}
-	}
-	exec.Enumerate(t, eopts, func(x *exec.Execution) bool {
+	visit := func(x *exec.Execution) bool {
 		if execs&0xFF == 0xFF && e.stopped.Load() {
 			completed = false
 			return false
@@ -577,7 +559,55 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, g Progra
 			entry:  Entry{Test: t, Exec: x.Clone(), Key: key, Size: len(t.Events)},
 		})
 		return true
-	})
+	}
+
+	c.Bind(t)
+	t0 := time.Now()
+	var cands []*exec.Execution
+	guided := false
+	if g != nil {
+		cands, guided = g.Candidates(t, e.stopped.Load)
+	}
+	switch {
+	case guided:
+		for _, x := range cands {
+			if !visit(x) {
+				break
+			}
+		}
+	case e.stopped.Load():
+		// Cancelled before (or while the guide was) exploring t.
+		completed = false
+	default:
+		// sc orders are quantified inside the checker (they are
+		// auxiliary, not part of the outcome), so enumeration here covers
+		// rf and co only.
+		eopts := exec.EnumerateOptions{}
+		if adm != nil {
+			adm.Bind(t, c.Apps())
+			perRF := int64(exec.ExtensionsPerRF(t, eopts))
+			var rfPolls int64
+			// The visit callback polls for cancellation too, but a
+			// heavily filtered program may visit almost nothing, so poll
+			// at the rf level as well.
+			eopts.Stop = func() bool {
+				rfPolls++
+				if rfPolls&0x3F == 0x3F && e.stopped.Load() {
+					completed = false
+					return true
+				}
+				return false
+			}
+			eopts.RFFilter = func(rf []int) bool {
+				if adm.Decide(rf) {
+					return true
+				}
+				fastExecs += perRF
+				return false
+			}
+		}
+		exec.Enumerate(t, eopts, visit)
+	}
 	e.execNS.Add(int64(time.Since(t0)) - minNS - dedupeNS)
 	e.minNS.Add(minNS)
 	e.dedupeNS.Add(dedupeNS)
@@ -587,71 +617,4 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, g Progra
 		return nil
 	}
 	return found
-}
-
-// processProgramGuided checks the guide's proposed candidates for t,
-// re-confirming each with the full minimality checker so a guide can never
-// introduce a wrong entry, only miss or reorder one (which the rank-order
-// contract of ProgramGuide rules out). The second result is false when the
-// guide declined the program and the exhaustive path should run instead.
-func (e *engine) processProgramGuided(c *minimal.Checker, g ProgramGuide, t *litmus.Test) ([]foundEntry, bool) {
-	t0 := time.Now()
-	cands, ok := g.Candidates(t, e.stopped.Load)
-	guideNS := int64(time.Since(t0))
-	if !ok {
-		// Solver time spent before declining still counts as execution
-		// stage work.
-		e.execNS.Add(guideNS)
-		return nil, false
-	}
-	c.Bind(t)
-	var found []foundEntry
-	var execs, minNS, dedupeNS int64
-	completed := true
-	for _, x := range cands {
-		if e.stopped.Load() {
-			completed = false
-			break
-		}
-		execs++
-		m0 := time.Now()
-		verdict := c.Check(x)
-		minNS += int64(time.Since(m0))
-		if len(verdict.ViolatedAxioms) == 0 {
-			continue
-		}
-		var key string
-		if e.seenForbidden != nil {
-			d0 := time.Now()
-			key = canon.Key(x)
-			if e.seenForbidden.Claim(key) {
-				e.forbidden.Add(1)
-			}
-			dedupeNS += int64(time.Since(d0))
-		}
-		mins := verdict.MinimalFor()
-		if len(mins) == 0 {
-			continue
-		}
-		d0 := time.Now()
-		if key == "" {
-			key = canon.Key(x)
-		}
-		if e.seenEntry.Claim(key) {
-			e.entries.Add(1)
-		}
-		dedupeNS += int64(time.Since(d0))
-		found = append(found, foundEntry{
-			axioms: append([]int(nil), mins...),
-			entry:  Entry{Test: t, Exec: x.Clone(), Key: key, Size: len(t.Events)},
-		})
-	}
-	e.execNS.Add(guideNS)
-	e.minNS.Add(minNS)
-	e.dedupeNS.Add(dedupeNS)
-	e.executions.Add(execs)
-	if !completed {
-		return nil, true
-	}
-	return found, true
 }

@@ -52,11 +52,6 @@ import (
 	"memsynth/internal/suites"
 	"memsynth/internal/synth"
 	"memsynth/internal/tsosim"
-
-	// Register the SAT-guided synthesis backend ("sat") alongside the
-	// enumerative default, so Options.Backend and the CLI/daemon -backend
-	// selection can reach it.
-	_ "memsynth/internal/synth/satgen"
 )
 
 // Re-exported core types. The aliases make the internal types part of the
@@ -215,28 +210,15 @@ const (
 	PhaseDone     = synth.PhaseDone
 )
 
-// SynthBackend is one synthesis engine implementation. All backends
-// produce byte-identical suites for the same (model, Options); they differ
-// only in how they search. Select one via Options.Backend.
-type SynthBackend = synth.Backend
-
 // DefaultBackend is the backend used when Options.Backend is empty
 // (the exhaustive enumeration engine).
 const DefaultBackend = synth.DefaultBackend
 
-// Backends returns the registered synthesis backend names, sorted
-// (currently "enum", the exhaustive engine, and "sat", the SAT-guided
-// minimality search over internal/rml and internal/sat).
+// Backends returns the synthesis backend names, sorted: "enum", the
+// exhaustive engine, and "sat", the SAT-guided minimality search over
+// internal/rml and internal/sat. Both produce byte-identical suites for
+// the same (model, Options); select one via Options.Backend.
 func Backends() []string { return synth.Backends() }
-
-// BackendByName resolves a registered synthesis backend ("" means
-// DefaultBackend); the error for an unknown name lists the known ones.
-func BackendByName(name string) (SynthBackend, error) { return synth.BackendByName(name) }
-
-// RegisterBackend adds a custom synthesis backend, making it selectable by
-// name through Options.Backend, the CLIs' -backend flag, and the daemon's
-// "backend" request field.
-func RegisterBackend(b SynthBackend) { synth.RegisterBackend(b) }
 
 // Synthesize exhaustively generates the minimal litmus-test suites of the
 // model within the given bounds (paper §5). It is a thin wrapper over
