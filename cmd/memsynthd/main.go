@@ -54,7 +54,7 @@
 // On SIGINT/SIGTERM the daemon stops accepting connections, waits for
 // in-flight requests and async jobs to drain (bounded by -drain-timeout),
 // then cancels whatever remains; a draining worker finishes or hands back
-// its in-flight shards so no shard is lost. A second signal forces
+// its running shard so no shard is lost. A second signal forces
 // immediate exit.
 package main
 
@@ -94,7 +94,6 @@ func main() {
 		joinURL        = flag.String("join", "", "join the cluster coordinated at this base URL (e.g. http://coord:8080) as a worker")
 		clusterWorkers = flag.Int("cluster-workers", 0, "shards per distributed request (0 = live worker count at submission)")
 		workerName     = flag.String("worker-name", "", "worker name reported to the coordinator (default: the hostname)")
-		warmupEvery    = flag.Duration("warmup-interval", 0, "coordinator warmup prefetch cadence (0 disables; e.g. 1m)")
 	)
 	flag.Parse()
 	if *coordinator && *joinURL != "" {
@@ -158,9 +157,7 @@ func main() {
 	var coord *cluster.Coordinator
 	if *coordinator {
 		coord = cluster.New(cluster.Config{
-			Store:            st,
 			ShardsPerRequest: *clusterWorkers,
-			WarmupInterval:   *warmupEvery,
 			Logf:             log.Printf,
 		})
 		defer coord.Close()
@@ -184,7 +181,7 @@ func main() {
 
 	// Worker mode: run the shard-job loop alongside the local HTTP API.
 	// The worker drains on the same signal the HTTP server does — it
-	// finishes or hands back in-flight shards before the process exits.
+	// finishes or hands back its running shard before the process exits.
 	workerDone := make(chan struct{})
 	if *joinURL != "" {
 		name := *workerName

@@ -7,13 +7,18 @@
 // merged suite and store digest are byte-identical to a single-node run
 // for any shard count.
 //
-// The protocol is pull-based: workers register with a capability report,
-// then long-poll the coordinator for shard jobs. Every shard job is
-// identified by a shard digest — a content address over (request digest,
-// index, stride, engine version) — which makes dispatch, retry,
+// The protocol is pull-based: workers register with their engine
+// version, then long-poll the coordinator for shard jobs, running one at
+// a time; queued shards are dispatched in submission order. Every shard
+// job is identified by a shard digest — a content address over (request
+// digest, index, stride, engine version) — which makes dispatch, retry,
 // reassignment, and result upload idempotent: a shard reassigned after a
 // worker death and later completed by both the "dead" worker and its
 // replacement is merged exactly once, whichever upload lands first.
+//
+// The coordinator does not coalesce requests: its one caller, the
+// daemon's single-flight layer (internal/server), already runs each
+// digest once, so a second Synthesize for a digest in flight is an error.
 //
 // Workers additionally treat the coordinator's suite store as a shared
 // cache tier: a worker-local store miss reads through to the coordinator
@@ -31,37 +36,6 @@ import (
 
 	"memsynth/internal/store"
 )
-
-// Priority orders shard dispatch: all queued interactive shards are
-// served before any batch shard. Interactive is the default for user
-// requests; the warmup prefetcher (and clients that opt in with
-// "priority": "batch") queue behind them.
-type Priority int
-
-const (
-	PriorityInteractive Priority = iota
-	PriorityBatch
-)
-
-// String returns the wire name of the priority.
-func (p Priority) String() string {
-	if p == PriorityBatch {
-		return "batch"
-	}
-	return "interactive"
-}
-
-// ParsePriority maps the request-body spelling to a Priority ("" means
-// interactive).
-func ParsePriority(s string) (Priority, error) {
-	switch s {
-	case "", "interactive":
-		return PriorityInteractive, nil
-	case "batch":
-		return PriorityBatch, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown priority %q (want interactive or batch)", s)
-}
 
 // Sentinel errors of the distribution path. The server maps ErrNoWorkers
 // and ErrNotDistributable to a local engine run, and SaturatedError to a
@@ -121,16 +95,13 @@ type ShardJob struct {
 	Options  store.RequestOptions `json:"options"`
 	Index    int                  `json:"index"`
 	Stride   int                  `json:"stride"`
-	Priority string               `json:"priority"`
 }
 
-// RegisterRequest is a worker's capability report.
+// RegisterRequest announces a worker. The coordinator admits only
+// workers of its own engine version.
 type RegisterRequest struct {
-	Name          string   `json:"name"`
-	EngineVersion string   `json:"engine_version"`
-	Backends      []string `json:"backends"`
-	Models        []string `json:"models"`
-	MaxJobs       int      `json:"max_jobs"`
+	Name          string `json:"name"`
+	EngineVersion string `json:"engine_version"`
 }
 
 // RegisterResponse assigns the worker its identity and cadence.

@@ -115,14 +115,10 @@ type ghost struct {
 	id  string
 }
 
-func newGhost(t *testing.T, url string, maxJobs int) *ghost {
+func newGhost(t *testing.T, url string) *ghost {
 	t.Helper()
 	g := &ghost{t: t, url: url}
-	body, _ := json.Marshal(RegisterRequest{
-		Name:          "ghost",
-		EngineVersion: synth.EngineVersion,
-		MaxJobs:       maxJobs,
-	})
+	body, _ := json.Marshal(RegisterRequest{Name: "ghost", EngineVersion: synth.EngineVersion})
 	resp, err := http.Post(url+"/v1/cluster/workers", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -194,21 +190,6 @@ func TestShardDigestDistinct(t *testing.T) {
 	}
 }
 
-func TestParsePriority(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Priority
-	}{{"", PriorityInteractive}, {"interactive", PriorityInteractive}, {"batch", PriorityBatch}} {
-		got, err := ParsePriority(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParsePriority(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParsePriority("urgent"); err == nil {
-		t.Error("unknown priority accepted")
-	}
-}
-
 // TestCodecRoundTrip pins the wire format: a shard result survives
 // encode → JSON → decode and still merges byte-identically.
 func TestCodecRoundTrip(t *testing.T) {
@@ -257,7 +238,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCoordinatorNoWorkers(t *testing.T) {
 	c := New(fastConfig())
 	defer c.Close()
-	_, err := c.Synthesize(context.Background(), mustModel(t, "sc"), synth.Options{MaxEvents: 3}, PriorityInteractive, nil)
+	_, err := c.Synthesize(context.Background(), mustModel(t, "sc"), synth.Options{MaxEvents: 3}, nil)
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
@@ -283,7 +264,7 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	m := mustModel(t, "sc")
 	opts := synth.Options{MaxEvents: 4}
 	var events atomic.Int64
-	res, err := c.Synthesize(context.Background(), m, opts, PriorityInteractive, func(synth.ProgressEvent) { events.Add(1) })
+	res, err := c.Synthesize(context.Background(), m, opts, func(synth.ProgressEvent) { events.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +291,7 @@ func TestCoordinatorWorkerKilledMidShard(t *testing.T) {
 	ts := httptest.NewServer(c)
 	defer ts.Close()
 
-	g := newGhost(t, ts.URL, 1)
+	g := newGhost(t, ts.URL)
 
 	m := mustModel(t, "sc")
 	opts := synth.Options{MaxEvents: 4}
@@ -320,7 +301,7 @@ func TestCoordinatorWorkerKilledMidShard(t *testing.T) {
 	}
 	resc := make(chan outcome, 1)
 	go func() {
-		res, err := c.Synthesize(context.Background(), m, opts, PriorityInteractive, nil)
+		res, err := c.Synthesize(context.Background(), m, opts, nil)
 		resc <- outcome{res, err}
 	}()
 
@@ -404,7 +385,7 @@ func TestWorkerDrainHandsBackShard(t *testing.T) {
 	}
 	resc := make(chan outcome, 1)
 	go func() {
-		res, err := c.Synthesize(context.Background(), m, opts, PriorityInteractive, nil)
+		res, err := c.Synthesize(context.Background(), m, opts, nil)
 		resc <- outcome{res, err}
 	}()
 
@@ -462,9 +443,9 @@ func TestCoordinatorBackpressure(t *testing.T) {
 	ts := httptest.NewServer(c)
 	defer ts.Close()
 
-	newGhost(t, ts.URL, 1) // live but never polls
+	newGhost(t, ts.URL) // live but never polls
 
-	_, err := c.Synthesize(context.Background(), mustModel(t, "sc"), synth.Options{MaxEvents: 3}, PriorityInteractive, nil)
+	_, err := c.Synthesize(context.Background(), mustModel(t, "sc"), synth.Options{MaxEvents: 3}, nil)
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated", err)
 	}
@@ -477,41 +458,58 @@ func TestCoordinatorBackpressure(t *testing.T) {
 	}
 }
 
-// TestPriorityDispatchOrder pins interactive-before-batch: with both
-// queued, a polling worker receives the interactive shard first even
-// though the batch one was submitted earlier.
-func TestPriorityDispatchOrder(t *testing.T) {
+// TestCoordinatorRefusesDigestInFlight pins the one-caller contract: the
+// coordinator does not coalesce, so a second Synthesize for a digest
+// whose flight is still queued is an error (its shard digests would
+// collide), and leaves the first flight untouched. Once the first caller
+// gives up, its flight is cancelled and the digest is accepted again.
+func TestCoordinatorRefusesDigestInFlight(t *testing.T) {
 	cfg := fastConfig()
-	cfg.ShardsPerRequest = 1
+	cfg.ShardsPerRequest = 2
 	cfg.ExpireAfter = 10 * time.Second
 	c := New(cfg)
 	defer c.Close()
 	ts := httptest.NewServer(c)
 	defer ts.Close()
 
-	g := newGhost(t, ts.URL, 2)
+	newGhost(t, ts.URL) // live but never polls: the first flight stays queued
 
+	m := mustModel(t, "sc")
+	opts := synth.Options{MaxEvents: 3}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go c.Synthesize(ctx, mustModel(t, "sc"), synth.Options{MaxEvents: 3}, PriorityBatch, nil)
-	waitFor(t, func() bool { return queueDepth(c) == 1 })
-	go c.Synthesize(ctx, mustModel(t, "tso"), synth.Options{MaxEvents: 3}, PriorityInteractive, nil)
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Synthesize(ctx, m, opts, nil)
+		first <- err
+	}()
 	waitFor(t, func() bool { return queueDepth(c) == 2 })
 
-	first, ok := g.pollJob(5 * time.Second)
-	if !ok {
-		t.Fatal("no job dispatched")
+	_, err := c.Synthesize(context.Background(), m, opts, nil)
+	if err == nil || errors.Is(err, ErrSaturated) || errors.Is(err, ErrNoWorkers) {
+		t.Fatalf("second Synthesize of an in-flight digest: err = %v, want the in-flight error", err)
 	}
-	if first.Model != "tso" || first.Priority != "interactive" {
-		t.Fatalf("first dispatched job is %s/%s, want tso/interactive", first.Model, first.Priority)
+	if got := queueDepth(c); got != 2 {
+		t.Errorf("queue depth after refusal = %d, want 2", got)
 	}
-	second, ok := g.pollJob(5 * time.Second)
-	if !ok {
-		t.Fatal("second job not dispatched")
+	if got := metricInt(c, "requests_distributed"); got != 1 {
+		t.Errorf("requests_distributed = %d, want 1", got)
 	}
-	if second.Model != "sc" || second.Priority != "batch" {
-		t.Fatalf("second dispatched job is %s/%s, want sc/batch", second.Model, second.Priority)
+
+	cancel()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("first Synthesize: err = %v, want context.Canceled", err)
 	}
+	if got := queueDepth(c); got != 0 {
+		t.Errorf("queue depth after the caller gave up = %d, want 0", got)
+	}
+	if got := metricInt(c, "requests_abandoned"); got != 1 {
+		t.Errorf("requests_abandoned = %d, want 1", got)
+	}
+
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	go c.Synthesize(ctx2, m, opts, nil)
+	waitFor(t, func() bool { return queueDepth(c) == 2 })
 }
 
 func queueDepth(c *Coordinator) int {
@@ -530,48 +528,4 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition not reached within 10s")
-}
-
-// TestWarmupPrefetch pins the warmup loop: a digest requested often
-// enough and missing from the store is re-synthesized at batch priority
-// and persisted, without any client waiting on it.
-func TestWarmupPrefetch(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastConfig()
-	cfg.Store = st
-	cfg.WarmupInterval = 50 * time.Millisecond
-	cfg.WarmupMinHits = 2
-	c := New(cfg)
-	defer c.Close()
-	ts := httptest.NewServer(c)
-	defer ts.Close()
-
-	startWorker(t, ts.URL, "w1", time.Second)
-	waitFor(t, func() bool { return c.LiveWorkers() == 1 })
-
-	m := mustModel(t, "sc")
-	opts := synth.Options{MaxEvents: 3}
-	c.RecordRequest(m, opts)
-	c.RecordRequest(m, opts)
-
-	digest := store.DigestModel(m, opts)
-	waitFor(t, func() bool {
-		_, err := st.Get(digest)
-		return err == nil
-	})
-	ss, err := st.Get(digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.Manifest.Backend != "cluster" {
-		t.Errorf("warmed suite Backend = %q, want cluster", ss.Manifest.Backend)
-	}
-	single := synth.Synthesize(m, opts)
-	assertSameSuites(t, ss, encodeResult(t, single))
-	if got := metricInt(c, "warmup_runs"); got < 1 {
-		t.Errorf("warmup_runs = %d, want >= 1", got)
-	}
 }

@@ -20,9 +20,10 @@ import (
 
 // Config tunes a Coordinator. Zero values select the documented defaults.
 type Config struct {
-	// Store is the coordinator's suite store: the cluster's shared cache
-	// tier (served to peers via the bundle endpoint) and the warmup
-	// prefetcher's write target. Required when WarmupInterval > 0.
+	// Store is ignored. The daemon's server serves the shared cache tier
+	// and persists merged results; the coordinator never touches a store.
+	//
+	// Deprecated: leave it unset.
 	Store *store.Store
 	// ShardsPerRequest fixes the shard count of every distributed
 	// request; 0 shards by the live worker count at submission time.
@@ -43,16 +44,6 @@ type Config struct {
 	// PollWait bounds how long a worker's job poll is held open before
 	// an empty response. Default 10s.
 	PollWait time.Duration
-	// WarmupInterval enables the warmup prefetcher: every interval the
-	// coordinator re-synthesizes (at batch priority) the most-requested
-	// digests missing from the store. 0 disables warmup.
-	WarmupInterval time.Duration
-	// WarmupMinHits is the request count a digest needs before warmup
-	// considers it. Default 2.
-	WarmupMinHits int
-	// WarmupTopK bounds how many digests one warmup pass refreshes.
-	// Default 4.
-	WarmupTopK int
 	// Logf receives operational log lines (nil silences them).
 	Logf func(format string, args ...any)
 }
@@ -72,12 +63,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 10 * time.Second
-	}
-	if cfg.WarmupMinHits <= 0 {
-		cfg.WarmupMinHits = 2
-	}
-	if cfg.WarmupTopK <= 0 {
-		cfg.WarmupTopK = 4
 	}
 	return cfg
 }
@@ -99,7 +84,6 @@ const (
 type shardState struct {
 	job   ShardJob
 	fl    *cflight
-	pri   Priority
 	seq   int64
 	state int
 	// worker is the assignee's ID while state == sAssigned.
@@ -109,8 +93,7 @@ type shardState struct {
 	progress   ProgressWire
 }
 
-// cflight is one in-flight distributed request: the flight all callers
-// of the same digest coalesce onto.
+// cflight is one in-flight distributed request and its one caller.
 type cflight struct {
 	digest  string
 	model   memmodel.Model
@@ -119,43 +102,38 @@ type cflight struct {
 	pending int
 	shards  []*shardState
 	results []*synth.ShardResult
-	waiters int
 	// finished flips exactly once (merge dispatch or failure), guarding
 	// done from double-close.
-	finished    bool
-	progressFns []func(synth.ProgressEvent)
-	start       time.Time
-	done        chan struct{}
-	res         *synth.Result
-	err         error
+	finished bool
+	// progress receives the aggregated shard progress (nil drops it).
+	progress func(synth.ProgressEvent)
+	start    time.Time
+	done     chan struct{}
+	res      *synth.Result
+	err      error
 }
 
 // member is one registered worker.
 type member struct {
 	id       string
 	name     string
-	backends []string
-	models   []string
-	maxJobs  int
 	lastSeen time.Time
-	assigned map[string]*shardState
+	// shard is the worker's assigned shard, nil while idle: a worker
+	// runs one shard at a time.
+	shard *shardState
 }
 
-// shardQueue is the priority dispatch queue: interactive before batch,
-// FIFO (by submission sequence) within a priority. Entries whose state
-// moved on (cancelled, or completed by a slow original worker while
-// requeued) go stale in place and are skipped at pop.
+// shardQueue is the dispatch queue, ordered by submission sequence: a
+// requeued shard keeps its original place ahead of later submissions.
+// Entries whose state moved on (cancelled, or completed by a slow
+// original worker while requeued) go stale in place and are skipped at
+// pop.
 type shardQueue []*shardState
 
-func (q shardQueue) Len() int { return len(q) }
-func (q shardQueue) Less(i, j int) bool {
-	if q[i].pri != q[j].pri {
-		return q[i].pri < q[j].pri
-	}
-	return q[i].seq < q[j].seq
-}
-func (q shardQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *shardQueue) Push(x any)   { *q = append(*q, x.(*shardState)) }
+func (q shardQueue) Len() int           { return len(q) }
+func (q shardQueue) Less(i, j int) bool { return q[i].seq < q[j].seq }
+func (q shardQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *shardQueue) Push(x any)        { *q = append(*q, x.(*shardState)) }
 func (q *shardQueue) Pop() any {
 	old := *q
 	n := len(old)
@@ -190,19 +168,10 @@ type Coordinator struct {
 	wake  chan struct{}
 	seq   int64
 	idSeq int64
-	pop   map[string]*popEntry
 }
 
-// popEntry tracks request popularity for the warmup prefetcher.
-type popEntry struct {
-	model memmodel.Model
-	opts  synth.Options
-	hits  int
-	last  time.Time
-}
-
-// New starts a coordinator: its heartbeat monitor runs immediately, and
-// the warmup prefetcher too when configured. Close releases both.
+// New starts a coordinator: its heartbeat monitor runs immediately and
+// Close releases it.
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -213,7 +182,6 @@ func New(cfg Config) *Coordinator {
 		shards:  make(map[string]*shardState),
 		flights: make(map[string]*cflight),
 		wake:    make(chan struct{}),
-		pop:     make(map[string]*popEntry),
 	}
 	c.baseCtx, c.baseCancel = context.WithCancel(context.Background())
 	c.metrics.Init()
@@ -244,14 +212,10 @@ func New(cfg Config) *Coordinator {
 
 	c.wg.Add(1)
 	go c.monitor()
-	if cfg.WarmupInterval > 0 && cfg.Store != nil {
-		c.wg.Add(1)
-		go c.warmupLoop()
-	}
 	return c
 }
 
-// Close stops the background loops and fails every in-flight request
+// Close stops the heartbeat monitor and fails every in-flight request
 // with ErrClosed so no caller is left waiting.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
@@ -305,12 +269,13 @@ func distributable(m memmodel.Model) (source, digest, def string, err error) {
 	return source, digest, n.Normalized(), nil
 }
 
-// Synthesize runs one request through the cluster: coalesce onto an
-// existing flight for the digest, or partition into stride shard jobs
-// and wait for the merge. It does not consult or write the store — the
-// caller owns cache lookup and persistence (the daemon's single-flight
-// path does both).
-func (c *Coordinator) Synthesize(ctx context.Context, m memmodel.Model, opts synth.Options, pri Priority, progress func(synth.ProgressEvent)) (*synth.Result, error) {
+// Synthesize runs one request through the cluster: it partitions the
+// request into stride shard jobs and waits for the merge. It does not
+// consult or write the store, and it does not coalesce: the caller (the
+// daemon's single-flight path) owns cache lookup, persistence and
+// deduplication, so a digest already in flight is refused — its shard
+// digests would collide with the running flight's.
+func (c *Coordinator) Synthesize(ctx context.Context, m memmodel.Model, opts synth.Options, progress func(synth.ProgressEvent)) (*synth.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -325,14 +290,9 @@ func (c *Coordinator) Synthesize(ctx context.Context, m memmodel.Model, opts syn
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if fl := c.flights[digest]; fl != nil {
-		fl.waiters++
-		if progress != nil {
-			fl.progressFns = append(fl.progressFns, progress)
-		}
-		c.metrics.Add("coalesced_requests", 1)
+	if c.flights[digest] != nil {
 		c.mu.Unlock()
-		return c.wait(ctx, fl)
+		return nil, fmt.Errorf("cluster: request %.12s is already in flight", digest)
 	}
 	live := len(c.workers)
 	if live == 0 {
@@ -354,18 +314,15 @@ func (c *Coordinator) Synthesize(ctx context.Context, m memmodel.Model, opts syn
 	}
 
 	fl := &cflight{
-		digest:  digest,
-		model:   m,
-		opts:    opts,
-		stride:  stride,
-		pending: stride,
-		results: make([]*synth.ShardResult, stride),
-		waiters: 1,
-		start:   time.Now(),
-		done:    make(chan struct{}),
-	}
-	if progress != nil {
-		fl.progressFns = append(fl.progressFns, progress)
+		digest:   digest,
+		model:    m,
+		opts:     opts,
+		stride:   stride,
+		pending:  stride,
+		results:  make([]*synth.ShardResult, stride),
+		progress: progress,
+		start:    time.Now(),
+		done:     make(chan struct{}),
 	}
 	ro := store.FromSynthOptions(opts)
 	for i := 0; i < stride; i++ {
@@ -382,10 +339,8 @@ func (c *Coordinator) Synthesize(ctx context.Context, m memmodel.Model, opts syn
 				Options:       ro,
 				Index:         i,
 				Stride:        stride,
-				Priority:      pri.String(),
 			},
 			fl:  fl,
-			pri: pri,
 			seq: c.seq,
 		}
 		fl.shards = append(fl.shards, ss)
@@ -396,21 +351,20 @@ func (c *Coordinator) Synthesize(ctx context.Context, m memmodel.Model, opts syn
 	c.metrics.Add("requests_distributed", 1)
 	c.mu.Unlock()
 
-	c.logf("cluster: request %.12s: %d shards queued (%s, model %s)", digest, stride, pri, m.Name())
+	c.logf("cluster: request %.12s: %d shards queued (model %s)", digest, stride, m.Name())
 	return c.wait(ctx, fl)
 }
 
-// wait blocks a caller on its flight. The last waiter to abandon a
-// flight cancels it (queued shards dropped; results from still-assigned
-// shards are discarded on arrival).
+// wait blocks the caller on its flight. A caller that gives up cancels
+// the flight (queued shards dropped; results from still-assigned shards
+// are discarded on arrival).
 func (c *Coordinator) wait(ctx context.Context, fl *cflight) (*synth.Result, error) {
 	select {
 	case <-fl.done:
 		return fl.res, fl.err
 	case <-ctx.Done():
 		c.mu.Lock()
-		fl.waiters--
-		if fl.waiters <= 0 && !fl.finished {
+		if !fl.finished {
 			c.metrics.Add("requests_abandoned", 1)
 			c.failFlightLocked(fl, ctx.Err())
 		}
@@ -450,7 +404,7 @@ func (c *Coordinator) requeueLocked(ss *shardState, counter string) {
 		return
 	}
 	if w := c.workers[ss.worker]; w != nil {
-		delete(w.assigned, ss.job.ShardDigest)
+		w.shard = nil
 	}
 	c.metrics.Add(counter, 1)
 	ss.retries++
@@ -467,7 +421,7 @@ func (c *Coordinator) requeueLocked(ss *shardState, counter string) {
 
 // failFlightLocked finishes a flight with an error: queued shards are
 // cancelled, assigned ones orphaned (their uploads answered 410), and
-// every waiter unblocked.
+// the caller unblocked.
 func (c *Coordinator) failFlightLocked(fl *cflight, err error) {
 	if fl.finished {
 		return
@@ -484,7 +438,7 @@ func (c *Coordinator) failFlightLocked(fl *cflight, err error) {
 		case sAssigned:
 			ss.state = sCancelled
 			if w := c.workers[ss.worker]; w != nil {
-				delete(w.assigned, ss.job.ShardDigest)
+				w.shard = nil
 			}
 			delete(c.shards, ss.job.ShardDigest)
 		}
@@ -535,96 +489,13 @@ func (c *Coordinator) monitor() {
 			}
 			delete(c.workers, id)
 			c.metrics.Add("workers_expired", 1)
-			orphans := make([]*shardState, 0, len(w.assigned))
-			for _, ss := range w.assigned {
-				orphans = append(orphans, ss)
-			}
-			// Requeue in original dispatch order: merge is index-keyed
-			// and deterministic regardless, but a stable steal order
-			// keeps retry scheduling and logs reproducible.
-			sort.Slice(orphans, func(i, j int) bool { return orphans[i].seq < orphans[j].seq })
-			c.logf("cluster: worker %s (%s) expired after %s silence; reassigning %d shards",
-				id, w.name, now.Sub(w.lastSeen).Round(time.Millisecond), len(orphans))
-			for _, ss := range orphans {
-				c.requeueLocked(ss, "shards_stolen")
+			c.logf("cluster: worker %s (%s) expired after %s silence",
+				id, w.name, now.Sub(w.lastSeen).Round(time.Millisecond))
+			if w.shard != nil {
+				c.requeueLocked(w.shard, "shards_stolen")
 			}
 		}
 		c.mu.Unlock()
-	}
-}
-
-// RecordRequest feeds the warmup prefetcher's popularity census; the
-// daemon calls it on every synthesize request (hit or miss).
-func (c *Coordinator) RecordRequest(m memmodel.Model, opts synth.Options) {
-	if opts.Validate() != nil {
-		return
-	}
-	digest := store.DigestModel(m, opts)
-	c.mu.Lock()
-	pe := c.pop[digest]
-	if pe == nil {
-		pe = &popEntry{model: m, opts: opts}
-		c.pop[digest] = pe
-	}
-	pe.hits++
-	pe.last = time.Now()
-	c.mu.Unlock()
-}
-
-// warmupLoop periodically re-synthesizes popular digests missing from
-// the store (evicted or never computed) at batch priority, so the next
-// interactive request for them is a cache hit.
-func (c *Coordinator) warmupLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.WarmupInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.baseCtx.Done():
-			return
-		case <-ticker.C:
-		}
-		c.warmupPass()
-	}
-}
-
-func (c *Coordinator) warmupPass() {
-	type cand struct {
-		digest string
-		pe     popEntry
-	}
-	c.mu.Lock()
-	var cands []cand
-	for dg, pe := range c.pop {
-		if pe.hits >= c.cfg.WarmupMinHits {
-			cands = append(cands, cand{digest: dg, pe: *pe})
-		}
-	}
-	c.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].pe.hits != cands[j].pe.hits {
-			return cands[i].pe.hits > cands[j].pe.hits
-		}
-		return cands[i].digest < cands[j].digest
-	})
-	if len(cands) > c.cfg.WarmupTopK {
-		cands = cands[:c.cfg.WarmupTopK]
-	}
-	for _, cd := range cands {
-		if _, err := c.cfg.Store.Get(cd.digest); !errors.Is(err, store.ErrNotFound) {
-			continue
-		}
-		res, err := c.Synthesize(c.baseCtx, cd.pe.model, cd.pe.opts, PriorityBatch, nil)
-		if err != nil {
-			c.logf("cluster: warmup of %.12s failed: %v", cd.digest, err)
-			continue
-		}
-		if _, err := c.cfg.Store.Put(res); err != nil {
-			c.logf("cluster: warmup of %.12s: store put: %v", cd.digest, err)
-			continue
-		}
-		c.metrics.Add("warmup_runs", 1)
-		c.logf("cluster: warmup re-synthesized %.12s (%d hits)", cd.digest, cd.pe.hits)
 	}
 }
 
@@ -655,9 +526,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 			"engine version %q incompatible with coordinator %q", req.EngineVersion, synth.EngineVersion)
 		return
 	}
-	if req.MaxJobs <= 0 {
-		req.MaxJobs = 1
-	}
 	if req.Name == "" {
 		req.Name = "worker"
 	}
@@ -672,15 +540,11 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.workers[id] = &member{
 		id:       id,
 		name:     req.Name,
-		backends: req.Backends,
-		models:   req.Models,
-		maxJobs:  req.MaxJobs,
 		lastSeen: time.Now(),
-		assigned: make(map[string]*shardState),
 	}
 	c.metrics.Add("workers_registered", 1)
 	c.mu.Unlock()
-	c.logf("cluster: worker %s registered (%s, max_jobs=%d, backends=%v)", id, req.Name, req.MaxJobs, req.Backends)
+	c.logf("cluster: worker %s registered (%s)", id, req.Name)
 	clusterJSON(w, http.StatusOK, RegisterResponse{
 		WorkerID:            id,
 		HeartbeatIntervalMS: c.cfg.HeartbeatInterval.Milliseconds(),
@@ -717,16 +581,8 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	if m := c.workers[id]; m != nil {
 		delete(c.workers, id)
-		orphans := make([]*shardState, 0, len(m.assigned))
-		for _, ss := range m.assigned {
-			orphans = append(orphans, ss)
-		}
-		// Same stable steal order as heartbeat expiry: merge is
-		// index-keyed either way, but requeue order should not depend on
-		// map iteration.
-		sort.Slice(orphans, func(i, j int) bool { return orphans[i].seq < orphans[j].seq })
-		for _, ss := range orphans {
-			c.requeueLocked(ss, "shards_released")
+		if m.shard != nil {
+			c.requeueLocked(m.shard, "shards_released")
 		}
 	}
 	c.mu.Unlock()
@@ -735,7 +591,8 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePoll is the dispatch path: a long-poll that blocks until a shard
-// is available, the hold expires (204), or the worker vanishes (404).
+// is available, the hold expires (204), or the worker vanishes (404). A
+// worker that still holds a shard gets 204: workers run one at a time.
 // Polls, heartbeats, and progress lines all refresh liveness, so a busy
 // worker is never expired for being busy.
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
@@ -750,7 +607,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		m.lastSeen = time.Now()
-		if len(m.assigned) >= m.maxJobs {
+		if m.shard != nil {
 			c.mu.Unlock()
 			w.WriteHeader(http.StatusNoContent)
 			return
@@ -759,7 +616,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 			ss.state = sAssigned
 			ss.worker = id
 			ss.assignedAt = time.Now()
-			m.assigned[ss.job.ShardDigest] = ss
+			m.shard = ss
 			job := ss.job
 			c.metrics.Add("shards_dispatched", 1)
 			c.mu.Unlock()
@@ -794,7 +651,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 
 // handleProgress consumes a shard's NDJSON progress stream, updating the
 // per-shard snapshot and forwarding an aggregated view to the flight's
-// progress observers.
+// progress func.
 func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 	dg := r.PathValue("digest")
 	workerID := r.URL.Query().Get("worker")
@@ -820,7 +677,7 @@ func (c *Coordinator) noteProgress(dg, workerID string, pw ProgressWire) {
 		m.lastSeen = time.Now()
 	}
 	ss := c.shards[dg]
-	if ss == nil || ss.fl.finished {
+	if ss == nil || ss.fl.finished || ss.fl.progress == nil {
 		c.mu.Unlock()
 		return
 	}
@@ -849,12 +706,8 @@ func (c *Coordinator) noteProgress(dg, workerID string, pw ProgressWire) {
 			agg.Programs = p.Programs
 		}
 	}
-	fns := make([]func(synth.ProgressEvent), len(fl.progressFns))
-	copy(fns, fl.progressFns)
 	c.mu.Unlock()
-	for _, fn := range fns {
-		fn(agg)
-	}
+	fl.progress(agg)
 }
 
 // handleResult accepts a shard-result upload, idempotent by shard
@@ -915,7 +768,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	// for reassignment — the stale queue entry is skipped at pop.
 	if ss.state == sAssigned {
 		if m := c.workers[ss.worker]; m != nil {
-			delete(m.assigned, dg)
+			m.shard = nil
 			c.metrics.Add("worker_shards_done_"+m.name, 1)
 		}
 	} else {
@@ -964,19 +817,16 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 // handleStatus reports a point-in-time cluster snapshot.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	type workerStatus struct {
-		ID           string   `json:"id"`
-		Name         string   `json:"name"`
-		Backends     []string `json:"backends,omitempty"`
-		MaxJobs      int      `json:"max_jobs"`
-		LastSeenMS   int64    `json:"last_seen_ms_ago"`
-		AssignedJobs int      `json:"assigned"`
+		ID           string `json:"id"`
+		Name         string `json:"name"`
+		LastSeenMS   int64  `json:"last_seen_ms_ago"`
+		AssignedJobs int    `json:"assigned"`
 	}
 	type flightStatus struct {
 		Digest  string `json:"digest"`
 		Model   string `json:"model"`
 		Stride  int    `json:"stride"`
 		Pending int    `json:"pending"`
-		Waiters int    `json:"waiters"`
 	}
 	var out struct {
 		Workers    []workerStatus `json:"workers"`
@@ -986,14 +836,11 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	now := time.Now()
 	for _, m := range c.workers {
-		out.Workers = append(out.Workers, workerStatus{
-			ID:           m.id,
-			Name:         m.name,
-			Backends:     m.backends,
-			MaxJobs:      m.maxJobs,
-			LastSeenMS:   now.Sub(m.lastSeen).Milliseconds(),
-			AssignedJobs: len(m.assigned),
-		})
+		ws := workerStatus{ID: m.id, Name: m.name, LastSeenMS: now.Sub(m.lastSeen).Milliseconds()}
+		if m.shard != nil {
+			ws.AssignedJobs = 1
+		}
+		out.Workers = append(out.Workers, ws)
 	}
 	out.QueueDepth = c.nQueued
 	for _, fl := range c.flights {
@@ -1002,7 +849,6 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Model:   fl.model.Name(),
 			Stride:  fl.stride,
 			Pending: fl.pending,
-			Waiters: fl.waiters,
 		})
 	}
 	c.mu.Unlock()

@@ -61,7 +61,6 @@ func newCoordinatorNode(t *testing.T, mutate func(*cluster.Config)) *node {
 		t.Fatal(err)
 	}
 	ccfg := cluster.Config{
-		Store:             st,
 		HeartbeatInterval: 40 * time.Millisecond,
 		ExpireAfter:       250 * time.Millisecond,
 		PollWait:          150 * time.Millisecond,
@@ -306,6 +305,112 @@ func TestClusterPeerReadThroughHTTP(t *testing.T) {
 	}
 }
 
+// TestClusterCoalescesOnceHTTP pins the one coalescing layer: two
+// concurrent identical cold requests to a coordinator node share the
+// server's single flight, so the coordinator distributes the request
+// once, and both responses carry the same digest and suite bytes.
+//
+// A placeholder registration that never polls keeps the fleet non-empty
+// while the first request's shard sits queued; it leaves once the second
+// request has joined the flight, and one real worker then runs the shard.
+func TestClusterCoalescesOnceHTTP(t *testing.T) {
+	coord := newCoordinatorNode(t, func(c *cluster.Config) { c.ShardsPerRequest = 1 })
+	body, _ := json.Marshal(cluster.RegisterRequest{Name: "placeholder", EngineVersion: synth.EngineVersion})
+	resp, err := http.Post(coord.ts.URL+"/v1/cluster/workers", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg cluster.RegisterResponse
+	err = json.NewDecoder(resp.Body).Decode(&reg)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type reply struct {
+		code   int
+		digest string
+		text   string
+		err    error
+	}
+	replies := make(chan reply, 2)
+	send := func() {
+		resp, err := http.Post(coord.ts.URL+"/v1/synthesize", "application/json",
+			strings.NewReader(`{"model":"sc","max_events":4,"format":"litmus"}`))
+		if err != nil {
+			replies <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		text, err := io.ReadAll(resp.Body)
+		replies <- reply{resp.StatusCode, resp.Header.Get("X-Memsynth-Digest"), string(text), err}
+	}
+	go send()
+	waitMetrics(t, coord.ts.URL, func(m nodeMetrics) bool { return m.Cluster.RequestsDistributed == 1 })
+	go send()
+	waitMetrics(t, coord.ts.URL, func(m nodeMetrics) bool { return m.Coalesced == 1 })
+
+	req, _ := http.NewRequest(http.MethodDelete, coord.ts.URL+"/v1/cluster/workers/"+reg.WorkerID, nil)
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	joinWorker(t, coord.ts.URL, "w1", time.Second)
+
+	wantDigest, wantText := singleNodeText(t, "sc", synth.Options{MaxEvents: 4})
+	for i := 0; i < 2; i++ {
+		var r reply
+		select {
+		case r = <-replies:
+		case <-time.After(30 * time.Second):
+			t.Fatal("coalesced requests did not complete")
+		}
+		if r.err != nil || r.code != http.StatusOK {
+			t.Fatalf("status %d (%v): %s", r.code, r.err, r.text)
+		}
+		if r.digest != wantDigest || r.text != wantText {
+			t.Errorf("response %d: digest %.12s, want %.12s (bytes equal: %t)", i, r.digest, wantDigest, r.text == wantText)
+		}
+	}
+	m := readMetrics(t, coord.ts.URL)
+	if m.Cluster.RequestsDistributed != 1 {
+		t.Errorf("coordinator requests_distributed = %d, want 1", m.Cluster.RequestsDistributed)
+	}
+	if m.Coalesced != 1 {
+		t.Errorf("server coalesced_requests = %d, want 1", m.Coalesced)
+	}
+}
+
+// nodeMetrics is the part of a node's /metrics the cluster tests read.
+type nodeMetrics struct {
+	Coalesced int64 `json:"coalesced_requests"`
+	Cluster   struct {
+		RequestsDistributed int64 `json:"requests_distributed"`
+	} `json:"cluster"`
+}
+
+func readMetrics(t *testing.T, baseURL string) nodeMetrics {
+	t.Helper()
+	var m nodeMetrics
+	if err := json.Unmarshal([]byte(metricsBody(t, baseURL)), &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// waitMetrics blocks until the node's metrics satisfy cond.
+func waitMetrics(t *testing.T, baseURL string, cond func(nodeMetrics) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond(readMetrics(t, baseURL)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("metrics never reached the expected state: %+v", readMetrics(t, baseURL))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestClusterSaturated429 pins the HTTP backpressure contract: when the
 // dispatch queue cannot hold a request's shards, the server answers 429
 // with a Retry-After hint instead of queueing unboundedly.
@@ -316,7 +421,7 @@ func TestClusterSaturated429(t *testing.T) {
 	})
 	// A live worker that never polls: the fleet is non-empty, so the
 	// request is distributable, but nothing drains the queue.
-	body, _ := json.Marshal(cluster.RegisterRequest{Name: "idle", EngineVersion: synth.EngineVersion, MaxJobs: 1})
+	body, _ := json.Marshal(cluster.RegisterRequest{Name: "idle", EngineVersion: synth.EngineVersion})
 	resp, err := http.Post(coord.ts.URL+"/v1/cluster/workers", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -333,18 +438,6 @@ func TestClusterSaturated429(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
-	}
-}
-
-// TestClusterPriorityRejected pins the request validation: an unknown
-// priority is a 400, not silently treated as interactive.
-func TestClusterPriorityRejected(t *testing.T) {
-	n := newNode(t, nil)
-	resp, _ := synthesizeHTTP(t, n.ts.URL, map[string]any{
-		"model": "sc", "max_events": 3, "priority": "urgent",
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
 }
 

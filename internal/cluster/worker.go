@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,14 +23,11 @@ type WorkerConfig struct {
 	CoordinatorURL string
 	// Name labels the worker in coordinator logs and metrics.
 	Name string
-	// MaxShards bounds concurrently-executing shard jobs. Default 1: one
-	// shard already saturates the engine's internal worker pool.
-	MaxShards int
 	// EngineWorkers is synth.Options.Workers for each shard run (0 =
 	// engine default, one per CPU).
 	EngineWorkers int
-	// DrainGrace is how long a SIGTERM'd worker lets in-flight shards
-	// finish before cancelling and handing them back. Default 20s.
+	// DrainGrace is how long a SIGTERM'd worker lets its running shard
+	// finish before cancelling and handing it back. Default 20s.
 	DrainGrace time.Duration
 	// Client overrides the HTTP client (tests); nil uses a default with
 	// no overall timeout (long-polls hold connections open).
@@ -41,11 +37,11 @@ type WorkerConfig struct {
 }
 
 // Worker is one cluster compute node: it registers with the coordinator,
-// long-polls for shard jobs, runs them through synth.SynthesizeShard
-// (streaming progress back), and uploads results. On shutdown it drains:
-// in-flight shards get DrainGrace to finish; past that they are
-// cancelled and handed back for immediate reassignment, so a drain never
-// loses or double-merges a shard.
+// then polls for one shard job at a time, runs it through
+// synth.SynthesizeShard (streaming progress back), and uploads the
+// result. On shutdown it drains: the running shard gets DrainGrace to
+// finish; past that it is cancelled and handed back for immediate
+// reassignment, so a drain never loses or double-merges a shard.
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
@@ -57,14 +53,10 @@ type Worker struct {
 	mu         sync.Mutex
 	id         string
 	hbInterval time.Duration
-	inflight   map[string]context.CancelFunc
 }
 
 // NewWorker constructs a worker; Run starts it.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.MaxShards <= 0 {
-		cfg.MaxShards = 1
-	}
 	if cfg.DrainGrace <= 0 {
 		cfg.DrainGrace = 20 * time.Second
 	}
@@ -76,10 +68,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		client = &http.Client{}
 	}
 	return &Worker{
-		cfg:      cfg,
-		client:   client,
-		synthFn:  synth.SynthesizeShard,
-		inflight: make(map[string]context.CancelFunc),
+		cfg:     cfg,
+		client:  client,
+		synthFn: synth.SynthesizeShard,
 	}
 }
 
@@ -126,17 +117,7 @@ func (w *Worker) doJSON(ctx context.Context, method, path string, in, out any) (
 
 // register announces the worker and adopts the coordinator's cadence.
 func (w *Worker) register(ctx context.Context) error {
-	models := make([]string, 0, 8)
-	for _, m := range memmodel.All() {
-		models = append(models, m.Name())
-	}
-	req := RegisterRequest{
-		Name:          w.cfg.Name,
-		EngineVersion: synth.EngineVersion,
-		Backends:      synth.Backends(),
-		Models:        models,
-		MaxJobs:       w.cfg.MaxShards,
-	}
+	req := RegisterRequest{Name: w.cfg.Name, EngineVersion: synth.EngineVersion}
 	var resp RegisterResponse
 	code, err := w.doJSON(ctx, http.MethodPost, "/v1/cluster/workers", req, &resp)
 	if err != nil {
@@ -181,7 +162,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 
 	// Heartbeats outlive ctx: a draining worker must stay live to the
-	// coordinator until its last shard is uploaded or handed back.
+	// coordinator until its shard is uploaded or handed back.
 	hbCtx, hbCancel := context.WithCancel(context.Background())
 	defer hbCancel()
 	var hbWG sync.WaitGroup
@@ -191,70 +172,25 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.heartbeatLoop(hbCtx)
 	}()
 
-	slots := make(chan struct{}, w.cfg.MaxShards)
-	for i := 0; i < w.cfg.MaxShards; i++ {
-		slots <- struct{}{}
-	}
-	var jobs sync.WaitGroup
-poll:
-	for {
-		select {
-		case <-ctx.Done():
-			break poll
-		case <-slots:
-		}
+	for ctx.Err() == nil {
 		job, ok, err := w.poll(ctx)
-		if err != nil {
-			slots <- struct{}{}
-			if ctx.Err() != nil {
-				break poll
-			}
+		switch {
+		case ok:
+			w.runJob(ctx, job)
+		case err != nil && ctx.Err() == nil:
 			w.logf("cluster: poll failed: %v", err)
 			select {
 			case <-ctx.Done():
-				break poll
 			case <-time.After(500 * time.Millisecond):
 			}
-			continue
 		}
-		if !ok {
-			slots <- struct{}{}
-			continue
-		}
-		jobs.Add(1)
-		go func(job ShardJob) {
-			defer jobs.Done()
-			defer func() { slots <- struct{}{} }()
-			w.runShard(job)
-		}(job)
 	}
 
-	// Drain: let in-flight shards finish within the grace period, then
-	// cancel the stragglers (runShard releases a cancelled shard back to
-	// the coordinator, so it is reassigned rather than lost).
-	timer := time.AfterFunc(w.cfg.DrainGrace, func() {
-		w.logf("cluster: drain grace expired; cancelling in-flight shards")
-		w.cancelInflight()
-	})
-	jobs.Wait()
-	timer.Stop()
 	w.deregister()
 	hbCancel()
 	hbWG.Wait()
 	w.logf("cluster: worker %s drained", w.workerID())
 	return nil
-}
-
-func (w *Worker) cancelInflight() {
-	w.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(w.inflight))
-	for _, cancel := range w.inflight {
-		cancels = append(cancels, cancel)
-	}
-	w.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
 }
 
 func (w *Worker) heartbeatLoop(ctx context.Context) {
@@ -328,10 +264,12 @@ func (w *Worker) buildModel(job ShardJob) (memmodel.Model, error) {
 	return m, nil
 }
 
-// runShard executes one shard job end to end. Failure modes all converge
+// runJob executes one shard job end to end. Failure modes all converge
 // on release (hand the shard back for reassignment); only a complete,
-// uninterrupted result is uploaded.
-func (w *Worker) runShard(job ShardJob) {
+// uninterrupted result is uploaded. The shard runs detached from ctx, the
+// worker's run context: once ctx is done the shard gets DrainGrace to
+// finish before it is cancelled.
+func (w *Worker) runJob(ctx context.Context, job ShardJob) {
 	if job.EngineVersion != synth.EngineVersion {
 		w.release(job, fmt.Sprintf("engine version mismatch: job %q, worker %q", job.EngineVersion, synth.EngineVersion))
 		return
@@ -342,24 +280,31 @@ func (w *Worker) runShard(job ShardJob) {
 		return
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	w.mu.Lock()
-	w.inflight[job.ShardDigest] = cancel
-	w.mu.Unlock()
-	defer func() {
-		w.mu.Lock()
-		delete(w.inflight, job.ShardDigest)
-		w.mu.Unlock()
-		cancel()
+	shardCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		select {
+		case <-ctx.Done():
+		case <-shardCtx.Done():
+			return
+		}
+		grace := time.NewTimer(w.cfg.DrainGrace)
+		defer grace.Stop()
+		select {
+		case <-grace.C:
+			w.logf("cluster: drain grace expired; cancelling shard %.12s", job.ShardDigest)
+			cancel()
+		case <-shardCtx.Done():
+		}
 	}()
 
 	opts := job.Options.SynthOptions()
 	opts.Workers = w.cfg.EngineWorkers
-	stream := w.startProgress(ctx, job)
+	stream := w.startProgress(shardCtx, job)
 	opts.Progress = stream.observe
 
 	start := time.Now()
-	sr, err := w.synthFn(ctx, m, opts, synth.ShardSpec{Index: job.Index, Stride: job.Stride})
+	sr, err := w.synthFn(shardCtx, m, opts, synth.ShardSpec{Index: job.Index, Stride: job.Stride})
 	stream.close()
 	if err != nil {
 		w.release(job, err.Error())
@@ -506,6 +451,3 @@ func (ps *progressStream) observe(ev synth.ProgressEvent) {
 }
 
 func (ps *progressStream) close() { ps.closeC() }
-
-// errShardCancelled is a drain-path sentinel for tests.
-var errShardCancelled = errors.New("cluster: shard cancelled")

@@ -103,7 +103,7 @@ func (g *flightGroup) forget(digest string) {
 // whether the suite was served without an engine run from this call's
 // perspective (store hit only; coalesced followers report cached=false,
 // matching "the request did trigger/await synthesis").
-func (s *Server) synthesize(ctx context.Context, model memmodel.Model, opts synth.Options, digest string, pri cluster.Priority, attach func(*flight)) (ss *store.StoredSuite, cached bool, err error) {
+func (s *Server) synthesize(ctx context.Context, model memmodel.Model, opts synth.Options, digest string, attach func(*flight)) (ss *store.StoredSuite, cached bool, err error) {
 	// The lookup reads through the peer cache tier when one is wired
 	// (worker nodes pointing at the coordinator's store): a peer hit is
 	// persisted locally and served as a cache hit — synthesis is the
@@ -131,7 +131,7 @@ func (s *Server) synthesize(ctx context.Context, model memmodel.Model, opts synt
 		attach(f)
 	}
 	if leader {
-		go s.lead(f, model, opts, pri)
+		go s.lead(f, model, opts)
 	} else {
 		s.metrics.coalesced.Add(1)
 	}
@@ -147,7 +147,7 @@ func (s *Server) synthesize(ctx context.Context, model memmodel.Model, opts synt
 
 // lead runs the engine for flight f and publishes the result. It is the
 // only goroutine that writes f.ss/f.err before done is closed.
-func (s *Server) lead(f *flight, model memmodel.Model, opts synth.Options, pri cluster.Priority) {
+func (s *Server) lead(f *flight, model memmodel.Model, opts synth.Options) {
 	defer close(f.done)
 	defer s.flights.forget(f.digest)
 
@@ -157,7 +157,7 @@ func (s *Server) lead(f *flight, model memmodel.Model, opts synth.Options, pri c
 	// An empty fleet or non-shippable model falls back to the local
 	// engine; saturation propagates to the client as backpressure (429).
 	if s.cluster != nil {
-		res, err := s.cluster.Synthesize(f.runCtx, model, opts, pri, f.observe)
+		res, err := s.cluster.Synthesize(f.runCtx, model, opts, f.observe)
 		switch {
 		case err == nil:
 			s.metrics.admitFast.Add(int64(res.Stats.ExecutionsFast))

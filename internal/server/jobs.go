@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"memsynth/internal/cluster"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/synth"
 )
@@ -199,7 +198,7 @@ func newJobID() string {
 // base context — detached from the submitting request, so the client can
 // disconnect and poll later — and completes when the suite is stored (or
 // the run fails). Graceful shutdown drains these via jobSet.wait.
-func (s *Server) startJob(model memmodel.Model, opts synth.Options, digest string, pri cluster.Priority) *job {
+func (s *Server) startJob(model memmodel.Model, opts synth.Options, digest string) *job {
 	j := &job{
 		id:      newJobID(),
 		digest:  digest,
@@ -218,7 +217,7 @@ func (s *Server) startJob(model memmodel.Model, opts synth.Options, digest strin
 			s.jobs.wg.Done()
 			close(j.done)
 		}()
-		_, cached, err := s.synthesize(s.baseCtx, model, opts, digest, pri, func(f *flight) {
+		_, cached, err := s.synthesize(s.baseCtx, model, opts, digest, func(f *flight) {
 			j.mu.Lock()
 			j.flight = f
 			j.mu.Unlock()

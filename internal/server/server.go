@@ -287,9 +287,6 @@ type SynthesizeRequest struct {
 	// Async enqueues a job and returns 202 with its ID instead of
 	// blocking until the suite is ready.
 	Async bool `json:"async,omitempty"`
-	// Priority orders cluster shard dispatch: "interactive" (default)
-	// ahead of "batch". Ignored outside coordinator mode.
-	Priority string `json:"priority,omitempty"`
 	// Axiom selects which suite the response carries (default "union").
 	Axiom string `json:"axiom,omitempty"`
 	// Format selects the response body: "json" (default, a summary) or
@@ -485,23 +482,15 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown format %q (want json or litmus)", req.Format)
 		return
 	}
-	pri, err := cluster.ParsePriority(req.Priority)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	digest := store.DigestModel(model, opts)
-	if s.cluster != nil {
-		s.cluster.RecordRequest(model, opts)
-	}
 
 	if req.Async {
-		job := s.startJob(model, opts, digest, pri)
+		job := s.startJob(model, opts, digest)
 		writeJSON(w, http.StatusAccepted, job.status())
 		return
 	}
 
-	ss, cached, err := s.synthesize(r.Context(), model, opts, digest, pri, nil)
+	ss, cached, err := s.synthesize(r.Context(), model, opts, digest, nil)
 	if err != nil {
 		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
 			// Client went away; the response is written into the void.

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"memsynth/internal/cluster"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
@@ -230,7 +229,7 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := s.synthesize(ctx, model, opts, digest, cluster.PriorityInteractive, nil)
+		_, _, err := s.synthesize(ctx, model, opts, digest, nil)
 		errc <- err
 	}()
 	// Let the request join and the leader start, then disconnect.
@@ -365,6 +364,7 @@ func TestModelsHealthzAndErrors(t *testing.T) {
 		{`{"model":"sc","max_events":-2}`, http.StatusBadRequest},
 		{`{"model":"sc","max_events":3,"format":"yaml"}`, http.StatusBadRequest},
 		{`{"model":"sc","max_events":3,"bogus_field":1}`, http.StatusBadRequest},
+		{`{"model":"sc","max_events":3,"priority":"batch"}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 	} {
 		resp, data := postSynthesize(t, ts.URL, tc.body)

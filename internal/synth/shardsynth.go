@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"memsynth/internal/memmodel"
 )
@@ -91,99 +90,29 @@ func SynthesizeShard(ctx context.Context, m memmodel.Model, opts Options, shard 
 	}
 	opts = opts.withDefaults()
 	e := newEngine(m, opts)
-	return e.runShard(ctx, shard), nil
-}
-
-// runShard is engine.run with the explore phase restricted to the shard's
-// winner partition and per-entry merge positions recorded instead of
-// folding findings into suites.
-func (e *engine) runShard(ctx context.Context, shard ShardSpec) *ShardResult {
-	e.start = time.Now()
-
-	if ctx.Err() != nil {
-		// Already-cancelled callers must see a deterministically
-		// interrupted result (the async watcher below may lose the race
-		// on a fast run).
-		e.stopped.Store(true)
-	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			e.stopped.Store(true)
-		case <-watchDone:
-		}
-	}()
-	if e.prog != nil {
-		go e.prog.loop(e.opts.ProgressInterval, watchDone)
-	}
-
 	out := &ShardResult{
 		Model:       e.model.Name(),
 		ModelSource: e.res.ModelSource,
 		ModelDigest: e.res.ModelDigest,
-		Options:     e.opts.Normalize(),
+		Options:     opts.Normalize(),
 		Shard:       shard,
 	}
-	for n := e.opts.MinEvents; n <= e.opts.MaxEvents; n++ {
-		if e.stopped.Load() {
-			break
-		}
-		e.size.Store(int32(n))
-		e.prog.emit(PhaseGenerate, false)
-		winners := e.generateAndDedupe(n)
-		if e.stopped.Load() {
-			break
-		}
-		e.prog.emit(PhaseExplore, false)
-		// Select this shard's partition, remembering each program's
-		// original winner index (the merge coordinate).
-		var subset []progClaim
-		var origIdx []int
-		for i := shard.Index; i < len(winners); i += shard.Stride {
-			subset = append(subset, winners[i])
-			origIdx = append(origIdx, i)
-		}
-		results := e.explore(subset)
-		if e.stopped.Load() {
-			break
-		}
-		for si, found := range results {
-			for wi, f := range found {
-				names := make([]string, len(f.axioms))
-				for k, ai := range f.axioms {
-					names[k] = e.axioms[ai].Name
-				}
-				out.Entries = append(out.Entries, ShardEntry{
-					Size:   n,
-					Winner: origIdx[si],
-					Within: wi,
-					Axioms: names,
-					Entry:  f.entry,
-				})
+	out.Stats = e.run(ctx, shard, func(size, winner int, found []foundEntry) {
+		for within, f := range found {
+			names := make([]string, len(f.axioms))
+			for k, ai := range f.axioms {
+				names[k] = e.axioms[ai].Name
 			}
+			out.Entries = append(out.Entries, ShardEntry{
+				Size:   size,
+				Winner: winner,
+				Within: within,
+				Axioms: names,
+				Entry:  f.entry,
+			})
 		}
-	}
-
-	if e.seenForbidden != nil {
-		out.Stats.ForbiddenOutcomes = e.seenForbidden.Len()
-	}
-	out.Stats.ProgramsRaw = int(e.programsRaw.Load())
-	out.Stats.Programs = int(e.programs.Load())
-	out.Stats.Executions = int(e.executions.Load())
-	out.Stats.ExecutionsFast = int(e.executionsFast.Load())
-	out.Stats.Entries = int(e.entries.Load())
-	out.Stats.Stages = StageTimes{
-		Generation: time.Duration(e.genNS.Load()),
-		Dedupe:     time.Duration(e.dedupeNS.Load()),
-		Execution:  time.Duration(e.execNS.Load()),
-		Minimality: time.Duration(e.minNS.Load()),
-	}
-	out.Stats.Interrupted = e.stopped.Load()
-	out.Stats.Elapsed = time.Since(e.start)
-	e.prog.emit(PhaseDone, out.Stats.Interrupted)
-	return out
+	})
+	return out, nil
 }
 
 // sameOutputOptions reports whether two normalized Options describe the
@@ -264,17 +193,8 @@ func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result
 		return all[i].Within < all[j].Within
 	})
 
-	res := &Result{
-		Model:    m.Name(),
-		Options:  opts,
-		Backend:  "cluster",
-		PerAxiom: make(map[string]*Suite),
-		Union:    newSuite(m.Name(), "union"),
-	}
-	res.ModelSource, res.ModelDigest = memmodel.SourceOf(m)
-	for _, a := range m.Axioms() {
-		res.PerAxiom[a.Name] = newSuite(m.Name(), a.Name)
-	}
+	res := newResult(m, opts)
+	res.Backend = "cluster"
 	for _, se := range all {
 		for _, name := range se.Axioms {
 			s, ok := res.PerAxiom[name]

@@ -79,6 +79,10 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 				if merged.Stats.Programs != single.Stats.Programs {
 					t.Errorf("stride %d: Programs = %d, single-node %d", stride, merged.Stats.Programs, single.Stats.Programs)
 				}
+				if merged.Admit != single.Admit || merged.ModelSource != single.ModelSource || merged.ModelDigest != single.ModelDigest {
+					t.Errorf("stride %d: provenance (admit %q, source %q, digest %q), single-node (%q, %q, %q)", stride,
+						merged.Admit, merged.ModelSource, merged.ModelDigest, single.Admit, single.ModelSource, single.ModelDigest)
+				}
 			}
 		})
 	}

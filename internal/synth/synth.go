@@ -222,13 +222,28 @@ func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Re
 	}
 	opts = opts.withDefaults()
 	e := newEngine(m, opts)
-	e.res.Backend = DefaultBackend
+	res := e.res
+	res.Backend = DefaultBackend
 	if opts.Backend == SATBackend {
-		e.res.Backend = SATBackend
+		res.Backend = SATBackend
 		supported, _ := satgen.Supports(m)
 		e.satOn = supported && !opts.CountForbidden
 	}
-	return e.run(ctx), nil
+	// Findings arrive in generation order, which reproduces the
+	// sequential engine's first-wins add order exactly.
+	res.Stats = e.run(ctx, ShardSpec{Index: 0, Stride: 1}, func(_, _ int, found []foundEntry) {
+		for _, f := range found {
+			for _, ai := range f.axioms {
+				res.PerAxiom[e.axioms[ai].Name].add(f.entry)
+			}
+			res.Union.add(f.entry)
+		}
+	})
+	res.Union.sortEntries()
+	for _, s := range res.PerAxiom {
+		s.sortEntries()
+	}
+	return res, nil
 }
 
 // engine holds one synthesis run's shared state. Counters are atomics so
@@ -271,32 +286,39 @@ type engine struct {
 	res   *Result
 }
 
+// newResult builds the empty Result of a (model, options) run with its
+// provenance filled in. SynthesizeContext and MergeShards both start
+// from it, so a merged result reports the same ModelSource, ModelDigest
+// and Admit as a single-node run.
+func newResult(m memmodel.Model, opts Options) *Result {
+	res := &Result{
+		Model:    m.Name(),
+		Options:  opts,
+		Admit:    "off",
+		PerAxiom: make(map[string]*Suite),
+		Union:    newSuite(m.Name(), "union"),
+	}
+	res.ModelSource, res.ModelDigest = memmodel.SourceOf(m)
+	if opts.Admit != "off" {
+		if ok, _ := admit.Supports(m); ok {
+			res.Admit = "fast"
+		}
+	}
+	for _, a := range m.Axioms() {
+		res.PerAxiom[a.Name] = newSuite(m.Name(), a.Name)
+	}
+	return res
+}
+
 func newEngine(m memmodel.Model, opts Options) *engine {
 	e := &engine{
 		model:     m,
 		opts:      opts,
 		axioms:    m.Axioms(),
 		seenEntry: newShardedSet(opts.Workers),
-		res: &Result{
-			Model:    m.Name(),
-			Options:  opts,
-			PerAxiom: make(map[string]*Suite),
-			Union:    newSuite(m.Name(), "union"),
-		},
+		res:       newResult(m, opts),
 	}
-	e.res.ModelSource, e.res.ModelDigest = memmodel.SourceOf(m)
-	if opts.Admit != "off" {
-		if ok, _ := admit.Supports(m); ok {
-			e.admitOn = true
-		}
-	}
-	e.res.Admit = "off"
-	if e.admitOn {
-		e.res.Admit = "fast"
-	}
-	for _, a := range e.axioms {
-		e.res.PerAxiom[a.Name] = newSuite(m.Name(), a.Name)
-	}
+	e.admitOn = e.res.Admit == "fast"
 	if opts.CountForbidden {
 		e.seenForbidden = newShardedSet(opts.Workers)
 	}
@@ -306,9 +328,21 @@ func newEngine(m memmodel.Model, opts Options) *engine {
 	return e
 }
 
-func (e *engine) run(ctx context.Context) *Result {
+// run is the engine's one size loop, shared by SynthesizeContext and
+// SynthesizeShard. Every size is generated and deduped in full; then
+// only the winners whose per-size index is congruent to shard.Index
+// modulo shard.Stride are explored, and each one's findings go to
+// record, in generation order, with the program's winner index. A
+// cancelled run stops promptly and reports Stats.Interrupted.
+func (e *engine) run(ctx context.Context, shard ShardSpec, record func(size, winner int, found []foundEntry)) Stats {
 	e.start = time.Now()
 
+	if ctx.Err() != nil {
+		// Already-cancelled callers must see a deterministically
+		// interrupted result (the async watcher below may lose the race
+		// on a fast run).
+		e.stopped.Store(true)
+	}
 	// Watch ctx on a side goroutine and fold it into one atomic flag the
 	// hot paths can poll cheaply.
 	watchDone := make(chan struct{})
@@ -335,31 +369,31 @@ func (e *engine) run(ctx context.Context) *Result {
 			break
 		}
 		e.prog.emit(PhaseExplore, false)
-		e.merge(e.explore(winners))
+		for i, found := range e.explore(winners, shard) {
+			record(n, shard.Index+i*shard.Stride, found)
+		}
 	}
 
-	e.res.Union.sortEntries()
-	for _, s := range e.res.PerAxiom {
-		s.sortEntries()
+	st := Stats{
+		ProgramsRaw:    int(e.programsRaw.Load()),
+		Programs:       int(e.programs.Load()),
+		Executions:     int(e.executions.Load()),
+		ExecutionsFast: int(e.executionsFast.Load()),
+		Entries:        int(e.entries.Load()),
+		Stages: StageTimes{
+			Generation: time.Duration(e.genNS.Load()),
+			Dedupe:     time.Duration(e.dedupeNS.Load()),
+			Execution:  time.Duration(e.execNS.Load()),
+			Minimality: time.Duration(e.minNS.Load()),
+		},
+		Interrupted: e.stopped.Load(),
+		Elapsed:     time.Since(e.start),
 	}
 	if e.seenForbidden != nil {
-		e.res.Stats.ForbiddenOutcomes = e.seenForbidden.Len()
+		st.ForbiddenOutcomes = e.seenForbidden.Len()
 	}
-	e.res.Stats.ProgramsRaw = int(e.programsRaw.Load())
-	e.res.Stats.Programs = int(e.programs.Load())
-	e.res.Stats.Executions = int(e.executions.Load())
-	e.res.Stats.ExecutionsFast = int(e.executionsFast.Load())
-	e.res.Stats.Entries = int(e.entries.Load())
-	e.res.Stats.Stages = StageTimes{
-		Generation: time.Duration(e.genNS.Load()),
-		Dedupe:     time.Duration(e.dedupeNS.Load()),
-		Execution:  time.Duration(e.execNS.Load()),
-		Minimality: time.Duration(e.minNS.Load()),
-	}
-	e.res.Stats.Interrupted = e.stopped.Load()
-	e.res.Stats.Elapsed = time.Since(e.start)
-	e.prog.emit(PhaseDone, e.res.Stats.Interrupted)
-	return e.res
+	e.prog.emit(PhaseDone, st.Interrupted)
+	return st
 }
 
 // seqTest is one generated program tagged with its generation order.
@@ -452,13 +486,19 @@ func (e *engine) generateAndDedupe(n int) []progClaim {
 	return winners
 }
 
-// explore fans the per-program execution exploration out over the workers
-// (work-stealing by index) and returns per-program findings aligned with
-// the winners slice. Each worker holds one minimal.Checker, so the static
-// evaluation contexts and scratch buffers are pooled per worker and
-// amortized across every execution of every program the worker claims.
-func (e *engine) explore(winners []progClaim) [][]foundEntry {
-	results := make([][]foundEntry, len(winners))
+// explore fans the execution exploration of the shard's programs — the
+// winners at indices ≡ shard.Index (mod shard.Stride) — out over the
+// workers (work-stealing by index) and returns their findings: results[i]
+// belongs to winners[shard.Index+i*shard.Stride]. Each worker holds one
+// minimal.Checker, so the static evaluation contexts and scratch buffers
+// are pooled per worker and amortized across every execution of every
+// program the worker claims.
+func (e *engine) explore(winners []progClaim, shard ShardSpec) [][]foundEntry {
+	n := 0
+	if len(winners) > shard.Index {
+		n = (len(winners) - shard.Index + shard.Stride - 1) / shard.Stride
+	}
+	results := make([][]foundEntry, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < e.opts.Workers; w++ {
@@ -476,28 +516,15 @@ func (e *engine) explore(winners []progClaim) [][]foundEntry {
 			}
 			for {
 				i := int(next.Add(1) - 1)
-				if i >= len(winners) || e.stopped.Load() {
+				if i >= n || e.stopped.Load() {
 					return
 				}
-				results[i] = e.processProgram(checker, adm, guide, winners[i].test)
+				results[i] = e.processProgram(checker, adm, guide, winners[shard.Index+i*shard.Stride].test)
 			}
 		}()
 	}
 	wg.Wait()
 	return results
-}
-
-// merge folds per-program findings into the suites, in generation order,
-// reproducing the sequential engine's first-wins add order exactly.
-func (e *engine) merge(results [][]foundEntry) {
-	for _, found := range results {
-		for _, f := range found {
-			for _, ai := range f.axioms {
-				e.res.PerAxiom[e.axioms[ai].Name].add(f.entry)
-			}
-			e.res.Union.add(f.entry)
-		}
-	}
 }
 
 // processProgram explores the executions of t and applies the minimality
