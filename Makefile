@@ -51,9 +51,7 @@ race:
 
 # Benchmark snapshot: full synthesis + isolated explore-phase measurements
 # per model, written as machine-readable JSON (committed as BENCH_synth.json
-# so the perf trajectory is comparable across PRs), then the per-backend
-# comparison rows (enum vs sat, including the deadline-bounded case only
-# the sat backend completes) merged in as "backend_cases", the
+# so the perf trajectory is comparable across PRs), then the
 # fast-admissibility rows (admit off vs on, including the tso bound-8 case
 # plain enumeration cannot finish but the filtered enumeration must) merged
 # in as "admit_cases", and finally the native stress-execution throughput
@@ -63,8 +61,6 @@ BENCH_OUT ?= BENCH_synth.json
 bench:
 	BENCH_JSON=$(abspath $(BENCH_OUT)) BENCH_SHORT=$(BENCH_SHORT) \
 		$(GO) test -count=1 -run '^TestBenchSnapshot$$' -v ./internal/synth
-	BENCH_JSON=$(abspath $(BENCH_OUT)) BENCH_SHORT=$(BENCH_SHORT) \
-		$(GO) test -count=1 -timeout 30m -run '^TestBenchBackends$$' -v ./internal/synth/satgen
 	BENCH_JSON=$(abspath $(BENCH_OUT)) BENCH_SHORT=$(BENCH_SHORT) \
 		$(GO) test -count=1 -timeout 30m -run '^TestBenchAdmit$$' -v ./internal/admit
 	BENCH_JSON=$(abspath $(BENCH_OUT)) BENCH_SHORT=$(BENCH_SHORT) \

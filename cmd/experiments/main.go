@@ -37,7 +37,6 @@ import (
 
 var (
 	workers   = flag.Int("workers", 0, "synthesis worker goroutines (0 = all CPUs)")
-	backendN  = flag.String("backend", "", "synthesis backend for every run (enum, sat; empty = default)")
 	admitN    = flag.String("admit", "", "fast admissibility filter for every run (auto, off; empty = auto)")
 	progress  = flag.Bool("progress", false, "stream live synthesis progress to stderr")
 	timeout   = flag.Duration("timeout", 0, "abort each synthesis after this long, keeping partial results (0 = none)")
@@ -96,7 +95,6 @@ func openStore() *store.Store {
 // results are persisted.
 func synthesize(m memsynth.Model, opts memsynth.Options) *memsynth.Result {
 	opts.Workers = *workers
-	opts.Backend = *backendN
 	opts.Admit = *admitN
 	if *progress {
 		opts.Progress = func(ev memsynth.ProgressEvent) {

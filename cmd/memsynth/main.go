@@ -43,7 +43,6 @@ func main() {
 		modelName = flag.String("model", "tso", "memory model (sc, tso, power, armv7, armv8, scc, c11, hsa)")
 		modelFile = flag.String("model-file", "", "compile and use a cat-style model definition file instead of -model")
 		nolint    = flag.Bool("nolint", false, "skip the static analysis of -model-file definitions")
-		backendN  = flag.String("backend", "", "synthesis backend (enum, sat; empty = default); output is identical, speed differs")
 		admitN    = flag.String("admit", "", "fast admissibility filter (auto, off; empty = auto); output is identical, speed differs")
 		bound     = flag.Int("bound", 4, "maximum instruction count")
 		axiom     = flag.String("axiom", "union", "axiom suite to print, or 'union'")
@@ -107,7 +106,6 @@ func main() {
 		MaxThreads: *threads,
 		MaxAddrs:   *addrs,
 		Workers:    *workers,
-		Backend:    *backendN,
 		Admit:      *admitN,
 	}
 	if *progress {

@@ -12,7 +12,6 @@
 // Endpoints:
 //
 //	POST   /v1/synthesize              {"model":"tso","max_events":4}
-//	GET    /v1/backends                synthesis backends; sat's fallbacks
 //	GET    /v1/jobs/{id}[?stream=1]    async job status / NDJSON progress
 //	GET    /v1/suites                  list stored suites
 //	GET    /v1/suites/{digest}         manifest (or ?format=litmus&axiom=...)
@@ -26,12 +25,6 @@
 //	POST   /v1/models                  register a cat model definition
 //	POST   /v1/models/lint             dry-run lint of a definition
 //	GET    /healthz, /metrics          probes
-//
-// A synthesize request's "backend" field picks "enum" (the default,
-// exhaustive enumeration) or "sat" (the paper's SAT-guided minimality
-// query, which falls back to enumeration, with a logged warning, for
-// models it cannot encode); both store the identical suite under the same
-// digest.
 //
 // -models preloads every *.cat definition in a directory at startup, as if
 // each had been POSTed to /v1/models. -pprof serves net/http/pprof on a

@@ -93,8 +93,11 @@ type ShardJob struct {
 	// builtins).
 	ModelDef string               `json:"model_def,omitempty"`
 	Options  store.RequestOptions `json:"options"`
-	Index    int                  `json:"index"`
-	Stride   int                  `json:"stride"`
+	// Admit is the request's synth.Options.Admit. RequestOptions holds
+	// only output-affecting bounds, so the admit mode travels here.
+	Admit  string `json:"admit,omitempty"`
+	Index  int    `json:"index"`
+	Stride int    `json:"stride"`
 }
 
 // RegisterRequest announces a worker. The coordinator admits only

@@ -191,7 +191,8 @@ func TestShardDigestDistinct(t *testing.T) {
 }
 
 // TestCodecRoundTrip pins the wire format: a shard result survives
-// encode → JSON → decode and still merges byte-identically.
+// encode → JSON → decode with its stats intact and still merges
+// byte-identically.
 func TestCodecRoundTrip(t *testing.T) {
 	m := mustModel(t, "sc")
 	opts := synth.Options{MaxEvents: 3}
@@ -215,6 +216,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, want := shards[i].Stats, sr.Stats
+		if got.Executions != want.Executions || got.ExecutionsFast != want.ExecutionsFast ||
+			got.Entries != want.Entries || got.Programs != want.Programs {
+			t.Errorf("shard %d stats after round trip = %+v, want %+v", i, got, want)
+		}
 	}
 	merged, err := synth.MergeShards(m, opts, shards)
 	if err != nil {
@@ -222,6 +228,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	single := synth.Synthesize(m, opts)
 	assertSameSuites(t, encodeResult(t, merged), encodeResult(t, single))
+	if single.Stats.ExecutionsFast == 0 {
+		t.Fatal("single-node run decided no executions fast; the round trip checks nothing")
+	}
+	if merged.Stats.ExecutionsFast != single.Stats.ExecutionsFast {
+		t.Errorf("merged ExecutionsFast = %d, single-node = %d",
+			merged.Stats.ExecutionsFast, single.Stats.ExecutionsFast)
+	}
 
 	// A result from a different engine version must never decode.
 	sr, err := synth.SynthesizeShard(context.Background(), m, opts, synth.ShardSpec{Index: 0, Stride: 1})
@@ -275,6 +288,51 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	assertSameSuites(t, encodeResult(t, res), encodeResult(t, single))
 	if got := metricInt(c, "shards_completed"); got != 3 {
 		t.Errorf("shards_completed = %d, want 3", got)
+	}
+}
+
+// TestCoordinatorAdmitReachesWorkers pins that a request's admit mode
+// runs on the workers: a distributed admit-off run enumerates exactly
+// what a single node does with admit off, and a distributed admit-auto
+// run decides exactly as many executions fast as a single node.
+func TestCoordinatorAdmitReachesWorkers(t *testing.T) {
+	cfg := fastConfig()
+	cfg.ShardsPerRequest = 2
+	c := New(cfg)
+	defer c.Close()
+	ts := httptest.NewServer(c)
+	defer ts.Close()
+
+	startWorker(t, ts.URL, "w1", time.Second)
+	startWorker(t, ts.URL, "w2", time.Second)
+	waitFor(t, func() bool { return c.LiveWorkers() == 2 })
+
+	m := mustModel(t, "tso")
+	for _, mode := range []string{"off", "auto"} {
+		opts := synth.Options{MaxEvents: 4, Admit: mode}
+		res, err := c.Synthesize(context.Background(), m, opts, nil)
+		if err != nil {
+			t.Fatalf("admit %s: %v", mode, err)
+		}
+		single := synth.Synthesize(m, opts)
+		assertSameSuites(t, encodeResult(t, res), encodeResult(t, single))
+		if res.Admit != single.Admit {
+			t.Errorf("admit %s: merged Admit = %q, single-node = %q", mode, res.Admit, single.Admit)
+		}
+		if res.Stats.Executions != single.Stats.Executions {
+			t.Errorf("admit %s: merged Executions = %d, single-node = %d",
+				mode, res.Stats.Executions, single.Stats.Executions)
+		}
+		if res.Stats.ExecutionsFast != single.Stats.ExecutionsFast {
+			t.Errorf("admit %s: merged ExecutionsFast = %d, single-node = %d",
+				mode, res.Stats.ExecutionsFast, single.Stats.ExecutionsFast)
+		}
+		if mode == "off" && res.Stats.ExecutionsFast != 0 {
+			t.Errorf("admit off: merged ExecutionsFast = %d, want 0", res.Stats.ExecutionsFast)
+		}
+		if mode == "auto" && single.Stats.ExecutionsFast == 0 {
+			t.Error("admit auto: single-node run decided no executions fast")
+		}
 	}
 }
 

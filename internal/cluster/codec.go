@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
@@ -42,7 +41,8 @@ type WireShardResult struct {
 	// per entry in Entries order.
 	SuiteText string           `json:"suite_text"`
 	Entries   []WireShardEntry `json:"entries"`
-	// EntriesFound mirrors synth.Stats.Entries (StatsManifest drops it).
+	// EntriesFound and Interrupted carry the synth.Stats fields that
+	// StatsManifest does not persist.
 	EntriesFound int                 `json:"entries_found"`
 	Stats        store.StatsManifest `json:"stats"`
 	Interrupted  bool                `json:"interrupted,omitempty"`
@@ -65,7 +65,6 @@ func EncodeShardResult(shardDigest string, sr *synth.ShardResult) *WireShardResu
 			SC:     se.Entry.Exec.SC,
 		}
 	}
-	st := sr.Stats
 	return &WireShardResult{
 		ShardDigest:   shardDigest,
 		EngineVersion: synth.EngineVersion,
@@ -77,19 +76,9 @@ func EncodeShardResult(shardDigest string, sr *synth.ShardResult) *WireShardResu
 		Stride:        sr.Shard.Stride,
 		SuiteText:     litmus.FormatSuite(specs),
 		Entries:       entries,
-		EntriesFound:  st.Entries,
-		Stats: store.StatsManifest{
-			ProgramsRaw:       st.ProgramsRaw,
-			Programs:          st.Programs,
-			Executions:        st.Executions,
-			ForbiddenOutcomes: st.ForbiddenOutcomes,
-			ElapsedNS:         int64(st.Elapsed),
-			GenerationNS:      int64(st.Stages.Generation),
-			DedupeNS:          int64(st.Stages.Dedupe),
-			ExecutionNS:       int64(st.Stages.Execution),
-			MinimalityNS:      int64(st.Stages.Minimality),
-		},
-		Interrupted: st.Interrupted,
+		EntriesFound:  sr.Stats.Entries,
+		Stats:         store.StatsOf(sr.Stats),
+		Interrupted:   sr.Stats.Interrupted,
 	}
 }
 
@@ -133,21 +122,8 @@ func DecodeShardResult(w *WireShardResult) (*synth.ShardResult, error) {
 			},
 		}
 	}
-	sm := w.Stats
-	sr.Stats = synth.Stats{
-		ProgramsRaw:       sm.ProgramsRaw,
-		Programs:          sm.Programs,
-		Executions:        sm.Executions,
-		Entries:           w.EntriesFound,
-		ForbiddenOutcomes: sm.ForbiddenOutcomes,
-		Elapsed:           time.Duration(sm.ElapsedNS),
-		Stages: synth.StageTimes{
-			Generation: time.Duration(sm.GenerationNS),
-			Dedupe:     time.Duration(sm.DedupeNS),
-			Execution:  time.Duration(sm.ExecutionNS),
-			Minimality: time.Duration(sm.MinimalityNS),
-		},
-		Interrupted: w.Interrupted,
-	}
+	sr.Stats = w.Stats.Stats()
+	sr.Stats.Entries = w.EntriesFound
+	sr.Stats.Interrupted = w.Interrupted
 	return sr, nil
 }

@@ -337,6 +337,7 @@ func (c *Coordinator) Synthesize(ctx context.Context, m memmodel.Model, opts syn
 				ModelDigest:   modelDigest,
 				ModelDef:      def,
 				Options:       ro,
+				Admit:         opts.Admit,
 				Index:         i,
 				Stride:        stride,
 			},

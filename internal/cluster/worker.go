@@ -299,6 +299,7 @@ func (w *Worker) runJob(ctx context.Context, job ShardJob) {
 	}()
 
 	opts := job.Options.SynthOptions()
+	opts.Admit = job.Admit
 	opts.Workers = w.cfg.EngineWorkers
 	stream := w.startProgress(shardCtx, job)
 	opts.Progress = stream.observe

@@ -30,8 +30,6 @@
 //	                                 text body); returns the full catlint
 //	                                 report without registering anything
 //	                                 (?bound= overrides the tier-2 bound)
-//	GET    /v1/backends              synthesis backends (enum, sat) with
-//	                                 per-model fallback reasons
 //	GET    /v1/admit                 fast-admissibility capability matrix:
 //	                                 per builtin model, whether the explore
 //	                                 phase can use the polynomial
@@ -68,7 +66,6 @@ import (
 	"memsynth/internal/memmodel"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
-	"memsynth/internal/synth/satgen"
 )
 
 // Config configures a Server.
@@ -124,9 +121,6 @@ type metrics struct {
 	// lintWarnings counts warning findings on accepted model
 	// registrations (422 rejections are not counted).
 	lintWarnings *expvar.Int
-	// backendReqs counts synthesize requests per selected backend
-	// (after defaulting, before cache lookup).
-	backendReqs *expvar.Map
 	// peerHits counts store misses served by the peer cache tier.
 	peerHits *expvar.Int
 	// stressRuns counts stress jobs started; stressIterations accumulates
@@ -157,8 +151,6 @@ func newMetrics() *metrics {
 	m.jobsActive = mk("jobs_active")
 	m.jobsDone = mk("jobs_done")
 	m.lintWarnings = mk("model_lint_warnings")
-	m.backendReqs = new(expvar.Map).Init()
-	m.all.Set("synth_backend_requests", m.backendReqs)
 	m.peerHits = mk("peer_hits")
 	m.stressRuns = mk("stress_runs")
 	m.stressIterations = mk("stress_iterations")
@@ -238,7 +230,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/models", s.handleModelRegister)
 	s.mux.HandleFunc("POST /v1/models/lint", s.handleModelLint)
 	s.mux.HandleFunc("POST /v1/synthesize", s.handleSynthesize)
-	s.mux.HandleFunc("GET /v1/backends", s.handleBackends)
 	s.mux.HandleFunc("GET /v1/admit", s.handleAdmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/suites", s.handleSuiteList)
@@ -274,15 +265,10 @@ func (s *Server) Close() { s.baseCancel() }
 type SynthesizeRequest struct {
 	Model string `json:"model"`
 	store.RequestOptions
-	// Backend selects the synthesis backend ("" means the default,
-	// "enum"). Backend choice never changes the produced suites or the
-	// cache digest — an unknown name is rejected with 422 listing the
-	// known backends.
-	Backend string `json:"backend,omitempty"`
 	// Admit controls the fast-admissibility filter on the enumeration hot
 	// path: "" or "auto" uses it for models with a registered algorithm,
-	// "off" forces exhaustive enumeration. Like Backend, the switch never
-	// changes the produced suites or the cache digest.
+	// "off" forces exhaustive enumeration. The switch never changes the
+	// produced suites or the cache digest.
 	Admit string `json:"admit,omitempty"`
 	// Async enqueues a job and returns 202 with its ID instead of
 	// blocking until the suite is ready.
@@ -446,30 +432,13 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	backendName := req.Backend
-	if backendName == "" {
-		backendName = synth.DefaultBackend
-	}
-	if err := synth.CheckBackend(backendName); err != nil {
-		// The error text lists the known backends.
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
 	opts := req.RequestOptions.SynthOptions()
-	opts.Backend = backendName
 	opts.Admit = req.Admit
 	if err := opts.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.metrics.backendReqs.Add(backendName, 1)
-	s.logf("synthesize model=%s max_events=%d backend=%s", model.Name(), opts.MaxEvents, backendName)
-	if backendName == synth.SATBackend {
-		if native, reason := satgen.Supports(model); !native {
-			s.logf("warning: backend %s falls back to the enum engine for model %s: %s",
-				backendName, model.Name(), reason)
-		}
-	}
+	s.logf("synthesize model=%s max_events=%d", model.Name(), opts.MaxEvents)
 	if opts.Admit != "off" {
 		if ok, reason := admit.Supports(model); !ok {
 			s.metrics.admitFallbacks.Add(1)
@@ -568,16 +537,6 @@ func synthesizeResponse(ss *store.StoredSuite, cached bool) SynthesizeResponse {
 	return resp
 }
 
-// backendInfo is one row of the /v1/backends listing.
-type backendInfo struct {
-	Name    string `json:"name"`
-	Default bool   `json:"default"`
-	// Fallbacks maps visible model names to the reason this backend runs
-	// them on the enumerative engine instead of its native search; absent
-	// for models (and backends) handled natively.
-	Fallbacks map[string]string `json:"fallbacks,omitempty"`
-}
-
 // handleAdmit reports, per builtin model, whether the enumeration engine
 // has a fast-admissibility algorithm for it (and why not, when it does
 // not). Models registered from cat definitions always fall back, so they
@@ -585,28 +544,6 @@ type backendInfo struct {
 // matrix.
 func (s *Server) handleAdmit(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, admit.Models())
-}
-
-// handleBackends lists the synthesis backends and, per visible model,
-// whether each backend would fall back to the enumerative engine (only
-// the sat backend ever does).
-func (s *Server) handleBackends(w http.ResponseWriter, _ *http.Request) {
-	var out []backendInfo
-	for _, name := range synth.Backends() {
-		info := backendInfo{Name: name, Default: name == synth.DefaultBackend}
-		if name == synth.SATBackend {
-			for _, m := range s.models.All() {
-				if native, reason := satgen.Supports(m); !native {
-					if info.Fallbacks == nil {
-						info.Fallbacks = make(map[string]string)
-					}
-					info.Fallbacks[m.Name()] = reason
-				}
-			}
-		}
-		out = append(out, info)
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleSuiteList(w http.ResponseWriter, _ *http.Request) {

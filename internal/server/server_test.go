@@ -365,6 +365,7 @@ func TestModelsHealthzAndErrors(t *testing.T) {
 		{`{"model":"sc","max_events":3,"format":"yaml"}`, http.StatusBadRequest},
 		{`{"model":"sc","max_events":3,"bogus_field":1}`, http.StatusBadRequest},
 		{`{"model":"sc","max_events":3,"priority":"batch"}`, http.StatusBadRequest},
+		{`{"model":"sc","max_events":3,"backend":"sat"}`, http.StatusBadRequest},
 		{`not json`, http.StatusBadRequest},
 	} {
 		resp, data := postSynthesize(t, ts.URL, tc.body)
@@ -467,127 +468,6 @@ func TestSuiteDetect(t *testing.T) {
 	}
 	if detected == 0 {
 		t.Error("suite detected no seeded faults")
-	}
-}
-
-// TestBackendsEndpointAndSelection covers the backend surface of the
-// service: GET /v1/backends (with per-model fallback reasons), backend
-// selection on POST /v1/synthesize with cross-backend cache identity, the
-// per-backend request metric, request logging including the enum-fallback
-// warning, and 422 rejection of unknown backend names.
-func TestBackendsEndpointAndSelection(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var logs []string
-	s := New(Config{Store: st, MaxJobs: 2, Logf: func(format string, args ...any) {
-		mu.Lock()
-		logs = append(logs, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	logged := func(substr string) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, l := range logs {
-			if strings.Contains(l, substr) {
-				return true
-			}
-		}
-		return false
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/backends")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var infos []struct {
-		Name      string            `json:"name"`
-		Default   bool              `json:"default"`
-		Fallbacks map[string]string `json:"fallbacks"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&infos)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := make(map[string]struct {
-		Default   bool
-		Fallbacks map[string]string
-	})
-	for _, in := range infos {
-		byName[in.Name] = struct {
-			Default   bool
-			Fallbacks map[string]string
-		}{in.Default, in.Fallbacks}
-	}
-	enum, ok := byName["enum"]
-	if !ok || !enum.Default || len(enum.Fallbacks) != 0 {
-		t.Errorf("bad enum listing: %+v", byName)
-	}
-	sat, ok := byName["sat"]
-	if !ok || sat.Default {
-		t.Fatalf("bad sat listing: %+v", byName)
-	}
-	if reason := sat.Fallbacks["power"]; reason == "" {
-		t.Errorf("sat backend reports no fallback reason for power: %+v", sat.Fallbacks)
-	}
-	if reason, ok := sat.Fallbacks["tso"]; ok {
-		t.Errorf("sat backend reports fallback for natively supported tso: %q", reason)
-	}
-
-	// Backend choice must not affect the cache identity: a sat run then a
-	// backend-less (enum) request for the same (model, bound) is a hit.
-	resp1, suite1 := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3,"backend":"sat","format":"litmus"}`)
-	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("sat POST: %d: %s", resp1.StatusCode, suite1)
-	}
-	if !logged("backend=sat") {
-		t.Error("sat request not logged with its backend")
-	}
-	resp2, suite2 := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3,"format":"litmus"}`)
-	if got := resp2.Header.Get("X-Memsynth-Cached"); got != "true" {
-		t.Errorf("enum request after sat run: cached = %q, want true", got)
-	}
-	if !bytes.Equal(suite1, suite2) {
-		t.Error("suites differ across backends")
-	}
-
-	// An unsupported model on the sat backend is served via enum fallback
-	// — logged as a warning, never an error.
-	resp3, data := postSynthesize(t, ts.URL, `{"model":"power","max_events":3,"backend":"sat"}`)
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("sat POST for power: %d: %s", resp3.StatusCode, data)
-	}
-	if !logged("falls back to the enum engine for model power") {
-		t.Errorf("missing fallback warning; logs: %q", logs)
-	}
-
-	perBackend, ok := readMetrics(t, ts.URL)["synth_backend_requests"].(map[string]any)
-	if !ok {
-		t.Fatal("synth_backend_requests metric missing or not a map")
-	}
-	if n, _ := perBackend["sat"].(float64); n != 2 {
-		t.Errorf("synth_backend_requests[sat] = %v, want 2", perBackend["sat"])
-	}
-	if n, _ := perBackend["enum"].(float64); n != 1 {
-		t.Errorf("synth_backend_requests[enum] = %v, want 1", perBackend["enum"])
-	}
-
-	resp4, data := postSynthesize(t, ts.URL, `{"model":"sc","max_events":3,"backend":"minisat"}`)
-	if resp4.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("unknown backend: status %d (%s), want 422", resp4.StatusCode, data)
-	}
-	for _, want := range []string{"minisat", "enum", "sat"} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("unknown-backend error %q does not mention %q", data, want)
-		}
 	}
 }
 

@@ -117,7 +117,10 @@ type StatsManifest struct {
 	MinimalityNS      int64 `json:"minimality_ns"`
 }
 
-func statsManifest(st synth.Stats) StatsManifest {
+// StatsOf projects synth.Stats onto its persisted form. Entries and
+// Interrupted have no persisted counterpart: a stored result is complete
+// and its entry count is the union suite's length.
+func StatsOf(st synth.Stats) StatsManifest {
 	return StatsManifest{
 		ProgramsRaw:       st.ProgramsRaw,
 		Programs:          st.Programs,
@@ -132,7 +135,8 @@ func statsManifest(st synth.Stats) StatsManifest {
 	}
 }
 
-func (sm StatsManifest) synthStats() synth.Stats {
+// Stats converts back to synth.Stats (Entries and Interrupted left zero).
+func (sm StatsManifest) Stats() synth.Stats {
 	return synth.Stats{
 		ProgramsRaw:       sm.ProgramsRaw,
 		Programs:          sm.Programs,
@@ -178,10 +182,10 @@ type Manifest struct {
 	Model         string `json:"model"`
 	ModelSource   string `json:"model_source,omitempty"`
 	ModelDigest   string `json:"model_digest,omitempty"`
-	// Backend records which synthesis backend produced the suites.
-	// Provenance only: every backend emits byte-identical suites, so the
-	// digest deliberately excludes it and a cached suite is a hit for any
-	// requested backend.
+	// Backend records what produced the suites (synth.Result.Backend):
+	// "enum" for an engine run, "cluster" for a merged one. Provenance
+	// only, so the digest excludes it; manifests written when the engine
+	// still had a "sat" backend load unchanged.
 	Backend   string                   `json:"backend,omitempty"`
 	Options   RequestOptions           `json:"options"`
 	CreatedAt time.Time                `json:"created_at"`
@@ -254,7 +258,7 @@ func Encode(res *synth.Result) (*StoredSuite, error) {
 		Backend:       res.Backend,
 		Options:       FromSynthOptions(res.Options),
 		CreatedAt:     time.Now().UTC().Truncate(time.Second),
-		Stats:         statsManifest(res.Stats),
+		Stats:         StatsOf(res.Stats),
 		Suites:        make(map[string]SuiteManifest),
 	}
 	texts := make(map[string]string)
@@ -296,7 +300,7 @@ func (ss *StoredSuite) Result() (*synth.Result, error) {
 		ModelDigest: m.ModelDigest,
 		Backend:     m.Backend,
 		PerAxiom:    make(map[string]*synth.Suite),
-		Stats:       m.Stats.synthStats(),
+		Stats:       m.Stats.Stats(),
 	}
 	for name, sm := range m.Suites {
 		text, ok := ss.Texts[name]

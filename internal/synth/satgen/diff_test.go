@@ -5,19 +5,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
+	"sort"
 	"testing"
-	"time"
 
+	"memsynth/internal/canon"
 	"memsynth/internal/cat"
+	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
+	"memsynth/internal/minimal"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
 	"memsynth/internal/synth/satgen"
 )
 
-// forceSAT lowers the execution-count threshold so every program goes
-// through the SAT guide, restoring it when the test ends.
+// forceSAT lowers the execution-count threshold so the guide accepts every
+// program, restoring it when the test ends.
 func forceSAT(t *testing.T) {
 	t.Helper()
 	old := *satgen.ExecThreshold
@@ -25,63 +27,143 @@ func forceSAT(t *testing.T) {
 	t.Cleanup(func() { *satgen.ExecThreshold = old })
 }
 
-func runBackend(t *testing.T, m memmodel.Model, backend string, bound int) *synth.Result {
+func never() bool { return false }
+
+// distinctPrograms returns the generation-order-first program of every
+// symmetry class of size n, in generation order: the programs the engine
+// explores at that size.
+func distinctPrograms(t *testing.T, m memmodel.Model, opts synth.Options, n int) []*litmus.Test {
 	t.Helper()
-	opts := synth.Options{MaxEvents: bound, Backend: backend, Workers: 2}
-	res, err := synth.SynthesizeContext(context.Background(), m, opts)
+	opts.MinEvents, opts.MaxEvents = n, n
+	seen := make(map[string]bool)
+	var winners []*litmus.Test
+	err := synth.EnumeratePrograms(m.Vocab(), opts, func(p *litmus.Test) bool {
+		if key := canon.ProgramKey(p); !seen[key] {
+			seen[key] = true
+			winners = append(winners, p)
+		}
+		return true
+	})
 	if err != nil {
-		t.Fatalf("%s/%s@%d: %v", m.Name(), backend, bound, err)
+		t.Fatal(err)
 	}
-	if res.Stats.Interrupted {
-		t.Fatalf("%s/%s@%d: interrupted", m.Name(), backend, bound)
+	return winners
+}
+
+// replay synthesizes m up to bound the paper's way and shares nothing with
+// the engine's explore loop: one sequential pass draws every distinct
+// program's candidates from the SAT guide, re-confirms each with the
+// minimality checker, and builds the suites with first-wins dedupe and
+// the engine's (size, key) order. It fails the test if the guide declines
+// any program.
+func replay(t *testing.T, m memmodel.Model, bound int) *synth.Result {
+	t.Helper()
+	opts := synth.Options{MaxEvents: bound}
+	axioms := m.Axioms()
+	union, perAxiom := []synth.Entry(nil), make([][]synth.Entry, len(axioms))
+	g := satgen.NewGuide(m)
+	c := minimal.NewChecker(m)
+	programs := 0
+	for n := 2; n <= bound; n++ {
+		for _, p := range distinctPrograms(t, m, opts, n) {
+			programs++
+			cands, ok := g.Candidates(p, never)
+			if !ok {
+				t.Fatalf("%s@%d: guide declined program %d:\n%s", m.Name(), bound, programs, p)
+			}
+			c.Bind(p)
+			for _, x := range cands {
+				mins := c.Check(x).MinimalFor()
+				if len(mins) == 0 {
+					continue
+				}
+				e := synth.Entry{Test: p, Exec: x, Key: canon.Key(x), Size: n}
+				union = append(union, e)
+				for _, ai := range mins {
+					perAxiom[ai] = append(perAxiom[ai], e)
+				}
+			}
+		}
 	}
-	if res.Backend != backend {
-		t.Fatalf("%s@%d: Result.Backend = %q, want %q", m.Name(), bound, res.Backend, backend)
+	if programs == 0 {
+		t.Fatalf("%s@%d: no programs generated", m.Name(), bound)
+	}
+	t.Logf("%s@%d: all %d programs guided", m.Name(), bound, programs)
+
+	suite := func(axiom string, entries []synth.Entry) *synth.Suite {
+		// Stable, so the first of equal keys is still first for NewSuite.
+		sort.SliceStable(entries, func(i, j int) bool {
+			if entries[i].Size != entries[j].Size {
+				return entries[i].Size < entries[j].Size
+			}
+			return entries[i].Key < entries[j].Key
+		})
+		return synth.NewSuite(m.Name(), axiom, entries)
+	}
+	res := &synth.Result{
+		Model:    m.Name(),
+		Options:  opts,
+		Backend:  "sat",
+		PerAxiom: make(map[string]*synth.Suite, len(axioms)),
+		Union:    suite("union", union),
+	}
+	res.ModelSource, res.ModelDigest = memmodel.SourceOf(m)
+	for i, a := range axioms {
+		res.PerAxiom[a.Name] = suite(a.Name, perAxiom[i])
 	}
 	return res
 }
 
-// requireIdentical asserts the two results encode to byte-identical stored
-// suites under the same digest.
-func requireIdentical(t *testing.T, m memmodel.Model, bound int, enum, sat *synth.Result) {
+// engineRun is the reference: a default engine run (enumeration with
+// admit auto) on two workers, so the parallel merge is exercised too.
+func engineRun(t *testing.T, m memmodel.Model, bound int) *synth.Result {
 	t.Helper()
-	se, err := store.Encode(enum)
+	res, err := synth.SynthesizeContext(context.Background(), m, synth.Options{MaxEvents: bound, Workers: 2})
 	if err != nil {
-		t.Fatalf("encode enum: %v", err)
+		t.Fatalf("%s@%d: %v", m.Name(), bound, err)
 	}
-	ss, err := store.Encode(sat)
+	if res.Stats.Interrupted {
+		t.Fatalf("%s@%d: interrupted", m.Name(), bound)
+	}
+	return res
+}
+
+// requireIdentical asserts the SAT replay encodes to the engine's stored
+// form: same digest, byte-identical suite texts, same manifest entries.
+func requireIdentical(t *testing.T, m memmodel.Model, bound int) {
+	t.Helper()
+	se, err := store.Encode(engineRun(t, m, bound))
 	if err != nil {
-		t.Fatalf("encode sat: %v", err)
+		t.Fatalf("encode engine: %v", err)
+	}
+	ss, err := store.Encode(replay(t, m, bound))
+	if err != nil {
+		t.Fatalf("encode replay: %v", err)
 	}
 	if se.Manifest.Digest != ss.Manifest.Digest {
-		t.Errorf("%s@%d: digests differ: enum %s, sat %s",
+		t.Errorf("%s@%d: digests differ: engine %s, sat %s",
 			m.Name(), bound, se.Manifest.Digest, ss.Manifest.Digest)
 	}
 	if len(se.Texts) != len(ss.Texts) {
-		t.Fatalf("%s@%d: suite count differs: enum %d, sat %d",
+		t.Fatalf("%s@%d: suite count differs: engine %d, sat %d",
 			m.Name(), bound, len(se.Texts), len(ss.Texts))
 	}
 	for name, wantText := range se.Texts {
 		gotText, ok := ss.Texts[name]
 		if !ok {
-			t.Fatalf("%s@%d: sat result missing suite %q", m.Name(), bound, name)
+			t.Fatalf("%s@%d: sat replay missing suite %q", m.Name(), bound, name)
 		}
 		if gotText != wantText {
-			t.Errorf("%s@%d: suite %q text differs between backends", m.Name(), bound, name)
+			t.Errorf("%s@%d: suite %q text differs from the engine's", m.Name(), bound, name)
 		}
 		if !reflect.DeepEqual(se.Manifest.Suites[name].Entries, ss.Manifest.Suites[name].Entries) {
-			t.Errorf("%s@%d: suite %q manifest entries differ between backends", m.Name(), bound, name)
+			t.Errorf("%s@%d: suite %q manifest entries differ from the engine's", m.Name(), bound, name)
 		}
-	}
-	if se.Manifest.Backend != "enum" || ss.Manifest.Backend != "sat" {
-		t.Errorf("%s@%d: manifest backends = %q, %q; want enum, sat",
-			m.Name(), bound, se.Manifest.Backend, ss.Manifest.Backend)
 	}
 }
 
-// TestDifferentialNative drives the natively-encoded models through the
-// SAT guide on every program and demands byte-identical suites and
-// digests against the enumerative backend.
+// TestDifferentialNative replays the natively encoded models through the
+// SAT guide on every program and demands the engine's suites and digest.
 func TestDifferentialNative(t *testing.T) {
 	forceSAT(t)
 	bound := 5
@@ -94,27 +176,30 @@ func TestDifferentialNative(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ok, reason := satgen.Supports(m); !ok {
-			t.Fatalf("expected native support for %s, got fallback: %s", name, reason)
+			t.Fatalf("expected native support for %s, got: %s", name, reason)
 		}
-		requireIdentical(t, m, bound, runBackend(t, m, "enum", bound), runBackend(t, m, "sat", bound))
+		requireIdentical(t, m, bound)
 	}
 }
 
-// TestDifferentialAllBuiltins covers every builtin at a small bound: the
-// unsupported ones exercise the wholesale enum fallback inside the sat
-// backend, which must still be byte-identical (and still stamped "sat").
+// TestDifferentialAllBuiltins runs the replay check at a small bound on
+// every builtin the encoder supports, and requires a reason from the rest.
 func TestDifferentialAllBuiltins(t *testing.T) {
 	forceSAT(t)
 	for _, m := range memmodel.All() {
-		requireIdentical(t, m, 3, runBackend(t, m, "enum", 3), runBackend(t, m, "sat", 3))
+		if ok, reason := satgen.Supports(m); !ok {
+			if reason == "" {
+				t.Errorf("%s: unsupported with an empty reason", m.Name())
+			}
+			continue
+		}
+		requireIdentical(t, m, 3)
 	}
 }
 
-// TestDifferentialCatModels compiles the example cat definitions; the SAT
-// backend must fall back (definition-language models are unsupported) and
-// stay byte-identical.
+// TestDifferentialCatModels: definition-language models are never
+// encoded, even under a supported name, and each says why.
 func TestDifferentialCatModels(t *testing.T) {
-	forceSAT(t)
 	files, err := filepath.Glob(filepath.Join("..", "..", "..", "examples", "cat", "*.cat"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no example cat models found: %v", err)
@@ -129,92 +214,41 @@ func TestDifferentialCatModels(t *testing.T) {
 			t.Fatalf("%s: %v", f, err)
 		}
 		if ok, reason := satgen.Supports(m); ok {
-			t.Fatalf("%s: expected SAT fallback for cat model, got native support", f)
+			t.Errorf("%s: cat model reported as natively supported", f)
 		} else if reason == "" {
-			t.Fatalf("%s: fallback with empty reason", f)
+			t.Errorf("%s: unsupported with an empty reason", f)
 		}
-		requireIdentical(t, m, 4, runBackend(t, m, "enum", 4), runBackend(t, m, "sat", 4))
 	}
 }
 
-// TestSATCountForbidden: CountForbidden keeps the sat backend on the
-// enumeration path (a guide surfaces only minimal witnesses, which would
-// undercount the census), so it reports the enum backend's count of
-// distinct forbidden outcomes and the same suites.
-func TestSATCountForbidden(t *testing.T) {
-	forceSAT(t)
-	m, err := memmodel.ByName("tso")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const bound = 4
-	run := func(backend string) *synth.Result {
-		opts := synth.Options{MaxEvents: bound, Backend: backend, Workers: 2, CountForbidden: true}
-		res, err := synth.SynthesizeContext(context.Background(), m, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		return res
-	}
-	enum, sat := run("enum"), run("sat")
-	if enum.Stats.ForbiddenOutcomes == 0 {
-		t.Fatal("enum run counted no forbidden outcomes")
-	}
-	if sat.Stats.ForbiddenOutcomes != enum.Stats.ForbiddenOutcomes {
-		t.Errorf("sat ForbiddenOutcomes = %d, enum = %d",
-			sat.Stats.ForbiddenOutcomes, enum.Stats.ForbiddenOutcomes)
-	}
-	requireIdentical(t, m, bound, enum, sat)
-}
-
-// TestSATCancellation: the SAT backend honors context deadlines, returning
-// partial suites with Stats.Interrupted and no error.
+// TestSATCancellation: a stop that reports cancellation, before encoding
+// or between solves, makes Candidates decline the program.
 func TestSATCancellation(t *testing.T) {
 	forceSAT(t)
 	m, err := memmodel.ByName("tso")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	res, err := synth.SynthesizeContext(ctx, m, synth.Options{MaxEvents: 7, Backend: "sat", Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.Interrupted {
-		t.Error("expected Stats.Interrupted on deadline-bounded sat run")
-	}
-	if res.Backend != "sat" {
-		t.Errorf("Result.Backend = %q, want sat", res.Backend)
-	}
-}
-
-// TestBackendDigestIndependence proves (not just asserts by convention)
-// that backend choice never shifts a store digest, and that unknown names
-// are rejected early with the known-backend list.
-func TestBackendDigestIndependence(t *testing.T) {
-	m, err := memmodel.ByName("tso")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := synth.Options{MaxEvents: 4}
-	withSAT := base
-	withSAT.Backend = "sat"
-	if store.DigestModel(m, base) != store.DigestModel(m, withSAT) {
-		t.Error("Options.Backend changed the store digest")
-	}
-	if got := withSAT.Normalize().Backend; got != "" {
-		t.Errorf("Normalize kept Backend = %q", got)
-	}
-	bad := base
-	bad.Backend = "minisat"
-	err = bad.Validate()
-	if err == nil {
-		t.Fatal("Validate accepted unknown backend")
-	}
-	for _, want := range []string{"minisat", "enum", "sat"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("unknown-backend error %q does not mention %q", err, want)
+	g := satgen.NewGuide(m)
+	var p *litmus.Test
+	for _, q := range distinctPrograms(t, m, synth.Options{MaxEvents: 4}, 4) {
+		if cands, ok := g.Candidates(q, never); ok && len(cands) >= 2 {
+			p = q
+			break
 		}
+	}
+	if p == nil {
+		t.Fatal("no tso@4 program with two or more candidates")
+	}
+	if _, ok := g.Candidates(p, func() bool { return true }); ok {
+		t.Error("Candidates accepted a program with stop already reporting true")
+	}
+	calls := 0
+	midway := func() bool {
+		calls++
+		return calls >= 3 // the first poll precedes encoding, the rest each solve
+	}
+	if _, ok := g.Candidates(p, midway); ok {
+		t.Error("Candidates accepted a program cancelled between solves")
 	}
 }

@@ -1,23 +1,21 @@
-// Package satgen is the SAT-guided candidate source behind the synth
-// engine's "sat" backend: the paper's actual pipeline (Fig. 5c), where
-// minimal litmus tests fall out of a relational model finder instead of
-// exhaustive execution enumeration. For each candidate program it encodes
-// the per-program minimality criterion — some relaxation-bounded execution
-// is forbidden, and every strictly-weaker perturbation of it is observable
-// — as one internal/rml problem over internal/sat, and enumerates the
-// satisfying executions with blocking clauses on an incrementally-solved
-// instance.
+// Package satgen is the paper's synthesis pipeline (Fig. 5c), kept as an
+// independent check on the synthesis engine: minimal litmus tests fall out
+// of a relational model finder instead of exhaustive execution
+// enumeration. For each candidate program it encodes the per-program
+// minimality criterion — some relaxation-bounded execution is forbidden,
+// and every strictly-weaker perturbation of it is observable — as one
+// internal/rml problem over internal/sat, and enumerates the satisfying
+// executions with blocking clauses on an incrementally-solved instance.
 //
-// The package is a plain library: synth asks Supports whether a model has
-// a native encoding and, when it does, gives each explore worker its own
-// Guide. Generation, symmetry dedupe, and suite merging are untouched, and
-// every SAT-proposed candidate is re-confirmed by the exhaustive
-// minimality checker (which also attributes the violated axioms), so
-// suites and store digests are byte-identical to the enum backend's.
-// Programs whose execution space is small enough that exhaustive
-// enumeration beats encoding are declined back to the enum path, as are
-// models the encoder does not support (those fall back wholesale, with the
-// daemon logging a warning).
+// No serving path imports the package; only its tests do. They replay a
+// whole synthesis run sequentially — the engine's program generator and
+// symmetry dedupe, this package's candidates for every program, each one
+// re-confirmed by the minimality checker — and require the replay to
+// encode to exactly the engine's stored suites and digest. Supports says
+// which models have a native encoding; Guide proposes one program's
+// candidates, and declines programs whose execution space is small enough
+// that exhaustive enumeration beats encoding (the tests lower that
+// threshold so every program is encoded).
 package satgen
 
 import (
@@ -69,8 +67,8 @@ func Supports(m memmodel.Model) (bool, string) {
 }
 
 // Guide proposes candidate executions for the programs of one model. Each
-// program compiles its own solver instance; the engine gives every explore
-// worker its own Guide.
+// program compiles its own solver instance; a Guide is not safe for
+// concurrent use.
 type Guide struct {
 	m     memmodel.Model
 	table map[string]axiomEncoder

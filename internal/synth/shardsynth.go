@@ -77,10 +77,9 @@ type ShardResult struct {
 // the deduped program stream: generation and dedupe run in full (their
 // output is deterministic, so every shard computes the identical winner
 // list), and only winners with per-size index ≡ shard.Index (mod
-// shard.Stride) are explored. Shards always run the exhaustive
-// enumeration engine (Options.Backend is ignored); cancellation returns
-// a partial result with Stats.Interrupted set, which MergeShards
-// rejects — an interrupted shard must be retried, never merged.
+// shard.Stride) are explored. Cancellation returns a partial result with
+// Stats.Interrupted set, which MergeShards rejects — an interrupted shard
+// must be retried, never merged.
 func SynthesizeShard(ctx context.Context, m memmodel.Model, opts Options, shard ShardSpec) (*ShardResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -38,7 +38,6 @@ import (
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/minimal"
-	"memsynth/internal/synth/satgen"
 )
 
 // Entry is one synthesized litmus test: a program together with the
@@ -161,9 +160,10 @@ type Result struct {
 	// definition ("" for built-ins). The store folds it into suite
 	// digests so same-named but different definitions never collide.
 	ModelDigest string
-	// Backend names the backend that produced this result ("enum",
-	// "sat", ...). It is provenance only: every backend produces
-	// byte-identical suites, so it is excluded from store digests.
+	// Backend records what produced this result: "enum" for an engine
+	// run, "cluster" for a merge of shard results. It is provenance only:
+	// both produce byte-identical suites, so it is excluded from store
+	// digests.
 	Backend string
 	// Admit records whether the fast-admissibility filter ran: "fast"
 	// when active, "off" when disabled by Options.Admit or unsupported by
@@ -204,18 +204,11 @@ func Synthesize(m memmodel.Model, opts Options) *Result {
 	return res
 }
 
-// SynthesizeContext runs minimal-test synthesis for model m on the backend
-// selected by opts.Backend ("" means DefaultBackend), honoring ctx
+// SynthesizeContext runs minimal-test synthesis for model m, honoring ctx
 // cancellation and deadline. A cancelled run stops promptly and returns
 // the suites synthesized so far with Stats.Interrupted set (and a nil
 // error — partial results are results). The only error returned is an
 // Options validation failure.
-//
-// The sat backend draws candidates from the SAT guide only for models
-// satgen.Supports, and never under CountForbidden: a guide surfaces only
-// minimal witnesses, which would undercount the all-forbidden-outcomes
-// census. Otherwise it runs the enumeration path unchanged, still stamped
-// "sat" in Result.Backend.
 func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -223,12 +216,7 @@ func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Re
 	opts = opts.withDefaults()
 	e := newEngine(m, opts)
 	res := e.res
-	res.Backend = DefaultBackend
-	if opts.Backend == SATBackend {
-		res.Backend = SATBackend
-		supported, _ := satgen.Supports(m)
-		e.satOn = supported && !opts.CountForbidden
-	}
+	res.Backend = "enum"
 	// Findings arrive in generation order, which reproduces the
 	// sequential engine's first-wins add order exactly.
 	res.Stats = e.run(ctx, ShardSpec{Index: 0, Stride: 1}, func(_, _ int, found []foundEntry) {
@@ -275,11 +263,6 @@ type engine struct {
 
 	seenEntry     *shardedSet
 	seenForbidden *shardedSet
-
-	// satOn gives each explore worker a satgen.Guide that proposes
-	// candidate executions instead of exhaustive enumeration (see
-	// SynthesizeContext).
-	satOn bool
 
 	start time.Time
 	prog  *progressSink
@@ -510,16 +493,12 @@ func (e *engine) explore(winners []progClaim, shard ShardSpec) [][]foundEntry {
 			if e.admitOn {
 				adm = admit.NewChecker(e.model)
 			}
-			var guide *satgen.Guide
-			if e.satOn {
-				guide = satgen.NewGuide(e.model)
-			}
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= n || e.stopped.Load() {
 					return
 				}
-				results[i] = e.processProgram(checker, adm, guide, winners[shard.Index+i*shard.Stride].test)
+				results[i] = e.processProgram(checker, adm, winners[shard.Index+i*shard.Stride].test)
 			}
 		}()
 	}
@@ -529,22 +508,15 @@ func (e *engine) explore(winners []progClaim, shard ShardSpec) [][]foundEntry {
 
 // processProgram explores the executions of t and applies the minimality
 // criterion through the caller's pooled checker; each goroutine must pass
-// its own. Every candidate execution goes through one visit closure, drawn
-// from one of two sources:
-//
-//   - A non-nil guide that accepts t proposes the candidates, ordered by
-//     the rank exhaustive enumeration would visit them in; each is
-//     re-confirmed by the checker, so a guide can never introduce a wrong
-//     entry. A declined program falls through to enumeration.
-//   - Otherwise exec.Enumerate visits every execution. A non-nil adm
-//     filters reads-from assignments before their coherence orders are
-//     enumerated: a refuted assignment's extensions are counted as
-//     fast-decided instead of visited (the filter is sound, so every
-//     finding an unfiltered run makes survives).
+// its own. exec.Enumerate visits every candidate execution. A non-nil adm
+// filters reads-from assignments before their coherence orders are
+// enumerated: a refuted assignment's extensions are counted as
+// fast-decided instead of visited (the filter is sound, so every finding
+// an unfiltered run makes survives).
 //
 // On cancellation mid-program the partial findings are discarded
 // (counters keep what was actually checked).
-func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, g *satgen.Guide, t *litmus.Test) []foundEntry {
+func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmus.Test) []foundEntry {
 	var found []foundEntry
 	var execs, fastExecs, minNS, dedupeNS int64
 	completed := true
@@ -590,51 +562,33 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, g *satge
 
 	c.Bind(t)
 	t0 := time.Now()
-	var cands []*exec.Execution
-	guided := false
-	if g != nil {
-		cands, guided = g.Candidates(t, e.stopped.Load)
-	}
-	switch {
-	case guided:
-		for _, x := range cands {
-			if !visit(x) {
-				break
+	// sc orders are quantified inside the checker (they are auxiliary, not
+	// part of the outcome), so enumeration here covers rf and co only.
+	eopts := exec.EnumerateOptions{}
+	if adm != nil {
+		adm.Bind(t, c.Apps())
+		perRF := int64(exec.ExtensionsPerRF(t, eopts))
+		var rfPolls int64
+		// The visit callback polls for cancellation too, but a heavily
+		// filtered program may visit almost nothing, so poll at the rf
+		// level as well.
+		eopts.Stop = func() bool {
+			rfPolls++
+			if rfPolls&0x3F == 0x3F && e.stopped.Load() {
+				completed = false
+				return true
 			}
+			return false
 		}
-	case e.stopped.Load():
-		// Cancelled before (or while the guide was) exploring t.
-		completed = false
-	default:
-		// sc orders are quantified inside the checker (they are
-		// auxiliary, not part of the outcome), so enumeration here covers
-		// rf and co only.
-		eopts := exec.EnumerateOptions{}
-		if adm != nil {
-			adm.Bind(t, c.Apps())
-			perRF := int64(exec.ExtensionsPerRF(t, eopts))
-			var rfPolls int64
-			// The visit callback polls for cancellation too, but a
-			// heavily filtered program may visit almost nothing, so poll
-			// at the rf level as well.
-			eopts.Stop = func() bool {
-				rfPolls++
-				if rfPolls&0x3F == 0x3F && e.stopped.Load() {
-					completed = false
-					return true
-				}
-				return false
+		eopts.RFFilter = func(rf []int) bool {
+			if adm.Decide(rf) {
+				return true
 			}
-			eopts.RFFilter = func(rf []int) bool {
-				if adm.Decide(rf) {
-					return true
-				}
-				fastExecs += perRF
-				return false
-			}
+			fastExecs += perRF
+			return false
 		}
-		exec.Enumerate(t, eopts, visit)
 	}
+	exec.Enumerate(t, eopts, visit)
 	e.execNS.Add(int64(time.Since(t0)) - minNS - dedupeNS)
 	e.minNS.Add(minNS)
 	e.dedupeNS.Add(dedupeNS)

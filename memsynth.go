@@ -29,9 +29,11 @@
 // criterion (internal/minimal), symmetry reduction (internal/canon), the
 // synthesis engine (internal/synth), baseline suites and subtest
 // containment (internal/suites), a diy-style cycle generator
-// (internal/diy), an operational x86-TSO machine (internal/tsosim), and a
-// bounded relational model finder over a CDCL SAT solver
-// (internal/rml, internal/sat) standing in for Alloy/Kodkod/MiniSAT.
+// (internal/diy), and an operational x86-TSO machine (internal/tsosim).
+// The paper's Alloy/Kodkod/MiniSAT pipeline is reproduced by a bounded
+// relational model finder over a CDCL SAT solver (internal/rml,
+// internal/sat, internal/synth/satgen), which tests use as an independent
+// check on the engine; nothing behind this facade calls it.
 package memsynth
 
 import (
@@ -209,16 +211,6 @@ const (
 	PhaseTick     = synth.PhaseTick
 	PhaseDone     = synth.PhaseDone
 )
-
-// DefaultBackend is the backend used when Options.Backend is empty
-// (the exhaustive enumeration engine).
-const DefaultBackend = synth.DefaultBackend
-
-// Backends returns the synthesis backend names, sorted: "enum", the
-// exhaustive engine, and "sat", the SAT-guided minimality search over
-// internal/rml and internal/sat. Both produce byte-identical suites for
-// the same (model, Options); select one via Options.Backend.
-func Backends() []string { return synth.Backends() }
 
 // Synthesize exhaustively generates the minimal litmus-test suites of the
 // model within the given bounds (paper §5). It is a thin wrapper over
