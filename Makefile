@@ -6,7 +6,10 @@ GO ?= go
 
 .PHONY: check build test vet race lint analyze bench bench-paper fuzz serve cluster cluster-test stress
 
+# perfbench is its own module, so `go build ./...` never compiles it;
+# vetting it catches API changes that would break the benchmark.
 check: vet build race lint
+	cd perfbench && $(GO) vet .
 
 # Static analysis of the shipped model definitions: the examples must be
 # finding-free (-strict fails on warnings too); the builtin sweep is

@@ -122,19 +122,6 @@ type ResultResponse struct {
 	Reason    string `json:"reason,omitempty"`
 }
 
-// ProgressWire is one NDJSON line of a shard's progress stream, the
-// serializable projection of synth.ProgressEvent.
-type ProgressWire struct {
-	Phase       string `json:"phase"`
-	Size        int    `json:"size"`
-	ProgramsRaw int    `json:"programs_raw"`
-	Programs    int    `json:"programs"`
-	Executions  int    `json:"executions"`
-	Entries     int    `json:"entries"`
-	Forbidden   int    `json:"forbidden_outcomes,omitempty"`
-	ElapsedMS   int64  `json:"elapsed_ms"`
-}
-
 // SuiteBundle is the payload of GET /v1/suites/{digest}/bundle — a full
 // store entry (manifest plus byte-identical suite texts), the transfer
 // unit of the peer read-through cache tier.

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,6 +160,34 @@ func (g *ghost) pollJob(deadline time.Duration) (ShardJob, bool) {
 	return job, false
 }
 
+// post sends one request as the ghost and returns its status code.
+func (g *ghost) post(path, body string) int {
+	g.t.Helper()
+	resp, err := http.Post(g.url+path+"?worker="+g.id, "application/json", strings.NewReader(body))
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// progress streams one progress line reporting executions for job.
+func (g *ghost) progress(job ShardJob, executions int) {
+	g.t.Helper()
+	line := fmt.Sprintf(`{"model":%q,"phase":"tick","size":3,"executions":%d}`+"\n", job.Model, executions)
+	if code := g.post("/v1/cluster/shards/"+job.ShardDigest+"/progress", line); code != http.StatusNoContent {
+		g.t.Fatalf("progress: status %d", code)
+	}
+}
+
+// release hands job back for reassignment.
+func (g *ghost) release(job ShardJob) {
+	g.t.Helper()
+	if code := g.post("/v1/cluster/shards/"+job.ShardDigest+"/release", `{"reason":"test"}`); code != http.StatusNoContent {
+		g.t.Fatalf("release: status %d", code)
+	}
+}
+
 func (g *ghost) upload(job ShardJob, sr *synth.ShardResult) (int, ResultResponse) {
 	g.t.Helper()
 	wire := EncodeShardResult(job.ShardDigest, sr)
@@ -216,9 +246,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := shards[i].Stats, sr.Stats
-		if got.Executions != want.Executions || got.ExecutionsFast != want.ExecutionsFast ||
-			got.Entries != want.Entries || got.Programs != want.Programs {
+		if got, want := shards[i].Stats, sr.Stats; got != want {
 			t.Errorf("shard %d stats after round trip = %+v, want %+v", i, got, want)
 		}
 	}
@@ -333,6 +361,105 @@ func TestCoordinatorAdmitReachesWorkers(t *testing.T) {
 		if mode == "auto" && single.Stats.ExecutionsFast == 0 {
 			t.Error("admit auto: single-node run decided no executions fast")
 		}
+	}
+}
+
+// TestCoordinatorProgressCarriesRecord pins that the coordinator forwards
+// the workers' whole run record: on a tso run with admit on and the
+// forbidden-outcome census requested, the aggregated progress reports
+// fast-decided executions and forbidden outcomes, and no forwarded count
+// exceeds the merged result's.
+func TestCoordinatorProgressCarriesRecord(t *testing.T) {
+	cfg := fastConfig()
+	cfg.ShardsPerRequest = 2
+	c := New(cfg)
+	defer c.Close()
+	ts := httptest.NewServer(c)
+	defer ts.Close()
+
+	startWorker(t, ts.URL, "w1", time.Second)
+	startWorker(t, ts.URL, "w2", time.Second)
+	waitFor(t, func() bool { return c.LiveWorkers() == 2 })
+
+	var mu sync.Mutex
+	var events []synth.ProgressEvent
+	opts := synth.Options{MaxEvents: 5, Admit: "auto", CountForbidden: true}
+	res, err := c.Synthesize(context.Background(), mustModel(t, "tso"), opts, func(ev synth.ProgressEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var fast, forbidden int
+	for _, ev := range events {
+		fast = max(fast, ev.ExecutionsFast)
+		forbidden = max(forbidden, ev.ForbiddenOutcomes)
+		if ev.Executions > res.Stats.Executions || ev.ExecutionsFast > res.Stats.ExecutionsFast ||
+			ev.ForbiddenOutcomes > res.Stats.ForbiddenOutcomes || ev.Entries > res.Stats.Entries {
+			t.Errorf("progress %+v exceeds the merged stats %+v", ev, res.Stats)
+		}
+	}
+	if fast == 0 {
+		t.Errorf("%d progress events, none reports fast-decided executions (merged: %d)", len(events), res.Stats.ExecutionsFast)
+	}
+	if forbidden == 0 {
+		t.Errorf("%d progress events, none reports forbidden outcomes (merged: %d)", len(events), res.Stats.ForbiddenOutcomes)
+	}
+}
+
+// TestCoordinatorProgressNeverRegresses pins that aggregated progress is
+// monotone across a stale worker and a reassignment: a line from a worker
+// that no longer holds the shard is ignored, and the reassigned shard,
+// restarting from zero, does not pull the forwarded counters back.
+func TestCoordinatorProgressNeverRegresses(t *testing.T) {
+	cfg := fastConfig()
+	cfg.ShardsPerRequest = 1
+	cfg.ExpireAfter = 10 * time.Second // reassign by hand-back, not expiry
+	c := New(cfg)
+	defer c.Close()
+	ts := httptest.NewServer(c)
+	defer ts.Close()
+
+	first, second := newGhost(t, ts.URL), newGhost(t, ts.URL)
+	var mu sync.Mutex
+	var forwarded []int
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Synthesize(ctx, mustModel(t, "sc"), synth.Options{MaxEvents: 3}, func(ev synth.ProgressEvent) {
+			mu.Lock()
+			forwarded = append(forwarded, ev.Executions)
+			mu.Unlock()
+		})
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	job, ok := first.pollJob(5 * time.Second)
+	if !ok {
+		t.Fatal("first worker was never assigned the shard")
+	}
+	first.progress(job, 100)
+	first.release(job)
+	again, ok := second.pollJob(5 * time.Second)
+	if !ok || again.ShardDigest != job.ShardDigest {
+		t.Fatalf("shard not reassigned to the second worker (assigned %t)", ok)
+	}
+	first.progress(job, 1000) // stale: the first worker gave the shard up
+	second.progress(again, 10)
+	second.progress(again, 200)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []int{100, 100, 200}; fmt.Sprint(forwarded) != fmt.Sprint(want) {
+		t.Errorf("forwarded executions %v, want %v", forwarded, want)
 	}
 }
 

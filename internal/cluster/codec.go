@@ -41,11 +41,7 @@ type WireShardResult struct {
 	// per entry in Entries order.
 	SuiteText string           `json:"suite_text"`
 	Entries   []WireShardEntry `json:"entries"`
-	// EntriesFound and Interrupted carry the synth.Stats fields that
-	// StatsManifest does not persist.
-	EntriesFound int                 `json:"entries_found"`
-	Stats        store.StatsManifest `json:"stats"`
-	Interrupted  bool                `json:"interrupted,omitempty"`
+	Stats     synth.Stats      `json:"stats"`
 }
 
 // EncodeShardResult serializes a shard run for upload.
@@ -76,9 +72,7 @@ func EncodeShardResult(shardDigest string, sr *synth.ShardResult) *WireShardResu
 		Stride:        sr.Shard.Stride,
 		SuiteText:     litmus.FormatSuite(specs),
 		Entries:       entries,
-		EntriesFound:  sr.Stats.Entries,
-		Stats:         store.StatsOf(sr.Stats),
-		Interrupted:   sr.Stats.Interrupted,
+		Stats:         sr.Stats,
 	}
 }
 
@@ -106,6 +100,7 @@ func DecodeShardResult(w *WireShardResult) (*synth.ShardResult, error) {
 		Options:     w.Options.SynthOptions().Normalize(),
 		Shard:       synth.ShardSpec{Index: w.Index, Stride: w.Stride},
 		Entries:     make([]synth.ShardEntry, len(w.Entries)),
+		Stats:       w.Stats,
 	}
 	for i, we := range w.Entries {
 		spec := specs[i]
@@ -122,8 +117,5 @@ func DecodeShardResult(w *WireShardResult) (*synth.ShardResult, error) {
 			},
 		}
 	}
-	sr.Stats = w.Stats.Stats()
-	sr.Stats.Entries = w.EntriesFound
-	sr.Stats.Interrupted = w.Interrupted
 	return sr, nil
 }

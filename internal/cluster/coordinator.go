@@ -90,7 +90,10 @@ type shardState struct {
 	worker     string
 	assignedAt time.Time
 	retries    int
-	progress   ProgressWire
+	// progress is the furthest progress any attempt at the shard has
+	// reported: a reassigned shard restarts from zero, and the record
+	// keeps the earlier attempt's counters until the new one passes them.
+	progress synth.ProgressEvent
 }
 
 // cflight is one in-flight distributed request and its one caller.
@@ -274,7 +277,10 @@ func distributable(m memmodel.Model) (source, digest, def string, err error) {
 // consult or write the store, and it does not coalesce: the caller (the
 // daemon's single-flight path) owns cache lookup, persistence and
 // deduplication, so a digest already in flight is refused — its shard
-// digests would collide with the running flight's.
+// digests would collide with the running flight's. progress, when
+// non-nil, receives the shards' aggregated progress; it is called with
+// the coordinator's lock held, so it must be quick and must not call
+// back into the coordinator.
 func (c *Coordinator) Synthesize(ctx context.Context, m memmodel.Model, opts synth.Options, progress func(synth.ProgressEvent)) (*synth.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -663,51 +669,46 @@ func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		var pw ProgressWire
-		if err := json.Unmarshal(line, &pw); err != nil {
+		var ev synth.ProgressEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
 			continue
 		}
-		c.noteProgress(dg, workerID, pw)
+		c.noteProgress(dg, workerID, ev)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (c *Coordinator) noteProgress(dg, workerID string, pw ProgressWire) {
+// noteProgress folds one progress line into its shard's record and
+// forwards the flight's aggregate: the shards' records folded by
+// synth.MergeStats, at the flight's own elapsed time. Only the shard's
+// current holder reports on it; a line from a presumed-dead worker whose
+// shard was requeued is stale and ignored. Every shard record only
+// grows, and the aggregate is forwarded under the lock, so the counters
+// the flight's progress func sees never go backwards.
+func (c *Coordinator) noteProgress(dg, workerID string, ev synth.ProgressEvent) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if m := c.workers[workerID]; m != nil {
 		m.lastSeen = time.Now()
 	}
 	ss := c.shards[dg]
-	if ss == nil || ss.fl.finished || ss.fl.progress == nil {
-		c.mu.Unlock()
+	if ss == nil || ss.worker == "" || ss.worker != workerID || ss.fl.finished || ss.fl.progress == nil {
 		return
 	}
-	ss.progress = pw
+	ss.progress.Size = max(ss.progress.Size, ev.Size)
+	ss.progress.Stats = synth.MaxStats(ss.progress.Stats, ev.Stats)
 	fl := ss.fl
-	// Aggregate across the flight's shards: per-shard explore counters
-	// sum (the winner partition is disjoint); generation counters are
-	// full-stream on every shard, so take the max.
-	agg := synth.ProgressEvent{
-		Model:   fl.model.Name(),
-		Phase:   synth.PhaseTick,
-		Elapsed: time.Since(fl.start),
+	agg := synth.ProgressEvent{Model: fl.model.Name(), Phase: synth.PhaseTick}
+	parts := make([]synth.Stats, len(fl.shards))
+	for i, s := range fl.shards {
+		parts[i] = s.progress.Stats
+		agg.Size = max(agg.Size, s.progress.Size)
 	}
-	for _, s := range fl.shards {
-		p := s.progress
-		agg.Executions += p.Executions
-		agg.Entries += p.Entries
-		agg.ForbiddenOutcomes += p.Forbidden
-		if p.Size > agg.Size {
-			agg.Size = p.Size
-		}
-		if p.ProgramsRaw > agg.ProgramsRaw {
-			agg.ProgramsRaw = p.ProgramsRaw
-		}
-		if p.Programs > agg.Programs {
-			agg.Programs = p.Programs
-		}
-	}
-	c.mu.Unlock()
+	agg.Stats = synth.MergeStats(parts...)
+	// A drained attempt reports itself interrupted, but the flight runs
+	// on; its clock starts at submission.
+	agg.Elapsed = time.Since(fl.start)
+	agg.Interrupted = false
 	fl.progress(agg)
 }
 

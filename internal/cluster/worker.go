@@ -378,7 +378,7 @@ func (w *Worker) deregister() {
 // engine: the callback feeds a small buffered channel that a dedicated
 // goroutine drains into the request body.
 type progressStream struct {
-	ch     chan ProgressWire
+	ch     chan synth.ProgressEvent
 	done   chan struct{}
 	closeC func()
 }
@@ -386,7 +386,7 @@ type progressStream struct {
 func (w *Worker) startProgress(ctx context.Context, job ShardJob) *progressStream {
 	pr, pw := io.Pipe()
 	ps := &progressStream{
-		ch:   make(chan ProgressWire, 8),
+		ch:   make(chan synth.ProgressEvent, 8),
 		done: make(chan struct{}),
 	}
 	var once sync.Once
@@ -435,18 +435,8 @@ func (ps *progressStream) observe(ev synth.ProgressEvent) {
 	if ps.ch == nil {
 		return
 	}
-	pw := ProgressWire{
-		Phase:       ev.Phase,
-		Size:        ev.Size,
-		ProgramsRaw: ev.ProgramsRaw,
-		Programs:    ev.Programs,
-		Executions:  ev.Executions,
-		Entries:     ev.Entries,
-		Forbidden:   ev.ForbiddenOutcomes,
-		ElapsedMS:   ev.Elapsed.Milliseconds(),
-	}
 	select {
-	case ps.ch <- pw:
+	case ps.ch <- ev:
 	default:
 	}
 }

@@ -25,16 +25,11 @@ const (
 // pruned).
 const maxJobHistory = 256
 
-// JobProgress is the live counter snapshot of a running job. Synthesis
-// jobs fill the engine counters; stress jobs fill the stress fields.
+// JobProgress is the live snapshot of a running job. Synthesis jobs
+// carry the engine's latest progress event; stress jobs set Phase
+// "stress", Elapsed and the stress fields.
 type JobProgress struct {
-	Phase       string `json:"phase"`
-	Size        int    `json:"size,omitempty"`
-	ProgramsRaw int    `json:"programs_raw,omitempty"`
-	Programs    int    `json:"programs,omitempty"`
-	Executions  int    `json:"executions,omitempty"`
-	Entries     int    `json:"entries,omitempty"`
-	ElapsedMS   int64  `json:"elapsed_ms"`
+	synth.ProgressEvent
 	// Stress-job counters: tests executed / suite size, iterations run,
 	// and iterations whose outcome the model forbids.
 	TestsRun    int   `json:"tests_run,omitempty"`
@@ -108,17 +103,8 @@ func (j *job) status() JobStatus {
 	case j.progressFn != nil:
 		st.Progress = j.progressFn()
 	case j.flight != nil:
-		ev := j.flight.snapshot()
-		if ev.Phase != "" {
-			st.Progress = &JobProgress{
-				Phase:       ev.Phase,
-				Size:        ev.Size,
-				ProgramsRaw: ev.ProgramsRaw,
-				Programs:    ev.Programs,
-				Executions:  ev.Executions,
-				Entries:     ev.Entries,
-				ElapsedMS:   ev.Elapsed.Milliseconds(),
-			}
+		if ev := j.flight.snapshot(); ev.Phase != "" {
+			st.Progress = &JobProgress{ProgressEvent: ev}
 		}
 	}
 	return st

@@ -282,11 +282,11 @@ type SynthesizeRequest struct {
 
 // SynthesizeResponse is the JSON summary of a synthesize request.
 type SynthesizeResponse struct {
-	Digest        string              `json:"digest"`
-	Model         string              `json:"model"`
-	EngineVersion string              `json:"engine_version"`
-	Cached        bool                `json:"cached"`
-	Stats         store.StatsManifest `json:"stats"`
+	Digest        string      `json:"digest"`
+	Model         string      `json:"model"`
+	EngineVersion string      `json:"engine_version"`
+	Cached        bool        `json:"cached"`
+	Stats         synth.Stats `json:"stats"`
 	// Suites maps suite name ("union" or axiom) to its test count.
 	Suites map[string]int `json:"suites"`
 }

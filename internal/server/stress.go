@@ -205,8 +205,11 @@ func (s *Server) startStressJob(model memmodel.Model, tests []*litmus.Test, dige
 		mu.Lock()
 		defer mu.Unlock()
 		return &JobProgress{
-			Phase:       "stress",
-			ElapsedMS:   time.Since(t0).Milliseconds(),
+			ProgressEvent: synth.ProgressEvent{
+				Model: model.Name(),
+				Phase: "stress",
+				Stats: synth.Stats{Elapsed: time.Since(t0)},
+			},
 			TestsRun:    last.TestsRun,
 			TestsTotal:  len(tests),
 			Iterations:  last.Iterations,

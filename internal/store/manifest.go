@@ -102,57 +102,6 @@ func DigestModel(m memmodel.Model, opts synth.Options) string {
 	return Digest(m.Name(), md, opts)
 }
 
-// StatsManifest is the persisted projection of synth.Stats (durations as
-// nanoseconds for JSON stability).
-type StatsManifest struct {
-	ProgramsRaw       int   `json:"programs_raw"`
-	Programs          int   `json:"programs"`
-	Executions        int   `json:"executions"`
-	ExecutionsFast    int   `json:"executions_fast,omitempty"`
-	ForbiddenOutcomes int   `json:"forbidden_outcomes,omitempty"`
-	ElapsedNS         int64 `json:"elapsed_ns"`
-	GenerationNS      int64 `json:"generation_ns"`
-	DedupeNS          int64 `json:"dedupe_ns"`
-	ExecutionNS       int64 `json:"execution_ns"`
-	MinimalityNS      int64 `json:"minimality_ns"`
-}
-
-// StatsOf projects synth.Stats onto its persisted form. Entries and
-// Interrupted have no persisted counterpart: a stored result is complete
-// and its entry count is the union suite's length.
-func StatsOf(st synth.Stats) StatsManifest {
-	return StatsManifest{
-		ProgramsRaw:       st.ProgramsRaw,
-		Programs:          st.Programs,
-		Executions:        st.Executions,
-		ExecutionsFast:    st.ExecutionsFast,
-		ForbiddenOutcomes: st.ForbiddenOutcomes,
-		ElapsedNS:         int64(st.Elapsed),
-		GenerationNS:      int64(st.Stages.Generation),
-		DedupeNS:          int64(st.Stages.Dedupe),
-		ExecutionNS:       int64(st.Stages.Execution),
-		MinimalityNS:      int64(st.Stages.Minimality),
-	}
-}
-
-// Stats converts back to synth.Stats (Entries and Interrupted left zero).
-func (sm StatsManifest) Stats() synth.Stats {
-	return synth.Stats{
-		ProgramsRaw:       sm.ProgramsRaw,
-		Programs:          sm.Programs,
-		Executions:        sm.Executions,
-		ExecutionsFast:    sm.ExecutionsFast,
-		ForbiddenOutcomes: sm.ForbiddenOutcomes,
-		Elapsed:           time.Duration(sm.ElapsedNS),
-		Stages: synth.StageTimes{
-			Generation: time.Duration(sm.GenerationNS),
-			Dedupe:     time.Duration(sm.DedupeNS),
-			Execution:  time.Duration(sm.ExecutionNS),
-			Minimality: time.Duration(sm.MinimalityNS),
-		},
-	}
-}
-
 // EntryManifest carries the machine-readable part of one suite entry: the
 // symmetry-class key and the witness execution's relations. Together with
 // the parsed test from the suite's litmus text it rebuilds the full
@@ -189,7 +138,7 @@ type Manifest struct {
 	Backend   string                   `json:"backend,omitempty"`
 	Options   RequestOptions           `json:"options"`
 	CreatedAt time.Time                `json:"created_at"`
-	Stats     StatsManifest            `json:"stats"`
+	Stats     synth.Stats              `json:"stats"`
 	Suites    map[string]SuiteManifest `json:"suites"`
 }
 
@@ -258,7 +207,7 @@ func Encode(res *synth.Result) (*StoredSuite, error) {
 		Backend:       res.Backend,
 		Options:       FromSynthOptions(res.Options),
 		CreatedAt:     time.Now().UTC().Truncate(time.Second),
-		Stats:         StatsOf(res.Stats),
+		Stats:         res.Stats,
 		Suites:        make(map[string]SuiteManifest),
 	}
 	texts := make(map[string]string)
@@ -290,7 +239,9 @@ func Encode(res *synth.Result) (*StoredSuite, error) {
 // reparsed from the litmus texts and each witness execution is rebuilt
 // from its persisted relations, so every consumer of a live result
 // (printing, rendering, the fault-detection harness) works unchanged on a
-// cache hit. Stats are the original run's.
+// cache hit. Stats are the original run's, with Entries set to the union
+// suite's length: a stored run is complete, and manifests written before
+// the record carried "entries" lack the key.
 func (ss *StoredSuite) Result() (*synth.Result, error) {
 	m := ss.Manifest
 	res := &synth.Result{
@@ -300,7 +251,7 @@ func (ss *StoredSuite) Result() (*synth.Result, error) {
 		ModelDigest: m.ModelDigest,
 		Backend:     m.Backend,
 		PerAxiom:    make(map[string]*synth.Suite),
-		Stats:       m.Stats.Stats(),
+		Stats:       m.Stats,
 	}
 	for name, sm := range m.Suites {
 		text, ok := ss.Texts[name]
@@ -335,5 +286,6 @@ func (ss *StoredSuite) Result() (*synth.Result, error) {
 	if res.Union == nil {
 		return nil, fmt.Errorf("store: digest %s: union suite missing", m.Digest)
 	}
+	res.Stats.Entries = len(res.Union.Entries)
 	return res, nil
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -54,7 +55,8 @@ func TestDigestNormalization(t *testing.T) {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	res := synthesizeSC(t, 4)
-	s, err := Open(t.TempDir(), 0)
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +103,27 @@ func TestPutGetRoundTrip(t *testing.T) {
 			t.Errorf("axiom %s not round-tripped", name)
 		}
 	}
-	if rt.Stats.Programs != res.Stats.Programs || rt.Stats.Executions != res.Stats.Executions ||
-		rt.Stats.ExecutionsFast != res.Stats.ExecutionsFast {
+	if rt.Stats != res.Stats {
 		t.Errorf("stats not round-tripped: %+v vs %+v", rt.Stats, res.Stats)
+	}
+	// A fresh handle loads the manifest from disk: the whole record
+	// survives JSON, and a cached result's Entries is its union's size.
+	fresh, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := fresh.Get(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt, err = disk.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Stats != res.Stats {
+		t.Errorf("stats not round-tripped through disk: %+v vs %+v", rt.Stats, res.Stats)
+	}
+	if rt.Stats.Entries != len(rt.Union.Entries) {
+		t.Errorf("rehydrated Stats.Entries = %d, union has %d", rt.Stats.Entries, len(rt.Union.Entries))
 	}
 
 	// The stored text itself is a fixed point: parse + reformat is
@@ -115,6 +135,69 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if reformatted := litmus.FormatSuite(specs); reformatted != text {
 		t.Errorf("stored union text is not a formatting fixed point:\n%q\nvs\n%q", text, reformatted)
+	}
+}
+
+// manifestFixture is a tso@2 manifest (CountForbidden on) in the format
+// written before the stats record carried "entries" and "interrupted".
+const manifestFixture = `{"format_version":1,"digest":"5933a778e0ae80c356b31fd0ddb4b7477a64c67e9e73fed035291ba64b48cc34","engine_version":"1","model":"tso","model_source":"builtin","backend":"enum","options":{"min_events":2,"max_events":2,"max_threads":4,"max_addrs":3,"max_deps":2,"max_rmws":1,"count_forbidden":true},"created_at":"2026-10-17T08:04:52Z","stats":{"programs_raw":7,"programs":6,"executions":11,"executions_fast":1,"forbidden_outcomes":3,"elapsed_ns":237502,"generation_ns":59542,"dedupe_ns":24015,"execution_ns":51011,"minimality_ns":42660},"suites":{"causality":{"file":"axiom-causality.litmus","tests":1,"entries":[{"key":"T0,g0:[k1o0f0s0a0][k1o0f0s0a0];DMRC|1,0,","size":2,"rf":[-1,-1],"co":[[1,0]]}]},"rmw_atomicity":{"file":"axiom-rmw_atomicity.litmus","tests":0,"entries":null},"sc_per_loc":{"file":"axiom-sc_per_loc.litmus","tests":3,"entries":[{"key":"T0,g0:[k0o0f0s0a0][k1o0f0s0a0];DMR(1)C|1,","size":2,"rf":[1,-1],"co":[[1]]},{"key":"T0,g0:[k1o0f0s0a0][k0o0f0s0a0];DMR(i)C|0,","size":2,"rf":[-1,-1],"co":[[0]]},{"key":"T0,g0:[k1o0f0s0a0][k1o0f0s0a0];DMRC|1,0,","size":2,"rf":[-1,-1],"co":[[1,0]]}]},"union":{"file":"union.litmus","tests":3,"entries":[{"key":"T0,g0:[k0o0f0s0a0][k1o0f0s0a0];DMR(1)C|1,","size":2,"rf":[1,-1],"co":[[1]]},{"key":"T0,g0:[k1o0f0s0a0][k0o0f0s0a0];DMR(i)C|0,","size":2,"rf":[-1,-1],"co":[[0]]},{"key":"T0,g0:[k1o0f0s0a0][k1o0f0s0a0];DMRC|1,0,","size":2,"rf":[-1,-1],"co":[[1,0]]}]}}}`
+
+// TestManifestFixtureLoads pins that manifests already on disk stay
+// readable: the fixture loads with its counts and stage times intact,
+// every stats key it carries re-encodes under the same name and value,
+// and its rehydrated result counts its union's entries.
+func TestManifestFixtureLoads(t *testing.T) {
+	const union = "name: synth\nT0: Ld x; St x\nforbid: 0:0=1 [x]=1\n\nname: synth\nT0: St x; Ld x\nforbid: 0:1=0 [x]=1\n\nname: synth\nT0: St x; St x\nforbid: [x]=2\n"
+	var m Manifest
+	if err := json.Unmarshal([]byte(manifestFixture), &m); err != nil {
+		t.Fatal(err)
+	}
+	want := synth.Stats{
+		ProgramsRaw:       7,
+		Programs:          6,
+		Executions:        11,
+		ExecutionsFast:    1,
+		ForbiddenOutcomes: 3,
+		Elapsed:           237502,
+		Stages:            synth.Stages{Generation: 59542, Dedupe: 24015, Execution: 51011, Minimality: 42660},
+	}
+	if m.Stats != want {
+		t.Errorf("fixture stats = %+v, want %+v", m.Stats, want)
+	}
+
+	var old struct {
+		Stats map[string]any `json:"stats"`
+	}
+	if err := json.Unmarshal([]byte(manifestFixture), &old); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(m.Stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now map[string]any
+	if err := json.Unmarshal(raw, &now); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range old.Stats {
+		if now[k] != v {
+			t.Errorf("stats key %q re-encodes as %v, was %v", k, now[k], v)
+		}
+	}
+
+	ss := &StoredSuite{Manifest: &m, Texts: map[string]string{
+		UnionSuite:      union,
+		"sc_per_loc":    union,
+		"causality":     "name: synth\nT0: St x; St x\nforbid: [x]=2\n",
+		"rmw_atomicity": "",
+	}}
+	res, err := ss.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Entries = 3
+	if res.Stats != want || len(res.Union.Entries) != 3 {
+		t.Errorf("rehydrated stats = %+v with %d union entries, want %+v", res.Stats, len(res.Union.Entries), want)
 	}
 }
 

@@ -153,7 +153,7 @@ type OutcomeCount struct {
 	Allowed bool `json:"allowed,omitempty"`
 }
 
-// StageTimes breaks a run down by stage, in the style of synth.StageTimes.
+// StageTimes breaks a run down by stage, in the style of synth.Stages.
 type StageTimes struct {
 	// Compile is test validation plus closure compilation.
 	Compile time.Duration `json:"compile_ns"`

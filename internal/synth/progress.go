@@ -15,37 +15,20 @@ const (
 	PhaseDone     = "done"
 )
 
-// ProgressEvent is one streamed engine observation. Counters are
+// ProgressEvent is one streamed engine observation: the run's Stats at
+// that moment, tagged with the model, phase and size. Counters are
 // cumulative across the whole run and monotonically non-decreasing from
-// event to event.
+// event to event; the done event carries the run's final Stats. It is
+// also the JSON line of a cluster shard's progress stream.
 type ProgressEvent struct {
 	// Model is the memory model being synthesized.
-	Model string
+	Model string `json:"model"`
 	// Phase is one of PhaseGenerate, PhaseExplore, PhaseTick, PhaseDone.
-	Phase string
+	Phase string `json:"phase"`
 	// Size is the instruction-count currently being synthesized (the
 	// last size started, for ticks; MaxEvents for the done event).
-	Size int
-	// ProgramsRaw counts generated programs before symmetry dedupe.
-	ProgramsRaw int
-	// Programs counts distinct canonical programs discovered so far.
-	Programs int
-	// Executions counts candidate executions enumerated and checked so
-	// far.
-	Executions int
-	// ExecutionsFast counts candidate executions decided by the fast
-	// admissibility filter so far without being enumerated.
-	ExecutionsFast int
-	// Entries counts distinct minimal tests (union suite keys) found.
-	Entries int
-	// ForbiddenOutcomes counts distinct forbidden (program, outcome)
-	// pairs (only meaningful with Options.CountForbidden).
-	ForbiddenOutcomes int
-	// Elapsed is the wall-clock time since the run started.
-	Elapsed time.Duration
-	// Interrupted reports whether the run was cancelled (set on the
-	// done event of an interrupted run).
-	Interrupted bool
+	Size int `json:"size"`
+	Stats
 }
 
 // progressSink serializes ProgressEvent delivery: phase events come from
@@ -61,7 +44,7 @@ type progressSink struct {
 	done bool
 }
 
-func (p *progressSink) emit(phase string, interrupted bool) {
+func (p *progressSink) emit(phase string, st Stats) {
 	if p == nil || p.fn == nil {
 		return
 	}
@@ -72,17 +55,10 @@ func (p *progressSink) emit(phase string, interrupted bool) {
 	}
 	p.done = phase == PhaseDone
 	p.fn(ProgressEvent{
-		Model:             p.e.model.Name(),
-		Phase:             phase,
-		Size:              int(p.e.size.Load()),
-		ProgramsRaw:       int(p.e.programsRaw.Load()),
-		Programs:          int(p.e.programs.Load()),
-		Executions:        int(p.e.executions.Load()),
-		ExecutionsFast:    int(p.e.executionsFast.Load()),
-		Entries:           int(p.e.entries.Load()),
-		ForbiddenOutcomes: int(p.e.forbidden.Load()),
-		Elapsed:           time.Since(p.e.start),
-		Interrupted:       interrupted,
+		Model: p.e.model.Name(),
+		Phase: phase,
+		Size:  int(p.e.size.Load()),
+		Stats: st,
 	})
 }
 
@@ -93,7 +69,7 @@ func (p *progressSink) loop(interval time.Duration, stop <-chan struct{}) {
 	for {
 		select {
 		case <-ticker.C:
-			p.emit(PhaseTick, false)
+			p.emit(PhaseTick, p.e.snapshot())
 		case <-stop:
 			return
 		}

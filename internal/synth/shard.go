@@ -62,18 +62,6 @@ func (s *shardedSet) Claim(key string) bool {
 	return claimed
 }
 
-// Len returns the total number of distinct keys claimed.
-func (s *shardedSet) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // progClaim is one canonical program class candidate: the concrete
 // representative and its generation sequence number.
 type progClaim struct {

@@ -136,10 +136,8 @@ func sameOutputOptions(a, b Options) bool {
 // the single-node engine performs them in, so the existing first-wins
 // min-seq representative rule yields the same representatives.
 //
-// Stats are aggregated: generation counters are taken from shard 0
-// (every shard regenerates the full stream), worker-stage counters and
-// times are summed, Elapsed is the max over shards, and Entries is
-// recomputed from the merged union suite.
+// Stats are folded by MergeStats, and Entries is recomputed from the
+// merged union suite.
 func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -209,22 +207,11 @@ func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result
 		s.sortEntries()
 	}
 
-	for _, sr := range shards {
-		if sr.Shard.Index == 0 {
-			res.Stats.ProgramsRaw = sr.Stats.ProgramsRaw
-			res.Stats.Programs = sr.Stats.Programs
-			res.Stats.Stages.Generation = sr.Stats.Stages.Generation
-		}
-		res.Stats.Executions += sr.Stats.Executions
-		res.Stats.ExecutionsFast += sr.Stats.ExecutionsFast
-		res.Stats.ForbiddenOutcomes += sr.Stats.ForbiddenOutcomes
-		res.Stats.Stages.Dedupe += sr.Stats.Stages.Dedupe
-		res.Stats.Stages.Execution += sr.Stats.Stages.Execution
-		res.Stats.Stages.Minimality += sr.Stats.Stages.Minimality
-		if sr.Stats.Elapsed > res.Stats.Elapsed {
-			res.Stats.Elapsed = sr.Stats.Elapsed
-		}
+	parts := make([]Stats, len(shards))
+	for i, sr := range shards {
+		parts[i] = sr.Stats
 	}
+	res.Stats = MergeStats(parts...)
 	res.Stats.Entries = len(res.Union.Entries)
 	return res, nil
 }

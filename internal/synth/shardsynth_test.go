@@ -18,12 +18,22 @@ func suiteText(s *Suite) string {
 	return litmus.FormatSuite(specs)
 }
 
+// counts is st without its times: every count of a run (ProgramsRaw,
+// Programs, Executions, ExecutionsFast, ForbiddenOutcomes, Entries) and
+// the Interrupted flag.
+func counts(st Stats) Stats {
+	st.Elapsed, st.Stages = 0, Stages{}
+	return st
+}
+
 // TestShardMergeMatchesSingleNode is the determinism contract the cluster
 // subsystem is built on: for every builtin model, sharding the deduped
 // program stream N ways and merging the shard results reproduces the
 // single-node suites byte for byte, for any shard count. All 8 builtins
 // run at a shared bound of 3 (hsa and armv8 are seconds-to-minutes at 4);
-// the fast models additionally run at bound 4.
+// the fast models additionally run at bound 4. Every count of the merged
+// Stats, the forbidden-outcome census included, equals the single-node
+// run's.
 func TestShardMergeMatchesSingleNode(t *testing.T) {
 	bounds := map[string]int{"sc": 4, "tso": 4, "power": 4, "armv7": 4}
 	for _, m := range memmodel.All() {
@@ -34,7 +44,7 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 		}
 		t.Run(m.Name(), func(t *testing.T) {
 			t.Parallel()
-			opts := Options{MaxEvents: bound}
+			opts := Options{MaxEvents: bound, CountForbidden: true}
 			single := Synthesize(m, opts)
 
 			for _, stride := range []int{1, 2, 3, 7} {
@@ -73,11 +83,8 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 						t.Errorf("stride %d: axiom %q suite bytes differ from single-node", stride, name)
 					}
 				}
-				if merged.Stats.Entries != single.Stats.Entries {
-					t.Errorf("stride %d: Entries = %d, single-node %d", stride, merged.Stats.Entries, single.Stats.Entries)
-				}
-				if merged.Stats.Programs != single.Stats.Programs {
-					t.Errorf("stride %d: Programs = %d, single-node %d", stride, merged.Stats.Programs, single.Stats.Programs)
+				if got, want := counts(merged.Stats), counts(single.Stats); got != want {
+					t.Errorf("stride %d: counts %+v, single-node %+v", stride, got, want)
 				}
 				if merged.Admit != single.Admit || merged.ModelSource != single.ModelSource || merged.ModelDigest != single.ModelDigest {
 					t.Errorf("stride %d: provenance (admit %q, source %q, digest %q), single-node (%q, %q, %q)", stride,
@@ -85,6 +92,29 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMergeStats pins the one fold of shard counters: explore counters
+// and worker stage times add, the full-stream generation counters and
+// Elapsed count once, and MaxStats never reads below either input.
+func TestMergeStats(t *testing.T) {
+	a := Stats{ProgramsRaw: 10, Programs: 8, Executions: 5, ExecutionsFast: 2, ForbiddenOutcomes: 1, Entries: 1,
+		Elapsed: 7, Stages: Stages{Generation: 3, Dedupe: 1, Execution: 2, Minimality: 3}}
+	b := Stats{ProgramsRaw: 10, Programs: 8, Executions: 4, ExecutionsFast: 3, ForbiddenOutcomes: 2, Entries: 2,
+		Elapsed: 9, Stages: Stages{Generation: 4, Dedupe: 2, Execution: 3, Minimality: 4}, Interrupted: true}
+	merged := Stats{ProgramsRaw: 10, Programs: 8, Executions: 9, ExecutionsFast: 5, ForbiddenOutcomes: 3, Entries: 3,
+		Elapsed: 9, Stages: Stages{Generation: 4, Dedupe: 3, Execution: 5, Minimality: 7}, Interrupted: true}
+	if got := MergeStats(a, b); got != merged {
+		t.Errorf("MergeStats = %+v, want %+v", got, merged)
+	}
+	if got := MergeStats(a); got != a {
+		t.Errorf("MergeStats of one shard = %+v, want it unchanged %+v", got, a)
+	}
+	most := Stats{ProgramsRaw: 10, Programs: 8, Executions: 5, ExecutionsFast: 3, ForbiddenOutcomes: 2, Entries: 2,
+		Elapsed: 9, Stages: Stages{Generation: 4, Dedupe: 2, Execution: 3, Minimality: 4}, Interrupted: true}
+	if got := MaxStats(a, b); got != most {
+		t.Errorf("MaxStats = %+v, want %+v", got, most)
 	}
 }
 

@@ -96,56 +96,105 @@ func (s *Suite) CountUpTo(bound int) int {
 	return n
 }
 
-// StageTimes breaks the synthesis work down by pipeline stage. Worker
+// Stages breaks the synthesis work down by pipeline stage. Worker
 // stages (Dedupe, Execution, Minimality) are summed across goroutines, so
 // they are CPU time and can exceed Stats.Elapsed on parallel runs.
 // Generation is the wall-clock time of the skeleton enumerator, excluding
 // the time it spends blocked handing programs to dedupe workers that lag
 // behind (backpressure).
-type StageTimes struct {
+type Stages struct {
 	// Generation is skeleton enumeration (thread shapes, instruction
 	// assignments, addresses, deps, scopes).
-	Generation time.Duration
+	Generation time.Duration `json:"generation_ns"`
 	// Dedupe is canonical-key computation plus sharded-map claims.
-	Dedupe time.Duration
+	Dedupe time.Duration `json:"dedupe_ns"`
 	// Execution is candidate-execution enumeration.
-	Execution time.Duration
+	Execution time.Duration `json:"execution_ns"`
 	// Minimality is the per-execution minimality criterion.
-	Minimality time.Duration
+	Minimality time.Duration `json:"minimality_ns"`
 }
 
-// Stats reports synthesis work counters.
+// Stats is the one record of a run's work counters and stage times.
+// Every surface carries it unchanged: progress events embed it, and the
+// store manifest, the cluster shard upload and the daemon's responses
+// encode it as JSON, with durations in integer nanoseconds and the stage
+// times beside the counters.
 type Stats struct {
 	// ProgramsRaw counts generated programs before symmetry dedupe.
-	ProgramsRaw int
+	ProgramsRaw int `json:"programs_raw"`
 	// Programs counts distinct canonical programs whose executions were
 	// explored.
-	Programs int
+	Programs int `json:"programs"`
 	// Executions counts candidate executions actually enumerated and
 	// checked. It deliberately excludes fast-decided work so partial
 	// (interrupted) runs report the two kinds of explore progress
 	// separately instead of conflating them.
-	Executions int
+	Executions int `json:"executions"`
 	// ExecutionsFast counts candidate executions decided by the fast
 	// admissibility filter (internal/admit) without being enumerated:
 	// each refuted reads-from assignment accounts for all of its
 	// coherence/sc extensions. On a completed run Executions +
 	// ExecutionsFast equals the admit-off Executions count.
-	ExecutionsFast int
+	ExecutionsFast int `json:"executions_fast,omitempty"`
 	// ForbiddenOutcomes counts distinct canonical forbidden
 	// (program, outcome) pairs (only when Options.CountForbidden).
-	ForbiddenOutcomes int
+	ForbiddenOutcomes int `json:"forbidden_outcomes,omitempty"`
 	// Entries counts distinct minimal entries found across all axioms —
 	// always equal to len(Union.Entries) on an uninterrupted run.
-	Entries int
+	Entries int `json:"entries"`
 	// Elapsed is the wall-clock synthesis time.
-	Elapsed time.Duration
-	// Stages is the per-stage timing breakdown.
-	Stages StageTimes
+	Elapsed time.Duration `json:"elapsed_ns"`
+	// Stages is the per-stage timing breakdown, embedded so its JSON
+	// keys sit beside the counters.
+	Stages
 	// Interrupted reports that the run was cancelled (context done)
 	// before completing; the suites hold the partial results found
 	// up to that point.
-	Interrupted bool
+	Interrupted bool `json:"interrupted,omitempty"`
+}
+
+// MergeStats folds the Stats of the shards of one run into the run's
+// record. Explore counters and worker stage times cover disjoint work, so
+// they add. Every shard regenerates the full program stream, so the
+// generation counters (ProgramsRaw, Programs, Stages.Generation) count
+// once: the furthest shard's. Elapsed is the slowest shard's, and the run
+// is interrupted if any shard was.
+func MergeStats(parts ...Stats) Stats {
+	var s Stats
+	for _, p := range parts {
+		s = foldStats(s, p, func(x, y int64) int64 { return x + y })
+	}
+	return s
+}
+
+// MaxStats returns the field-wise maximum of a and b: a record that never
+// reads below either input, for progress that must not go backwards.
+func MaxStats(a, b Stats) Stats {
+	return foldStats(a, b, func(x, y int64) int64 { return max(x, y) })
+}
+
+// foldStats is the one field list behind MergeStats and MaxStats: the
+// explore counters and worker stage times combine through add, the
+// full-stream generation counters and Elapsed through max.
+func foldStats(a, b Stats, add func(x, y int64) int64) Stats {
+	n := func(x, y int) int { return int(add(int64(x), int64(y))) }
+	d := func(x, y time.Duration) time.Duration { return time.Duration(add(int64(x), int64(y))) }
+	return Stats{
+		ProgramsRaw:       max(a.ProgramsRaw, b.ProgramsRaw),
+		Programs:          max(a.Programs, b.Programs),
+		Executions:        n(a.Executions, b.Executions),
+		ExecutionsFast:    n(a.ExecutionsFast, b.ExecutionsFast),
+		ForbiddenOutcomes: n(a.ForbiddenOutcomes, b.ForbiddenOutcomes),
+		Entries:           n(a.Entries, b.Entries),
+		Elapsed:           max(a.Elapsed, b.Elapsed),
+		Stages: Stages{
+			Generation: max(a.Generation, b.Generation),
+			Dedupe:     d(a.Dedupe, b.Dedupe),
+			Execution:  d(a.Execution, b.Execution),
+			Minimality: d(a.Minimality, b.Minimality),
+		},
+		Interrupted: a.Interrupted || b.Interrupted,
+	}
 }
 
 // Result is the outcome of one synthesis run.
@@ -346,37 +395,41 @@ func (e *engine) run(ctx context.Context, shard ShardSpec, record func(size, win
 			break
 		}
 		e.size.Store(int32(n))
-		e.prog.emit(PhaseGenerate, false)
+		e.prog.emit(PhaseGenerate, e.snapshot())
 		winners := e.generateAndDedupe(n)
 		if e.stopped.Load() {
 			break
 		}
-		e.prog.emit(PhaseExplore, false)
+		e.prog.emit(PhaseExplore, e.snapshot())
 		for i, found := range e.explore(winners, shard) {
 			record(n, shard.Index+i*shard.Stride, found)
 		}
 	}
 
-	st := Stats{
-		ProgramsRaw:    int(e.programsRaw.Load()),
-		Programs:       int(e.programs.Load()),
-		Executions:     int(e.executions.Load()),
-		ExecutionsFast: int(e.executionsFast.Load()),
-		Entries:        int(e.entries.Load()),
-		Stages: StageTimes{
+	st := e.snapshot()
+	e.prog.emit(PhaseDone, st)
+	return st
+}
+
+// snapshot reads the run's counters and stage times. Progress events and
+// the final Stats both come from it.
+func (e *engine) snapshot() Stats {
+	return Stats{
+		ProgramsRaw:       int(e.programsRaw.Load()),
+		Programs:          int(e.programs.Load()),
+		Executions:        int(e.executions.Load()),
+		ExecutionsFast:    int(e.executionsFast.Load()),
+		ForbiddenOutcomes: int(e.forbidden.Load()),
+		Entries:           int(e.entries.Load()),
+		Elapsed:           time.Since(e.start),
+		Stages: Stages{
 			Generation: time.Duration(e.genNS.Load()),
 			Dedupe:     time.Duration(e.dedupeNS.Load()),
 			Execution:  time.Duration(e.execNS.Load()),
 			Minimality: time.Duration(e.minNS.Load()),
 		},
 		Interrupted: e.stopped.Load(),
-		Elapsed:     time.Since(e.start),
 	}
-	if e.seenForbidden != nil {
-		st.ForbiddenOutcomes = e.seenForbidden.Len()
-	}
-	e.prog.emit(PhaseDone, st.Interrupted)
-	return st
 }
 
 // seqTest is one generated program tagged with its generation order.

@@ -108,7 +108,7 @@ type (
 	// the Interrupted flag of a cancelled run.
 	SynthStats = synth.Stats
 	// StageTimes is the per-stage timing breakdown of SynthStats.
-	StageTimes = synth.StageTimes
+	StageTimes = synth.Stages
 	// ProgressEvent is one streamed engine observation delivered to
 	// Options.Progress (phase transitions and counter snapshots).
 	ProgressEvent = synth.ProgressEvent
