@@ -330,7 +330,7 @@ func BenchmarkAblationParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelScaling measures the sharded engine's wall-clock
+// BenchmarkParallelScaling measures the parallel engine's wall-clock
 // scaling on a TSO bound-5 run: Workers=1 vs Workers=NumCPU. The suites
 // are byte-identical for every worker count (dedupe keeps the
 // generation-order-first representative of each symmetry class; see

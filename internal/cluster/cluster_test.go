@@ -365,10 +365,10 @@ func TestCoordinatorAdmitReachesWorkers(t *testing.T) {
 }
 
 // TestCoordinatorProgressCarriesRecord pins that the coordinator forwards
-// the workers' whole run record: on a tso run with admit on and the
-// forbidden-outcome census requested, the aggregated progress reports
-// fast-decided executions and forbidden outcomes, and no forwarded count
-// exceeds the merged result's.
+// the workers' whole run record: the aggregated progress of a tso run
+// with admit on reports fast-decided executions, that of a run with the
+// forbidden-outcome census requested (which turns admit off) reports
+// forbidden outcomes, and no forwarded count exceeds the merged result's.
 func TestCoordinatorProgressCarriesRecord(t *testing.T) {
 	cfg := fastConfig()
 	cfg.ShardsPerRequest = 2
@@ -381,33 +381,39 @@ func TestCoordinatorProgressCarriesRecord(t *testing.T) {
 	startWorker(t, ts.URL, "w2", time.Second)
 	waitFor(t, func() bool { return c.LiveWorkers() == 2 })
 
-	var mu sync.Mutex
-	var events []synth.ProgressEvent
-	opts := synth.Options{MaxEvents: 5, Admit: "auto", CountForbidden: true}
-	res, err := c.Synthesize(context.Background(), mustModel(t, "tso"), opts, func(ev synth.ProgressEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	var fast, forbidden int
-	for _, ev := range events {
-		fast = max(fast, ev.ExecutionsFast)
-		forbidden = max(forbidden, ev.ForbiddenOutcomes)
-		if ev.Executions > res.Stats.Executions || ev.ExecutionsFast > res.Stats.ExecutionsFast ||
-			ev.ForbiddenOutcomes > res.Stats.ForbiddenOutcomes || ev.Entries > res.Stats.Entries {
-			t.Errorf("progress %+v exceeds the merged stats %+v", ev, res.Stats)
+	for _, tc := range []struct {
+		name  string
+		opts  synth.Options
+		count func(synth.Stats) int // the counter the run must report
+	}{
+		{"executions_fast", synth.Options{MaxEvents: 5, Admit: "auto"},
+			func(st synth.Stats) int { return st.ExecutionsFast }},
+		{"forbidden_outcomes", synth.Options{MaxEvents: 5, CountForbidden: true},
+			func(st synth.Stats) int { return st.ForbiddenOutcomes }},
+	} {
+		var mu sync.Mutex
+		var events []synth.ProgressEvent
+		res, err := c.Synthesize(context.Background(), mustModel(t, "tso"), tc.opts, func(ev synth.ProgressEvent) {
+			mu.Lock()
+			events = append(events, ev)
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if fast == 0 {
-		t.Errorf("%d progress events, none reports fast-decided executions (merged: %d)", len(events), res.Stats.ExecutionsFast)
-	}
-	if forbidden == 0 {
-		t.Errorf("%d progress events, none reports forbidden outcomes (merged: %d)", len(events), res.Stats.ForbiddenOutcomes)
+		mu.Lock()
+		reported := 0
+		for _, ev := range events {
+			reported = max(reported, tc.count(ev.Stats))
+			if ev.Executions > res.Stats.Executions || ev.ExecutionsFast > res.Stats.ExecutionsFast ||
+				ev.ForbiddenOutcomes > res.Stats.ForbiddenOutcomes || ev.Entries > res.Stats.Entries {
+				t.Errorf("%s: progress %+v exceeds the merged stats %+v", tc.name, ev, res.Stats)
+			}
+		}
+		if reported == 0 {
+			t.Errorf("%d progress events, none reports %s (merged: %d)", len(events), tc.name, tc.count(res.Stats))
+		}
+		mu.Unlock()
 	}
 }
 

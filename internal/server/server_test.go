@@ -290,58 +290,72 @@ func TestAsyncJobLifecycle(t *testing.T) {
 }
 
 // TestJobProgressCarriesRecord pins that a synthesis job's progress is
-// the engine's whole record: on tso with admit on and the
-// forbidden-outcome census requested, GET /v1/jobs/{id} reports
-// executions_fast and forbidden_outcomes beside the other counters.
+// the engine's whole record: GET /v1/jobs/{id} reports executions_fast on
+// a tso run with admit on, and forbidden_outcomes on one with the
+// forbidden-outcome census requested (which turns admit off), beside the
+// other counters.
 func TestJobProgressCarriesRecord(t *testing.T) {
-	s, ts := newTestServer(t, t.TempDir())
-	ran := make(chan *synth.Result, 1)
-	release := make(chan struct{})
-	defer close(release)
-	// The engine run finishes (its done event is the job's progress), then
-	// holds the job running until the test has read that progress.
-	s.synthFn = func(ctx context.Context, m memmodel.Model, opts synth.Options) (*synth.Result, error) {
-		res, err := synth.SynthesizeContext(ctx, m, opts)
-		ran <- res
-		<-release
-		return res, err
-	}
-	_, data := postSynthesize(t, ts.URL, `{"model":"tso","max_events":4,"count_forbidden":true,"async":true}`)
-	var status JobStatus
-	if err := json.Unmarshal(data, &status); err != nil {
-		t.Fatal(err)
-	}
-	res := <-ran
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + status.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var got struct {
-		State    string         `json:"state"`
-		Progress map[string]any `json:"progress"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.State != JobRunning {
-		t.Fatalf("job state = %s, want running", got.State)
-	}
-	if res.Stats.ExecutionsFast == 0 || res.Stats.ForbiddenOutcomes == 0 {
-		t.Fatalf("run has nothing to report: %+v", res.Stats)
-	}
-	for key, want := range map[string]int{
-		"programs_raw":       res.Stats.ProgramsRaw,
-		"programs":           res.Stats.Programs,
-		"executions":         res.Stats.Executions,
-		"executions_fast":    res.Stats.ExecutionsFast,
-		"forbidden_outcomes": res.Stats.ForbiddenOutcomes,
-		"entries":            res.Stats.Entries,
+	for _, tc := range []struct {
+		body string
+		key  string // the counter the run must report
+	}{
+		{`{"model":"tso","max_events":4,"async":true}`, "executions_fast"},
+		{`{"model":"tso","max_events":4,"count_forbidden":true,"async":true}`, "forbidden_outcomes"},
 	} {
-		if v, ok := got.Progress[key].(float64); !ok || int(v) != want {
-			t.Errorf("progress %q = %v, want %d", key, got.Progress[key], want)
-		}
+		t.Run(tc.key, func(t *testing.T) {
+			s, ts := newTestServer(t, t.TempDir())
+			ran := make(chan *synth.Result, 1)
+			release := make(chan struct{})
+			defer close(release)
+			// The engine run finishes (its done event is the job's
+			// progress), then holds the job running until the test has
+			// read that progress.
+			s.synthFn = func(ctx context.Context, m memmodel.Model, opts synth.Options) (*synth.Result, error) {
+				res, err := synth.SynthesizeContext(ctx, m, opts)
+				ran <- res
+				<-release
+				return res, err
+			}
+			_, data := postSynthesize(t, ts.URL, tc.body)
+			var status JobStatus
+			if err := json.Unmarshal(data, &status); err != nil {
+				t.Fatal(err)
+			}
+			res := <-ran
+
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + status.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var got struct {
+				State    string         `json:"state"`
+				Progress map[string]any `json:"progress"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if got.State != JobRunning {
+				t.Fatalf("job state = %s, want running", got.State)
+			}
+			want := map[string]int{
+				"programs_raw":       res.Stats.ProgramsRaw,
+				"programs":           res.Stats.Programs,
+				"executions":         res.Stats.Executions,
+				"executions_fast":    res.Stats.ExecutionsFast,
+				"forbidden_outcomes": res.Stats.ForbiddenOutcomes,
+				"entries":            res.Stats.Entries,
+			}
+			if want[tc.key] == 0 {
+				t.Fatalf("run has no %s to report: %+v", tc.key, res.Stats)
+			}
+			for key, w := range want {
+				// Zero counters with omitempty tags are absent.
+				if v, _ := got.Progress[key].(float64); int(v) != w {
+					t.Errorf("progress %q = %v, want %d", key, got.Progress[key], w)
+				}
+			}
+		})
 	}
 }
 

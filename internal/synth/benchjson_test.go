@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"memsynth/internal/admit"
+	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/minimal"
 )
@@ -59,7 +60,7 @@ func benchSynthesize(b *testing.B, m memmodel.Model, bound int) {
 func benchExplore(b *testing.B, m memmodel.Model, bound int) {
 	opts := Options{MaxEvents: bound}.withDefaults()
 	e := newEngine(m, opts)
-	var perSize [][]progClaim
+	var perSize [][]*litmus.Test
 	for n := opts.MinEvents; n <= bound; n++ {
 		perSize = append(perSize, e.generateAndDedupe(n))
 	}
@@ -73,7 +74,7 @@ func benchExplore(b *testing.B, m memmodel.Model, bound int) {
 	for i := 0; i < b.N; i++ {
 		for _, winners := range perSize {
 			for _, w := range winners {
-				e.processProgram(checker, adm, w.test)
+				e.processProgram(checker, adm, w)
 			}
 		}
 	}

@@ -331,40 +331,6 @@ func TestCancelDuringGenerate(t *testing.T) {
 	})
 }
 
-func TestShardedSet(t *testing.T) {
-	s := newShardedSet(4)
-	if !s.Claim("a") {
-		t.Error("first claim of a failed")
-	}
-	if s.Claim("a") {
-		t.Error("second claim of a succeeded")
-	}
-	if !s.Claim("b") {
-		t.Error("first claim of b failed")
-	}
-}
-
-func TestClaimMapKeepsLowestSeq(t *testing.T) {
-	c := newClaimMap(4)
-	t1 := litmus.New("t1", [][]litmus.Op{{litmus.W(0)}})
-	t2 := litmus.New("t2", [][]litmus.Op{{litmus.W(0), litmus.W(0)}})
-	if !c.Offer("k", 10, t1) {
-		t.Error("first offer not new")
-	}
-	if c.Offer("k", 5, t2) {
-		t.Error("second offer reported new")
-	}
-	w := c.Winners()
-	if len(w) != 1 || w[0].seq != 5 || w[0].test != t2 {
-		t.Errorf("winner = %+v, want seq 5 / t2", w)
-	}
-	// A higher seq must not displace the winner.
-	c.Offer("k", 7, t1)
-	if w := c.Winners(); w[0].seq != 5 {
-		t.Errorf("winner seq = %d after higher-seq offer, want 5", w[0].seq)
-	}
-}
-
 func TestGeneratorAbort(t *testing.T) {
 	g := &generator{vocab: memmodel.TSO().Vocab(), opts: Options{MaxEvents: 4}.withDefaults()}
 	count := 0

@@ -24,7 +24,8 @@ type Options struct {
 	// minimal execution before their coherence orders are enumerated. ""
 	// or "auto" enables it whenever the model has a registered algorithm
 	// (the builtin sc and tso models) and silently falls back to plain
-	// enumeration otherwise; "off" disables it everywhere. The filter is
+	// enumeration otherwise, and for CountForbidden runs; "off" disables
+	// it everywhere. The filter is
 	// refutation-sound — admitted assignments are still enumerated and
 	// re-confirmed by the minimality checker — so suites and store digests
 	// are byte-identical either way, and Normalize strips the field.
@@ -37,7 +38,9 @@ type Options struct {
 	// CountForbidden additionally counts all distinct forbidden
 	// (program, outcome) pairs — the "All Progs" line of paper Fig. 13a.
 	// It is off by default because canonicalizing every forbidden
-	// execution is expensive.
+	// execution is expensive. A counting run enumerates exhaustively:
+	// the admit filter would skip the outcomes of the reads-from
+	// assignments it refutes, so it is off (Result.Admit reports "off").
 	CountForbidden bool
 	// KeepTrivialFences disables the always-sound pruning of programs
 	// with a fence as the first or last instruction of a thread (such a

@@ -25,8 +25,9 @@ type ProgressEvent struct {
 	Model string `json:"model"`
 	// Phase is one of PhaseGenerate, PhaseExplore, PhaseTick, PhaseDone.
 	Phase string `json:"phase"`
-	// Size is the instruction-count currently being synthesized (the
-	// last size started, for ticks; MaxEvents for the done event).
+	// Size is the last instruction count started. For the done event
+	// it is MaxEvents only when the run completed: an interrupted run
+	// reports the size it stopped in.
 	Size int `json:"size"`
 	Stats
 }

@@ -18,17 +18,6 @@ import (
 	"memsynth/internal/synth/satgen"
 )
 
-// forceSAT lowers the execution-count threshold so the guide accepts every
-// program, restoring it when the test ends.
-func forceSAT(t *testing.T) {
-	t.Helper()
-	old := *satgen.ExecThreshold
-	*satgen.ExecThreshold = 1
-	t.Cleanup(func() { *satgen.ExecThreshold = old })
-}
-
-func never() bool { return false }
-
 // distinctPrograms returns the generation-order-first program of every
 // symmetry class of size n, in generation order: the programs the engine
 // explores at that size.
@@ -67,7 +56,7 @@ func replay(t *testing.T, m memmodel.Model, bound int) *synth.Result {
 	for n := 2; n <= bound; n++ {
 		for _, p := range distinctPrograms(t, m, opts, n) {
 			programs++
-			cands, ok := g.Candidates(p, never)
+			cands, ok := g.Candidates(p)
 			if !ok {
 				t.Fatalf("%s@%d: guide declined program %d:\n%s", m.Name(), bound, programs, p)
 			}
@@ -165,7 +154,6 @@ func requireIdentical(t *testing.T, m memmodel.Model, bound int) {
 // TestDifferentialNative replays the natively encoded models through the
 // SAT guide on every program and demands the engine's suites and digest.
 func TestDifferentialNative(t *testing.T) {
-	forceSAT(t)
 	bound := 5
 	if testing.Short() {
 		bound = 4
@@ -185,7 +173,6 @@ func TestDifferentialNative(t *testing.T) {
 // TestDifferentialAllBuiltins runs the replay check at a small bound on
 // every builtin the encoder supports, and requires a reason from the rest.
 func TestDifferentialAllBuiltins(t *testing.T) {
-	forceSAT(t)
 	for _, m := range memmodel.All() {
 		if ok, reason := satgen.Supports(m); !ok {
 			if reason == "" {
@@ -218,37 +205,5 @@ func TestDifferentialCatModels(t *testing.T) {
 		} else if reason == "" {
 			t.Errorf("%s: unsupported with an empty reason", f)
 		}
-	}
-}
-
-// TestSATCancellation: a stop that reports cancellation, before encoding
-// or between solves, makes Candidates decline the program.
-func TestSATCancellation(t *testing.T) {
-	forceSAT(t)
-	m, err := memmodel.ByName("tso")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := satgen.NewGuide(m)
-	var p *litmus.Test
-	for _, q := range distinctPrograms(t, m, synth.Options{MaxEvents: 4}, 4) {
-		if cands, ok := g.Candidates(q, never); ok && len(cands) >= 2 {
-			p = q
-			break
-		}
-	}
-	if p == nil {
-		t.Fatal("no tso@4 program with two or more candidates")
-	}
-	if _, ok := g.Candidates(p, func() bool { return true }); ok {
-		t.Error("Candidates accepted a program with stop already reporting true")
-	}
-	calls := 0
-	midway := func() bool {
-		calls++
-		return calls >= 3 // the first poll precedes encoding, the rest each solve
-	}
-	if _, ok := g.Candidates(p, midway); ok {
-		t.Error("Candidates accepted a program cancelled between solves")
 	}
 }

@@ -13,9 +13,7 @@
 // re-confirmed by the minimality checker — and require the replay to
 // encode to exactly the engine's stored suites and digest. Supports says
 // which models have a native encoding; Guide proposes one program's
-// candidates, and declines programs whose execution space is small enough
-// that exhaustive enumeration beats encoding (the tests lower that
-// threshold so every program is encoded).
+// candidates.
 package satgen
 
 import (
@@ -26,19 +24,10 @@ import (
 	"memsynth/internal/memmodel"
 )
 
-// execThreshold is the candidate-execution count below which a program is
-// declined to the exhaustive path: encoding plus solving has a fixed cost
-// of a few hundred microseconds per program, so small execution spaces are
-// cheaper to enumerate directly. The value was tuned on the TSO bound-7
-// workload, where programs above this threshold hold ~1/3 of all
-// executions in ~1% of the programs. The output is identical at any value;
-// tests lower it to force every program through the solver.
-var execThreshold = 512
-
 // maxConflictsPerSolve bounds each incremental solve; a program whose
-// encoding turns out pathologically hard is declined to the exhaustive
-// path rather than stalling a worker. In practice these instances (≤ 8
-// events) resolve in well under a thousand conflicts.
+// encoding turns out pathologically hard is declined, failing the replay
+// instead of hanging it. In practice these instances (≤ 8 events) resolve
+// in well under a thousand conflicts.
 const maxConflictsPerSolve = 100_000
 
 // Supports reports whether model m gets the native SAT encoding; when it
@@ -83,17 +72,9 @@ func NewGuide(m memmodel.Model) *Guide {
 // satisfying executions, ordered by the rank the exhaustive enumerator
 // would visit them in, so first-wins dedupe picks the same
 // representatives. The candidates include every minimal (program, outcome)
-// witness of t. It returns ok=false to decline the program — below the
-// execution-count threshold, an encoding or compile failure, an exhausted
-// conflict budget, or stop reporting cancellation — and the caller then
-// enumerates t exhaustively.
-func (g *Guide) Candidates(t *litmus.Test, stop func() bool) ([]*exec.Execution, bool) {
-	if exec.CountExecutions(t, exec.EnumerateOptions{}) < execThreshold {
-		return nil, false
-	}
-	if stop() {
-		return nil, false
-	}
+// witness of t. It returns ok=false to decline the program on an encoding
+// or compile failure or an exhausted conflict budget.
+func (g *Guide) Candidates(t *litmus.Test) ([]*exec.Execution, bool) {
 	enc, err := encodeProgram(g.m, g.table, t)
 	if err != nil {
 		return nil, false
@@ -105,9 +86,6 @@ func (g *Guide) Candidates(t *litmus.Test, stop func() bool) ([]*exec.Execution,
 	in.SetMaxConflicts(maxConflictsPerSolve)
 	var cands []*exec.Execution
 	for {
-		if stop() {
-			return nil, false
-		}
 		m, ok, err := in.Solve()
 		if err != nil {
 			return nil, false // budget exhausted (or solver error): decline

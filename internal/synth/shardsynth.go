@@ -96,21 +96,7 @@ func SynthesizeShard(ctx context.Context, m memmodel.Model, opts Options, shard 
 		Options:     opts.Normalize(),
 		Shard:       shard,
 	}
-	out.Stats = e.run(ctx, shard, func(size, winner int, found []foundEntry) {
-		for within, f := range found {
-			names := make([]string, len(f.axioms))
-			for k, ai := range f.axioms {
-				names[k] = e.axioms[ai].Name
-			}
-			out.Entries = append(out.Entries, ShardEntry{
-				Size:   size,
-				Winner: winner,
-				Within: within,
-				Axioms: names,
-				Entry:  f.entry,
-			})
-		}
-	})
+	out.Entries, out.Stats = e.run(ctx, shard)
 	return out, nil
 }
 
@@ -132,12 +118,14 @@ func sameOutputOptions(a, b Options) bool {
 // index in [0, stride) — into a single Result that is byte-identical
 // (suite texts, entry order, store digest) to a single-node run of the
 // same (model, options). The merge replays every entry's suite adds in
-// the global (Size, Winner, Within) order, which is precisely the order
-// the single-node engine performs them in, so the existing first-wins
-// min-seq representative rule yields the same representatives.
+// the global (Size, Winner, Within) order through the same code a
+// single-node run fills its suites with, in the same order, so first-wins
+// picks the same representatives.
 //
-// Stats are folded by MergeStats, and Entries is recomputed from the
-// merged union suite.
+// Stats are folded by MergeStats. The shards' Entries and
+// ForbiddenOutcomes add up exactly: a canonical key embeds its program's
+// encoding, so the shards, which explore disjoint program classes, never
+// count one key twice.
 func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -192,19 +180,8 @@ func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result
 
 	res := newResult(m, opts)
 	res.Backend = "cluster"
-	for _, se := range all {
-		for _, name := range se.Axioms {
-			s, ok := res.PerAxiom[name]
-			if !ok {
-				return nil, fmt.Errorf("synth: MergeShards: shard entry names unknown axiom %q", name)
-			}
-			s.add(se.Entry)
-		}
-		res.Union.add(se.Entry)
-	}
-	res.Union.sortEntries()
-	for _, s := range res.PerAxiom {
-		s.sortEntries()
+	if err := res.fill(all); err != nil {
+		return nil, err
 	}
 
 	parts := make([]Stats, len(shards))
@@ -212,6 +189,5 @@ func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result
 		parts[i] = sr.Stats
 	}
 	res.Stats = MergeStats(parts...)
-	res.Stats.Entries = len(res.Union.Entries)
 	return res, nil
 }

@@ -10,18 +10,21 @@
 //
 //   - SynthesizeContext honors cancellation and deadlines, returning the
 //     partial suites accumulated so far with Stats.Interrupted set.
-//   - Per-program work fans out over Options.Workers goroutines. Dedupe
-//     uses N-way sharded canonical-key maps (no global mutex), and each
-//     symmetry class keeps its generation-order-first representative, so
-//     the output is byte-identical for every worker count.
+//   - Per-program work fans out over Options.Workers goroutines. The
+//     workers compute canonical program keys in parallel, then one
+//     sequential pass in generation order keeps the generation-order-first
+//     program of every symmetry class, and each program dedupes its own
+//     findings. No dedupe state is shared between workers, and the output
+//     is byte-identical for every worker count.
 //   - Options.Progress streams phase transitions and counter snapshots
 //     while the run is in flight.
 //
 // Each instruction-count size runs in two phases: generate (skeleton
 // enumeration feeding canonical-key dedupe workers) and explore (workers
 // enumerate executions of each distinct program and apply the minimality
-// criterion). Per-program findings are buffered and merged in generation
-// order, which reproduces the sequential engine's output exactly.
+// criterion). Per-program findings are buffered and added to the suites in
+// generation order, which reproduces the sequential engine's output
+// exactly.
 package synth
 
 import (
@@ -106,7 +109,9 @@ type Stages struct {
 	// Generation is skeleton enumeration (thread shapes, instruction
 	// assignments, addresses, deps, scopes).
 	Generation time.Duration `json:"generation_ns"`
-	// Dedupe is canonical-key computation plus sharded-map claims.
+	// Dedupe is canonical program-key computation, the per-size pass that
+	// keeps each symmetry class's first program, and the canonical keys
+	// and per-program sets of the findings.
 	Dedupe time.Duration `json:"dedupe_ns"`
 	// Execution is candidate-execution enumeration.
 	Execution time.Duration `json:"execution_ns"`
@@ -137,10 +142,11 @@ type Stats struct {
 	// ExecutionsFast equals the admit-off Executions count.
 	ExecutionsFast int `json:"executions_fast,omitempty"`
 	// ForbiddenOutcomes counts distinct canonical forbidden
-	// (program, outcome) pairs (only when Options.CountForbidden).
+	// (program, outcome) pairs (only when Options.CountForbidden, which
+	// turns admit off so that every pair is enumerated).
 	ForbiddenOutcomes int `json:"forbidden_outcomes,omitempty"`
 	// Entries counts distinct minimal entries found across all axioms —
-	// always equal to len(Union.Entries) on an uninterrupted run.
+	// always equal to len(Union.Entries).
 	Entries int `json:"entries"`
 	// Elapsed is the wall-clock synthesis time.
 	Elapsed time.Duration `json:"elapsed_ns"`
@@ -215,9 +221,10 @@ type Result struct {
 	// digests.
 	Backend string
 	// Admit records whether the fast-admissibility filter ran: "fast"
-	// when active, "off" when disabled by Options.Admit or unsupported by
-	// the model (internal/admit). Like Backend it is provenance only and
-	// excluded from store digests.
+	// when active, "off" when disabled by Options.Admit or
+	// Options.CountForbidden or unsupported by the model
+	// (internal/admit). Like Backend it is provenance only and excluded
+	// from store digests.
 	Admit    string
 	PerAxiom map[string]*Suite
 	Union    *Suite
@@ -232,13 +239,6 @@ func (r *Result) AxiomNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// foundEntry is one minimal-test instance a worker found, with the axiom
-// indices it is minimal for.
-type foundEntry struct {
-	axioms []int
-	entry  Entry
 }
 
 // Synthesize runs exhaustive minimal-test synthesis for model m under the
@@ -264,23 +264,36 @@ func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Re
 	}
 	opts = opts.withDefaults()
 	e := newEngine(m, opts)
+	found, st := e.run(ctx, ShardSpec{Index: 0, Stride: 1})
 	res := e.res
 	res.Backend = "enum"
-	// Findings arrive in generation order, which reproduces the
-	// sequential engine's first-wins add order exactly.
-	res.Stats = e.run(ctx, ShardSpec{Index: 0, Stride: 1}, func(_, _ int, found []foundEntry) {
-		for _, f := range found {
-			for _, ai := range f.axioms {
-				res.PerAxiom[e.axioms[ai].Name].add(f.entry)
-			}
-			res.Union.add(f.entry)
-		}
-	})
-	res.Union.sortEntries()
-	for _, s := range res.PerAxiom {
-		s.sortEntries()
+	res.Stats = st
+	if err := res.fill(found); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// fill adds entries, which must be in (Size, Winner, Within) order, to
+// the suites of r — each under its axioms and the union, first of a key
+// wins — and sorts the suites. A single-node run and a shard merge both
+// build their suites here.
+func (r *Result) fill(entries []ShardEntry) error {
+	for _, se := range entries {
+		for _, name := range se.Axioms {
+			s, ok := r.PerAxiom[name]
+			if !ok {
+				return fmt.Errorf("synth: shard entry names unknown axiom %q", name)
+			}
+			s.add(se.Entry)
+		}
+		r.Union.add(se.Entry)
+	}
+	r.Union.sortEntries()
+	for _, s := range r.PerAxiom {
+		s.sortEntries()
+	}
+	return nil
 }
 
 // engine holds one synthesis run's shared state. Counters are atomics so
@@ -310,9 +323,6 @@ type engine struct {
 	execNS   atomic.Int64
 	minNS    atomic.Int64
 
-	seenEntry     *shardedSet
-	seenForbidden *shardedSet
-
 	start time.Time
 	prog  *progressSink
 	res   *Result
@@ -321,7 +331,9 @@ type engine struct {
 // newResult builds the empty Result of a (model, options) run with its
 // provenance filled in. SynthesizeContext and MergeShards both start
 // from it, so a merged result reports the same ModelSource, ModelDigest
-// and Admit as a single-node run.
+// and Admit as a single-node run. A counting run (CountForbidden) needs
+// every forbidden outcome, including those of the reads-from assignments
+// the filter would refute, so admit is off for it.
 func newResult(m memmodel.Model, opts Options) *Result {
 	res := &Result{
 		Model:    m.Name(),
@@ -331,7 +343,7 @@ func newResult(m memmodel.Model, opts Options) *Result {
 		Union:    newSuite(m.Name(), "union"),
 	}
 	res.ModelSource, res.ModelDigest = memmodel.SourceOf(m)
-	if opts.Admit != "off" {
+	if opts.Admit != "off" && !opts.CountForbidden {
 		if ok, _ := admit.Supports(m); ok {
 			res.Admit = "fast"
 		}
@@ -344,16 +356,12 @@ func newResult(m memmodel.Model, opts Options) *Result {
 
 func newEngine(m memmodel.Model, opts Options) *engine {
 	e := &engine{
-		model:     m,
-		opts:      opts,
-		axioms:    m.Axioms(),
-		seenEntry: newShardedSet(opts.Workers),
-		res:       newResult(m, opts),
+		model:  m,
+		opts:   opts,
+		axioms: m.Axioms(),
+		res:    newResult(m, opts),
 	}
 	e.admitOn = e.res.Admit == "fast"
-	if opts.CountForbidden {
-		e.seenForbidden = newShardedSet(opts.Workers)
-	}
 	if opts.Progress != nil {
 		e.prog = &progressSink{fn: opts.Progress, e: e}
 	}
@@ -363,10 +371,10 @@ func newEngine(m memmodel.Model, opts Options) *engine {
 // run is the engine's one size loop, shared by SynthesizeContext and
 // SynthesizeShard. Every size is generated and deduped in full; then
 // only the winners whose per-size index is congruent to shard.Index
-// modulo shard.Stride are explored, and each one's findings go to
-// record, in generation order, with the program's winner index. A
+// modulo shard.Stride are explored. It returns their findings in
+// (Size, Winner, Within) order, the order the suites take them in. A
 // cancelled run stops promptly and reports Stats.Interrupted.
-func (e *engine) run(ctx context.Context, shard ShardSpec, record func(size, winner int, found []foundEntry)) Stats {
+func (e *engine) run(ctx context.Context, shard ShardSpec) ([]ShardEntry, Stats) {
 	e.start = time.Now()
 
 	if ctx.Err() != nil {
@@ -390,6 +398,7 @@ func (e *engine) run(ctx context.Context, shard ShardSpec, record func(size, win
 		go e.prog.loop(e.opts.ProgressInterval, watchDone)
 	}
 
+	var found []ShardEntry
 	for n := e.opts.MinEvents; n <= e.opts.MaxEvents; n++ {
 		if e.stopped.Load() {
 			break
@@ -401,14 +410,17 @@ func (e *engine) run(ctx context.Context, shard ShardSpec, record func(size, win
 			break
 		}
 		e.prog.emit(PhaseExplore, e.snapshot())
-		for i, found := range e.explore(winners, shard) {
-			record(n, shard.Index+i*shard.Stride, found)
+		for i, fs := range e.explore(winners, shard) {
+			for _, f := range fs {
+				f.Size, f.Winner = n, shard.Index+i*shard.Stride
+				found = append(found, f)
+			}
 		}
 	}
 
 	st := e.snapshot()
 	e.prog.emit(PhaseDone, st)
-	return st
+	return found, st
 }
 
 // snapshot reads the run's counters and stage times. Progress events and
@@ -432,10 +444,11 @@ func (e *engine) snapshot() Stats {
 	}
 }
 
-// seqTest is one generated program tagged with its generation order.
-type seqTest struct {
-	seq int64
+// keyedProgram is one generated program and, once a dedupe worker has
+// computed it, its canonical program key.
+type keyedProgram struct {
 	t   *litmus.Test
+	key string
 }
 
 // dedupeBatch is the number of programs the generator hands to the dedupe
@@ -444,14 +457,15 @@ const dedupeBatch = 64
 
 // generateAndDedupe enumerates all size-n program skeletons and fans their
 // canonical-key computation out over the workers, in batches of
-// dedupeBatch programs. It returns one representative per symmetry class —
-// the generation-order-first program, sorted by generation order — so
-// downstream processing is deterministic.
-func (e *engine) generateAndDedupe(n int) []progClaim {
-	claims := newClaimMap(e.opts.Workers)
+// dedupeBatch programs that the workers key in place. The generator keeps
+// the batches in generation order, so one sequential pass over them then
+// keeps the generation-order-first program of every symmetry class —
+// whatever the worker count or scheduling. It returns those
+// representatives in generation order, or nil for an interrupted size.
+func (e *engine) generateAndDedupe(n int) []*litmus.Test {
 	// One queued batch per worker lets every worker start its next batch
 	// while the generator fills another.
-	ch := make(chan []seqTest, e.opts.Workers)
+	ch := make(chan []keyedProgram, e.opts.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < e.opts.Workers; w++ {
 		wg.Add(1)
@@ -463,10 +477,8 @@ func (e *engine) generateAndDedupe(n int) []progClaim {
 					continue // drain so the producer never blocks
 				}
 				t0 := time.Now()
-				for _, st := range batch {
-					if claims.Offer(canon.ProgramKey(st.t), st.seq, st.t) {
-						e.programs.Add(1)
-					}
+				for i := range batch {
+					batch[i].key = canon.ProgramKey(batch[i].t)
 				}
 				dedupeNS += int64(time.Since(t0))
 			}
@@ -483,7 +495,9 @@ func (e *engine) generateAndDedupe(n int) []progClaim {
 	// Generation time excludes the sends that block because the dedupe
 	// workers lag behind.
 	var blockedNS int64
-	send := func(batch []seqTest) {
+	var batches [][]keyedProgram
+	send := func(batch []keyedProgram) {
+		batches = append(batches, batch)
 		select {
 		case ch <- batch:
 		default:
@@ -492,33 +506,45 @@ func (e *engine) generateAndDedupe(n int) []progClaim {
 			blockedNS += int64(time.Since(t0))
 		}
 	}
-	var seq int64
-	batch := make([]seqTest, 0, dedupeBatch)
+	batch := make([]keyedProgram, 0, dedupeBatch)
 	t0 := time.Now()
 	completed := gen.run(n, func(t *litmus.Test) bool {
 		if e.stopped.Load() {
 			return false
 		}
 		e.programsRaw.Add(1)
-		batch = append(batch, seqTest{seq: seq, t: t})
-		seq++
+		batch = append(batch, keyedProgram{t: t})
 		if len(batch) == dedupeBatch {
 			send(batch)
-			batch = make([]seqTest, 0, dedupeBatch)
+			batch = make([]keyedProgram, 0, dedupeBatch)
 		}
 		return true
 	})
-	// An interrupted size is discarded whole, so its partial batch is
-	// dropped rather than deduped.
 	if completed && len(batch) > 0 {
 		send(batch)
 	}
 	e.genNS.Add(int64(time.Since(t0)) - blockedNS)
 	close(ch)
 	wg.Wait()
+	// An interrupted size is discarded whole; its batches may hold
+	// programs no worker keyed.
+	if !completed || e.stopped.Load() {
+		return nil
+	}
 
-	winners := claims.Winners()
-	sort.Slice(winners, func(i, j int) bool { return winners[i].seq < winners[j].seq })
+	t0 = time.Now()
+	seen := make(map[string]struct{})
+	var winners []*litmus.Test
+	for _, batch := range batches {
+		for _, p := range batch {
+			if _, dup := seen[p.key]; !dup {
+				seen[p.key] = struct{}{}
+				winners = append(winners, p.t)
+			}
+		}
+	}
+	e.programs.Add(int64(len(winners)))
+	e.dedupeNS.Add(int64(time.Since(t0)))
 	return winners
 }
 
@@ -529,12 +555,12 @@ func (e *engine) generateAndDedupe(n int) []progClaim {
 // minimal.Checker, so the static evaluation contexts and scratch buffers
 // are pooled per worker and amortized across every execution of every
 // program the worker claims.
-func (e *engine) explore(winners []progClaim, shard ShardSpec) [][]foundEntry {
+func (e *engine) explore(winners []*litmus.Test, shard ShardSpec) [][]ShardEntry {
 	n := 0
 	if len(winners) > shard.Index {
 		n = (len(winners) - shard.Index + shard.Stride - 1) / shard.Stride
 	}
-	results := make([][]foundEntry, n)
+	results := make([][]ShardEntry, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < e.opts.Workers; w++ {
@@ -551,7 +577,7 @@ func (e *engine) explore(winners []progClaim, shard ShardSpec) [][]foundEntry {
 				if i >= n || e.stopped.Load() {
 					return
 				}
-				results[i] = e.processProgram(checker, adm, winners[shard.Index+i*shard.Stride].test)
+				results[i] = e.processProgram(checker, adm, winners[shard.Index+i*shard.Stride])
 			}
 		}()
 	}
@@ -567,10 +593,16 @@ func (e *engine) explore(winners []progClaim, shard ShardSpec) [][]foundEntry {
 // fast-decided instead of visited (the filter is sound, so every finding
 // an unfiltered run makes survives).
 //
-// On cancellation mid-program the partial findings are discarded
-// (counters keep what was actually checked).
-func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmus.Test) []foundEntry {
-	var found []foundEntry
+// The findings carry their axiom names and Within index; run sets Size
+// and Winner. The distinct entry and forbidden-outcome keys are counted
+// per program: a canonical key embeds its program's encoding, so no key
+// is shared by two program classes and the per-program counts add up to
+// the run's. On cancellation mid-program the partial findings are
+// discarded, and so is their entry count (the other counters keep what
+// was actually checked).
+func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmus.Test) []ShardEntry {
+	var found []ShardEntry
+	var entryKeys, forbiddenKeys map[string]struct{}
 	var execs, fastExecs, minNS, dedupeNS int64
 	completed := true
 	visit := func(x *exec.Execution) bool {
@@ -586,12 +618,13 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmu
 			return true
 		}
 		var key string
-		if e.seenForbidden != nil {
+		if e.opts.CountForbidden {
 			d0 := time.Now()
 			key = canon.Key(x)
-			if e.seenForbidden.Claim(key) {
-				e.forbidden.Add(1)
+			if forbiddenKeys == nil {
+				forbiddenKeys = make(map[string]struct{})
 			}
+			forbiddenKeys[key] = struct{}{}
 			dedupeNS += int64(time.Since(d0))
 		}
 		mins := verdict.MinimalFor()
@@ -602,13 +635,19 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmu
 		if key == "" {
 			key = canon.Key(x)
 		}
-		if e.seenEntry.Claim(key) {
-			e.entries.Add(1)
+		if entryKeys == nil {
+			entryKeys = make(map[string]struct{})
 		}
+		entryKeys[key] = struct{}{}
 		dedupeNS += int64(time.Since(d0))
-		found = append(found, foundEntry{
-			axioms: append([]int(nil), mins...),
-			entry:  Entry{Test: t, Exec: x.Clone(), Key: key, Size: len(t.Events)},
+		names := make([]string, len(mins))
+		for k, ai := range mins {
+			names[k] = e.axioms[ai].Name
+		}
+		found = append(found, ShardEntry{
+			Within: len(found),
+			Axioms: names,
+			Entry:  Entry{Test: t, Exec: x.Clone(), Key: key, Size: len(t.Events)},
 		})
 		return true
 	}
@@ -647,8 +686,10 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmu
 	e.dedupeNS.Add(dedupeNS)
 	e.executions.Add(execs)
 	e.executionsFast.Add(fastExecs)
+	e.forbidden.Add(int64(len(forbiddenKeys)))
 	if !completed {
 		return nil
 	}
+	e.entries.Add(int64(len(entryKeys)))
 	return found
 }

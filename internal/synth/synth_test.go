@@ -263,6 +263,28 @@ func TestCountForbidden(t *testing.T) {
 	}
 }
 
+// TestCountForbiddenEnumeratesAll: a counting run needs every forbidden
+// outcome, and the admit filter skips the reads-from assignments it
+// refutes, so counting turns admit off. With default admit the count must
+// equal an admit-off run's and the paper's Fig. 13a census.
+func TestCountForbiddenEnumeratesAll(t *testing.T) {
+	for _, tc := range []struct {
+		model memmodel.Model
+		want  int
+	}{{memmodel.SC(), 1287}, {memmodel.TSO(), 1382}} {
+		res := Synthesize(tc.model, Options{MaxEvents: 4, CountForbidden: true})
+		off := Synthesize(tc.model, Options{MaxEvents: 4, CountForbidden: true, Admit: "off"})
+		if res.Stats.ForbiddenOutcomes != tc.want || off.Stats.ForbiddenOutcomes != tc.want {
+			t.Errorf("%s@4: ForbiddenOutcomes = %d (admit default), %d (admit off), want %d",
+				tc.model.Name(), res.Stats.ForbiddenOutcomes, off.Stats.ForbiddenOutcomes, tc.want)
+		}
+		if res.Admit != "off" || res.Stats.ExecutionsFast != 0 {
+			t.Errorf("%s@4: counting run has Admit %q and %d fast-decided executions, want \"off\" and 0",
+				tc.model.Name(), res.Admit, res.Stats.ExecutionsFast)
+		}
+	}
+}
+
 func TestEntriesAreMinimalWitnesses(t *testing.T) {
 	// Every emitted entry must carry a valid forbidden execution of its
 	// own test.
