@@ -3,7 +3,7 @@
 // go/analysis surface (Analyzer, Pass, positioned Diagnostics) plus a
 // package loader built on `go list -export` and the standard library's
 // gc export-data importer. It exists because the repository's hard
-// invariants — byte-identical suites for any worker/shard/backend/admit
+// invariants — byte-identical suites for any worker/shard/admit
 // configuration, and the pooled in-place relation/view discipline of the
 // explore hot path — are enforced dynamically by differential tests for
 // the configurations CI happens to run, but can be proven over all paths

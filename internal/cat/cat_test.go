@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"memsynth/internal/cat"
+	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
+	"memsynth/internal/relation"
 )
 
 // minimal is a smallest-possible valid definition to build variants from.
@@ -256,5 +258,41 @@ func TestStarDisambiguation(t *testing.T) {
 	// W * R* would be a product of a set with a relation: rejected.
 	if _, err := cat.Compile("model m\nacyclic W * R * po as a\nops R\n"); err == nil {
 		t.Error("set * set * rel compiled")
+	}
+}
+
+// TestEvalName checks the exported evaluation of predefined names against
+// the view relations they are defined by, and that other names are
+// errors.
+func TestEvalName(t *testing.T) {
+	mf := litmus.F(litmus.FMFence)
+	lt := litmus.New("SB+mfences", [][]litmus.Op{
+		{litmus.W(0), mf, litmus.R(1)},
+		{litmus.W(1), mf, litmus.R(0)},
+	})
+	v := exec.NewStaticCtx(lt, exec.NoPerturb).NewView()
+	for name, want := range map[string]relation.Rel{
+		"po":     v.PO(),
+		"po-loc": v.POLoc(),
+		"ext":    v.Ext(),
+	} {
+		rel, _, isSet, err := cat.EvalName(v, name)
+		if err != nil || isSet || !rel.Equal(want) {
+			t.Errorf("EvalName(%q) = %v (set=%v, err=%v), want %v", name, rel, isSet, err, want)
+		}
+	}
+	for name, want := range map[string]relation.Set{
+		"R":        v.Reads(),
+		"F.mfence": v.FencesOfKind(litmus.FMFence),
+	} {
+		_, set, isSet, err := cat.EvalName(v, name)
+		if err != nil || !isSet || set != want {
+			t.Errorf("EvalName(%q) = %v (set=%v, err=%v), want %v", name, set, isSet, err, want)
+		}
+	}
+	for _, name := range []string{"nosuch", "R.bogus", "X.acq"} {
+		if _, _, _, err := cat.EvalName(v, name); err == nil {
+			t.Errorf("EvalName(%q) succeeded", name)
+		}
 	}
 }

@@ -284,6 +284,29 @@ func Builtin(name string) bool {
 	return ok
 }
 
+// EvalName evaluates a predefined name — a builtin event set or relation,
+// or a dotted event set such as R.acq — against view v, by the same
+// definitions a compiled model's axioms use. isSet reports whether the
+// value is the set or the relation. Execution-dependent names (rf, co, fr,
+// their e/i restrictions, scord) read v's current execution. Any other
+// name is an error.
+func EvalName(v *exec.View, name string) (rel relation.Rel, set relation.Set, isSet bool, err error) {
+	b, ok := builtins[name]
+	if !ok {
+		if b, ok, err = dottedSet(name, Pos{}); err != nil {
+			return relation.Rel{}, 0, false, err
+		}
+		if !ok {
+			return relation.Rel{}, 0, false, errf(Pos{}, "undefined name %q", name)
+		}
+	}
+	ev := &env{v: v}
+	if b.t == typSet {
+		return relation.Rel{}, b.set(ev), true, nil
+	}
+	return b.rel(ev), 0, false, nil
+}
+
 // builtins maps the base relations and event sets onto exec.View.
 var builtins = map[string]value{
 	// Event sets.

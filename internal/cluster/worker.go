@@ -82,8 +82,9 @@ func (w *Worker) logf(format string, args ...any) {
 
 func (w *Worker) url(path string) string { return w.cfg.CoordinatorURL + path }
 
-// postJSON sends a JSON body and decodes a JSON response into out (when
-// non-nil and the response has a body).
+// doJSON sends a request with the given method and, when in is non-nil,
+// a JSON body. It decodes a JSON response into out (when non-nil and the
+// response has a body) and returns the status code.
 func (w *Worker) doJSON(ctx context.Context, method, path string, in, out any) (int, error) {
 	var body io.Reader
 	if in != nil {

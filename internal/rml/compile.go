@@ -442,8 +442,8 @@ func (c *compiled) activeNodes(a []sat.Lit) []int {
 // occurrences: whenever the edge assignment is acyclic, some topological
 // order makes L assignable, so satisfiability is preserved. This is
 // linear-ish in nodes³ instead of the n²·log n gates of the closure
-// circuit — the difference that makes per-program minimality queries
-// cheap enough for the sat synthesis backend.
+// circuit — the difference that makes satgen's per-program minimality
+// queries cheap enough to replay whole synthesis runs.
 func (c *compiled) acyclicPos(a []sat.Lit) sat.Lit {
 	n := c.p.n
 	nodes := c.activeNodes(a)

@@ -12,9 +12,10 @@
 // constant relations encode the static structure (po, addresses).
 //
 // The production synthesis path of this repository is the explicit
-// enumerator of package synth; rml reproduces the paper's solver pipeline
-// and cross-validates the enumerator (see the package tests and the
-// examples), exactly as Alloy cross-checks hand analyses in the paper.
+// enumerator of package synth; rml reproduces the paper's solver pipeline.
+// Package satgen compiles cat model definitions into rml problems and
+// cross-validates the enumerator with them, as Alloy cross-checks hand
+// analyses in the paper.
 package rml
 
 import (

@@ -1,13 +1,8 @@
 package rml
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
-	"memsynth/internal/exec"
-	"memsynth/internal/litmus"
-	"memsynth/internal/memmodel"
 	"memsynth/internal/relation"
 )
 
@@ -132,196 +127,6 @@ func TestUndeclaredVariable(t *testing.T) {
 	p.Fact(Empty(Var("ghost")))
 	if _, _, err := p.Solve(); err == nil {
 		t.Error("undeclared variable accepted")
-	}
-}
-
-// enumerateTSO collects the (rf, co) models of the SAT encoding.
-func enumerateTSO(t *testing.T, lt *litmus.Test, valid bool) map[string]bool {
-	t.Helper()
-	enc := EncodeTSO(lt)
-	if valid {
-		enc.AssertValid()
-	} else {
-		enc.AssertForbidden()
-	}
-	keys := map[string]bool{}
-	_, err := enc.Problem.EnumerateModels(func(m Model) bool {
-		keys[m["rf"].String()+"/"+m["co"].String()] = true
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return keys
-}
-
-// enumerateExplicit collects the same space from the explicit enumerator.
-func enumerateExplicit(lt *litmus.Test, wantValid bool) map[string]bool {
-	tso := memmodel.TSO()
-	n := lt.NumEvents()
-	keys := map[string]bool{}
-	exec.Enumerate(lt, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
-		v := exec.NewView(x, exec.NoPerturb)
-		if memmodel.Valid(tso, v) != wantValid {
-			return true
-		}
-		rf := relation.New(n)
-		for r, w := range x.RF {
-			if w >= 0 {
-				rf.Add(w, r)
-			}
-		}
-		co := relation.New(n)
-		for _, ws := range x.CO {
-			for i := 0; i < len(ws); i++ {
-				for j := i + 1; j < len(ws); j++ {
-					co.Add(ws[i], ws[j])
-				}
-			}
-		}
-		keys[rf.String()+"/"+co.String()] = true
-		return true
-	})
-	return keys
-}
-
-func sameKeys(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestTSOEncodingMatchesEnumerator is the Alloy-pipeline cross-validation:
-// the SAT-backed model finder and the explicit enumerator agree exactly on
-// the valid and forbidden execution sets of classic tests.
-func TestTSOEncodingMatchesEnumerator(t *testing.T) {
-	mf := litmus.F(litmus.FMFence)
-	tests := []*litmus.Test{
-		litmus.New("MP", [][]litmus.Op{{litmus.W(0), litmus.W(1)}, {litmus.R(1), litmus.R(0)}}),
-		litmus.New("SB", [][]litmus.Op{{litmus.W(0), litmus.R(1)}, {litmus.W(1), litmus.R(0)}}),
-		litmus.New("SB+mfences", [][]litmus.Op{
-			{litmus.W(0), mf, litmus.R(1)},
-			{litmus.W(1), mf, litmus.R(0)},
-		}),
-		litmus.New("CoRW", [][]litmus.Op{{litmus.R(0), litmus.W(0)}, {litmus.W(0)}}),
-		litmus.New("RMW+W", [][]litmus.Op{
-			{litmus.R(0), litmus.W(0)},
-			{litmus.W(0)},
-		}, litmus.WithRMW(0, 0)),
-	}
-	for _, lt := range tests {
-		for _, valid := range []bool{true, false} {
-			satKeys := enumerateTSO(t, lt, valid)
-			expKeys := enumerateExplicit(lt, valid)
-			if !sameKeys(satKeys, expKeys) {
-				t.Errorf("%s (valid=%v): SAT %d models, enumerator %d",
-					lt.Name, valid, len(satKeys), len(expKeys))
-			}
-		}
-	}
-}
-
-// enumerateExplicitModel mirrors enumerateExplicit for any model.
-func enumerateExplicitModel(m memmodel.Model, lt *litmus.Test, wantValid bool) map[string]bool {
-	n := lt.NumEvents()
-	keys := map[string]bool{}
-	exec.Enumerate(lt, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
-		v := exec.NewView(x, exec.NoPerturb)
-		if memmodel.Valid(m, v) != wantValid {
-			return true
-		}
-		rf := relation.New(n)
-		for r, w := range x.RF {
-			if w >= 0 {
-				rf.Add(w, r)
-			}
-		}
-		co := relation.New(n)
-		for _, ws := range x.CO {
-			for i := 0; i < len(ws); i++ {
-				for j := i + 1; j < len(ws); j++ {
-					co.Add(ws[i], ws[j])
-				}
-			}
-		}
-		keys[rf.String()+"/"+co.String()] = true
-		return true
-	})
-	return keys
-}
-
-// TestSCEncodingMatchesEnumerator cross-validates the SC encoding.
-func TestSCEncodingMatchesEnumerator(t *testing.T) {
-	sc := memmodel.SC()
-	tests := []*litmus.Test{
-		litmus.New("SB", [][]litmus.Op{{litmus.W(0), litmus.R(1)}, {litmus.W(1), litmus.R(0)}}),
-		litmus.New("MP", [][]litmus.Op{{litmus.W(0), litmus.W(1)}, {litmus.R(1), litmus.R(0)}}),
-		litmus.New("RMW+W", [][]litmus.Op{
-			{litmus.R(0), litmus.W(0)},
-			{litmus.W(0)},
-		}, litmus.WithRMW(0, 0)),
-	}
-	for _, lt := range tests {
-		for _, valid := range []bool{true, false} {
-			enc := EncodeSC(lt)
-			if valid {
-				enc.AssertValid()
-			} else {
-				enc.AssertForbidden()
-			}
-			satKeys := map[string]bool{}
-			if _, err := enc.Problem.EnumerateModels(func(m Model) bool {
-				satKeys[m["rf"].String()+"/"+m["co"].String()] = true
-				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
-			expKeys := enumerateExplicitModel(sc, lt, valid)
-			if !sameKeys(satKeys, expKeys) {
-				t.Errorf("%s (valid=%v): SAT %d models, enumerator %d",
-					lt.Name, valid, len(satKeys), len(expKeys))
-			}
-		}
-	}
-}
-
-// TestQuickTSOEncodingEquivalence extends the cross-validation to random
-// small TSO tests.
-func TestQuickTSOEncodingEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		numThreads := 1 + rng.Intn(2)
-		var threads [][]litmus.Op
-		remap := map[int]int{}
-		for th := 0; th < numThreads; th++ {
-			size := 1 + rng.Intn(3)
-			var ops []litmus.Op
-			for i := 0; i < size; i++ {
-				addr := rng.Intn(2)
-				na, ok := remap[addr]
-				if !ok {
-					na = len(remap)
-					remap[addr] = na
-				}
-				if rng.Intn(2) == 0 {
-					ops = append(ops, litmus.R(na))
-				} else {
-					ops = append(ops, litmus.W(na))
-				}
-			}
-			threads = append(threads, ops)
-		}
-		lt := litmus.New("rnd", threads)
-		return sameKeys(enumerateTSO(t, lt, true), enumerateExplicit(lt, true))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 

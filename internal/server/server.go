@@ -81,9 +81,9 @@ type Config struct {
 	// LintBound is the tier-2 event bound used when linting registered
 	// definitions (default: the catlint default, 4).
 	LintBound int
-	// Logf, when non-nil, receives request-level log lines (selected
-	// synthesis backend, backend fallback warnings). The daemon wires
-	// log.Printf; nil discards.
+	// Logf, when non-nil, receives request-level log lines (each
+	// synthesis run, admit fallback reasons, peer read-through and cluster
+	// fallback warnings). The daemon wires log.Printf; nil discards.
 	Logf func(format string, args ...any)
 	// Cluster, when non-nil, makes this server a cluster coordinator:
 	// cold synthesize requests are partitioned into shard jobs and

@@ -1,7 +1,7 @@
 package stress_test
 
 // Stress-executor benchmark rows for BENCH_synth.json: `make bench` runs
-// this after the synthesis snapshot and the backend comparison, merging a
+// this after the synthesis snapshot and the admit rows, merging a
 // "stress_cases" section — per-suite native-execution throughput
 // (iterations/sec) with the model cross-check applied, so executor perf
 // and soundness travel with the other perf numbers across PRs.

@@ -1,4 +1,4 @@
-package satgen_test
+package satgen
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"memsynth/internal/canon"
@@ -15,7 +16,6 @@ import (
 	"memsynth/internal/minimal"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
-	"memsynth/internal/synth/satgen"
 )
 
 // distinctPrograms returns the generation-order-first program of every
@@ -41,16 +41,14 @@ func distinctPrograms(t *testing.T, m memmodel.Model, opts synth.Options, n int)
 
 // replay synthesizes m up to bound the paper's way and shares nothing with
 // the engine's explore loop: one sequential pass draws every distinct
-// program's candidates from the SAT guide, re-confirms each with the
-// minimality checker, and builds the suites with first-wins dedupe and
-// the engine's (size, key) order. It fails the test if the guide declines
-// any program.
-func replay(t *testing.T, m memmodel.Model, bound int) *synth.Result {
+// program's candidates from guide g, re-confirms each with m's minimality
+// checker, and builds the suites with first-wins dedupe and the engine's
+// (size, key) order. It fails the test if the guide declines any program.
+func replay(t *testing.T, m memmodel.Model, g *Guide, bound int) *synth.Result {
 	t.Helper()
 	opts := synth.Options{MaxEvents: bound}
 	axioms := m.Axioms()
 	union, perAxiom := []synth.Entry(nil), make([][]synth.Entry, len(axioms))
-	g := satgen.NewGuide(m)
 	c := minimal.NewChecker(m)
 	programs := 0
 	for n := 2; n <= bound; n++ {
@@ -117,15 +115,16 @@ func engineRun(t *testing.T, m memmodel.Model, bound int) *synth.Result {
 	return res
 }
 
-// requireIdentical asserts the SAT replay encodes to the engine's stored
-// form: same digest, byte-identical suite texts, same manifest entries.
-func requireIdentical(t *testing.T, m memmodel.Model, bound int) {
+// requireIdentical asserts the replay of m through guide g encodes to m's
+// engine run: same digest, byte-identical suite texts, same manifest
+// entries.
+func requireIdentical(t *testing.T, m memmodel.Model, g *Guide, bound int) {
 	t.Helper()
 	se, err := store.Encode(engineRun(t, m, bound))
 	if err != nil {
 		t.Fatalf("encode engine: %v", err)
 	}
-	ss, err := store.Encode(replay(t, m, bound))
+	ss, err := store.Encode(replay(t, m, g, bound))
 	if err != nil {
 		t.Fatalf("encode replay: %v", err)
 	}
@@ -151,59 +150,81 @@ func requireIdentical(t *testing.T, m memmodel.Model, bound int) {
 	}
 }
 
-// TestDifferentialNative replays the natively encoded models through the
-// SAT guide on every program and demands the engine's suites and digest.
-func TestDifferentialNative(t *testing.T) {
-	bound := 5
-	if testing.Short() {
-		bound = 4
+// exampleModel compiles examples/cat/<name>.cat.
+func exampleModel(t *testing.T, name string) *cat.Model {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "..", "examples", "cat", name+".cat"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	m, err := cat.Compile(string(src))
+	if err != nil {
+		t.Fatalf("%s.cat: %v", name, err)
+	}
+	return m
+}
+
+// guideFor returns m's guide, failing the test if m is refused.
+func guideFor(t *testing.T, m *cat.Model) *Guide {
+	t.Helper()
+	if ok, reason := Supports(m); !ok {
+		t.Fatalf("%s refused: %s", m.Name(), reason)
+	}
+	return NewGuide(m)
+}
+
+// replayBound is the differential's bound: 5, or 4 under -short.
+func replayBound() int {
+	if testing.Short() {
+		return 4
+	}
+	return 5
+}
+
+// TestDifferentialNative replays the Go builtins sc and tso through guides
+// compiled from their cat transcripts (examples/cat/{sc,tso}.cat, which
+// cat's TestSCSuiteEquivalence and TestTSOSuiteEquivalence pin to the
+// builtins). Re-confirmation and the stored form use the builtin, so the
+// replay must equal the builtin's default engine run.
+func TestDifferentialNative(t *testing.T) {
 	for _, name := range []string{"sc", "tso"} {
 		m, err := memmodel.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, reason := satgen.Supports(m); !ok {
-			t.Fatalf("expected native support for %s, got: %s", name, reason)
-		}
-		requireIdentical(t, m, bound)
+		requireIdentical(t, m, guideFor(t, exampleModel(t, name)), replayBound())
 	}
 }
 
-// TestDifferentialAllBuiltins runs the replay check at a small bound on
-// every builtin the encoder supports, and requires a reason from the rest.
-func TestDifferentialAllBuiltins(t *testing.T) {
-	for _, m := range memmodel.All() {
-		if ok, reason := satgen.Supports(m); !ok {
-			if reason == "" {
-				t.Errorf("%s: unsupported with an empty reason", m.Name())
-			}
-			continue
-		}
-		requireIdentical(t, m, 3)
-	}
-}
-
-// TestDifferentialCatModels: definition-language models are never
-// encoded, even under a supported name, and each says why.
+// TestDifferentialCatModels replays every example cat model through its
+// own compiled guide and requires its own engine run's stored form.
 func TestDifferentialCatModels(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "..", "examples", "cat", "*.cat"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no example cat models found: %v", err)
 	}
 	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := cat.Compile(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if ok, reason := satgen.Supports(m); ok {
-			t.Errorf("%s: cat model reported as natively supported", f)
-		} else if reason == "" {
-			t.Errorf("%s: unsupported with an empty reason", f)
-		}
+		name := strings.TrimSuffix(filepath.Base(f), ".cat")
+		m := exampleModel(t, name)
+		requireIdentical(t, m, guideFor(t, m), replayBound())
+	}
+}
+
+// TestSupportsRefusesSCOrder: a definition with an sc order over sc fences
+// needs a universal quantifier the encoding lacks, so it is refused with a
+// reason.
+func TestSupportsRefusesSCOrder(t *testing.T) {
+	m, err := cat.Compile(`model scfenced
+acyclic po | rf | co | fr | scord as order
+ops R W F.sc
+sc-order
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, reason := Supports(m); ok {
+		t.Error("sc-order definition reported as supported")
+	} else if reason == "" {
+		t.Error("sc-order definition refused with an empty reason")
 	}
 }
