@@ -22,8 +22,8 @@ import (
 )
 
 // benchCase is one fixed (model, bound) measurement point. The grid
-// matches TestPerfProbe so the committed snapshot demonstrates the same
-// workload the probe reports on.
+// runs tso, power and scc at the largest bounds TestPaperCounts pins, so
+// the committed snapshot measures the tabulated workloads.
 type benchCase struct {
 	model memmodel.Model
 	bound int

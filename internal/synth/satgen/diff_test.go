@@ -196,6 +196,28 @@ func TestDifferentialNative(t *testing.T) {
 	}
 }
 
+// TestDifferentialAllBuiltins runs the replay check at a small bound on
+// every builtin that has a cat transcript under examples/cat, through the
+// guide compiled from that transcript. Builtins without a transcript have
+// no definition to encode and are only logged; sc and tso must be covered.
+func TestDifferentialAllBuiltins(t *testing.T) {
+	covered := make(map[string]bool)
+	for _, m := range memmodel.All() {
+		path := filepath.Join("..", "..", "..", "examples", "cat", m.Name()+".cat")
+		if _, err := os.Stat(path); err != nil {
+			t.Logf("%s: no cat transcript, not encoded", m.Name())
+			continue
+		}
+		requireIdentical(t, m, guideFor(t, exampleModel(t, m.Name())), 3)
+		covered[m.Name()] = true
+	}
+	for _, name := range []string{"sc", "tso"} {
+		if !covered[name] {
+			t.Errorf("builtin %s was not replayed through its cat transcript", name)
+		}
+	}
+}
+
 // TestDifferentialCatModels replays every example cat model through its
 // own compiled guide and requires its own engine run's stored form.
 func TestDifferentialCatModels(t *testing.T) {
