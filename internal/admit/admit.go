@@ -19,9 +19,15 @@
 // observable there and the whole subtree is skipped. When every
 // application admits some order individually, the union of their forced
 // edges must still be satisfied by the single shared order, so a cyclic
-// union refutes too. Anything not refuted is enumerated and re-confirmed
-// by minimal.Checker exactly as before — which is why suites and store
-// digests are byte-identical with the filter on or off (DESIGN.md §15).
+// union refutes too.
+//
+// The forced edges also prune an admitted assignment: every coherence
+// order it extends to is enumerated and counted, but one that breaks a
+// forced edge (Extends) is not observable under the application that
+// forced the edge, so it skips the minimality check. Everything else is
+// re-confirmed by minimal.Checker exactly as before — which is why suites
+// and store digests are byte-identical with the filter on or off
+// (DESIGN.md §15).
 //
 // Algorithms are registered for the builtin sc and tso models only. The
 // tso check folds the store buffer into the closure: its causality graph
@@ -225,8 +231,8 @@ func (c *Checker) appCtxFor(i int) *appCtx {
 // Decide reports whether some coherence order extending rf (indexed by
 // event ID, -1 = initial) could yield a minimal execution. False is a
 // proof that none can — the caller may skip every extension; true is
-// merely "not refuted" and the extensions must be enumerated and checked
-// as usual.
+// merely "not refuted" and the extensions must be enumerated, and those
+// that Extends accepts checked as usual.
 func (c *Checker) Decide(rf []int) bool {
 	if c.t == nil {
 		panic("admit: Decide before Bind")
@@ -246,6 +252,25 @@ func (c *Checker) Decide(rf []int) bool {
 	// which must contain every forced edge at once.
 	if len(c.apps) > 1 && !c.unionCo.Acyclic() {
 		return false
+	}
+	return true
+}
+
+// Extends reports whether the per-address coherence order co (laid out as
+// exec.Execution.CO) contains every coherence edge the last Decide forced.
+// It is meaningful only while extending an rf assignment Decide admitted.
+// False is a proof that the execution is not observable under the
+// relaxation application that forced the missing edge, so it is not
+// minimal and the caller may skip its minimality check.
+func (c *Checker) Extends(co [][]int) bool {
+	for _, ws := range co {
+		var before relation.Set
+		for _, w := range ws {
+			if !c.unionCo.Successors(w).Intersect(before).IsEmpty() {
+				return false
+			}
+			before = before.Add(w)
+		}
 	}
 	return true
 }

@@ -54,7 +54,6 @@ func Enumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) boo
 	}
 
 	count := 0
-	stopped := false
 
 	var enumSC func() bool
 	if opts.UseSC && len(scFences) > 0 {
@@ -128,10 +127,7 @@ func Enumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) boo
 		return true
 	}
 
-	if !enumRF(0) {
-		stopped = true
-	}
-	_ = stopped
+	enumRF(0)
 	return count
 }
 

@@ -26,7 +26,8 @@ type Options struct {
 	// (the builtin sc and tso models) and silently falls back to plain
 	// enumeration otherwise, and for CountForbidden runs; "off" disables
 	// it everywhere. The filter is
-	// refutation-sound — admitted assignments are still enumerated and
+	// refutation-sound — admitted assignments are still enumerated, and
+	// every coherence order that keeps the edges admit forced is
 	// re-confirmed by the minimality checker — so suites and store digests
 	// are byte-identical either way, and Normalize strips the field.
 	Admit string

@@ -115,7 +115,9 @@ type Stages struct {
 	Dedupe time.Duration `json:"dedupe_ns"`
 	// Execution is candidate-execution enumeration.
 	Execution time.Duration `json:"execution_ns"`
-	// Minimality is the per-execution minimality criterion.
+	// Minimality is the per-execution minimality criterion. With admit
+	// on, executions whose coherence order breaks an edge admit forced
+	// never reach it.
 	Minimality time.Duration `json:"minimality_ns"`
 }
 
@@ -130,10 +132,12 @@ type Stats struct {
 	// Programs counts distinct canonical programs whose executions were
 	// explored.
 	Programs int `json:"programs"`
-	// Executions counts candidate executions actually enumerated and
-	// checked. It deliberately excludes fast-decided work so partial
-	// (interrupted) runs report the two kinds of explore progress
-	// separately instead of conflating them.
+	// Executions counts candidate executions actually enumerated. With
+	// admit on, it includes the executions of admitted reads-from
+	// assignments whose coherence order breaks a forced edge: they are
+	// enumerated but never reach the minimality stage. It deliberately
+	// excludes fast-decided work so partial (interrupted) runs report the
+	// two kinds of explore progress separately instead of conflating them.
 	Executions int `json:"executions"`
 	// ExecutionsFast counts candidate executions decided by the fast
 	// admissibility filter (internal/admit) without being enumerated:
@@ -590,8 +594,10 @@ func (e *engine) explore(winners []*litmus.Test, shard ShardSpec) [][]ShardEntry
 // its own. exec.Enumerate visits every candidate execution. A non-nil adm
 // filters reads-from assignments before their coherence orders are
 // enumerated: a refuted assignment's extensions are counted as
-// fast-decided instead of visited (the filter is sound, so every finding
-// an unfiltered run makes survives).
+// fast-decided instead of visited. An admitted assignment's extensions are
+// all visited and counted, but one whose coherence order breaks an edge
+// Decide forced skips the minimality check: it cannot be minimal (both
+// filters are sound, so every finding an unfiltered run makes survives).
 //
 // The findings carry their axiom names and Within index; run sets Size
 // and Winner. The distinct entry and forbidden-outcome keys are counted
@@ -611,6 +617,9 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmu
 			return false
 		}
 		execs++
+		if adm != nil && !adm.Extends(x.CO) {
+			return true
+		}
 		m0 := time.Now()
 		verdict := c.Check(x)
 		minNS += int64(time.Since(m0))
