@@ -12,7 +12,7 @@
 // Four analyzers ship with the framework:
 //
 //   - maporder: map iteration order must never reach ordered output
-//     (suite bytes, digests, NDJSON streams, merge order, HTTP lists)
+//     (suite bytes, digests, NDJSON streams, HTTP lists)
 //     without an intervening sort; deliberate order-independent uses
 //     carry a checked //memvet:ordered annotation.
 //   - inplacealias: calls to internal/relation's in-place ops must

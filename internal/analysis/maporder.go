@@ -10,9 +10,9 @@ import (
 // MapOrder flags `range` statements over maps whose iteration results
 // flow into ordered output without an intervening sort. Go randomizes
 // map iteration order per range, so any bytes it reaches — suite text,
-// store digests, NDJSON streams, shard merge order, HTTP list responses
-// — differ run to run, which breaks the engine's core invariant that
-// suites are byte-identical for every configuration.
+// store digests, NDJSON streams, HTTP list responses — differ run to
+// run, which breaks the engine's core invariant that suites are
+// byte-identical for every configuration.
 //
 // The check is a function-local taint walk. Inside the loop body the
 // range key/value variables seed a taint set that grows through

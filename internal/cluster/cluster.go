@@ -121,11 +121,3 @@ type ResultResponse struct {
 	Duplicate bool   `json:"duplicate,omitempty"`
 	Reason    string `json:"reason,omitempty"`
 }
-
-// SuiteBundle is the payload of GET /v1/suites/{digest}/bundle — a full
-// store entry (manifest plus byte-identical suite texts), the transfer
-// unit of the peer read-through cache tier.
-type SuiteBundle struct {
-	Manifest *store.Manifest   `json:"manifest"`
-	Texts    map[string]string `json:"texts"`
-}

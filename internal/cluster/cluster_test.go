@@ -649,6 +649,63 @@ func TestCoordinatorBackpressure(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRequeuesRejectedUpload pins that a refused upload frees
+// its worker: a shard whose upload the coordinator rejects goes back to
+// the queue, so the same worker is dispatched it again instead of being
+// told it is still busy, and a shard rejected past the retry budget fails
+// the request instead of leaving it waiting.
+func TestCoordinatorRequeuesRejectedUpload(t *testing.T) {
+	cfg := fastConfig()
+	cfg.MaxShardRetries = 2
+	c := New(cfg)
+	defer c.Close()
+	ts := httptest.NewServer(c)
+	defer ts.Close()
+	g := newGhost(t, ts.URL)
+
+	m := mustModel(t, "sc")
+	opts := synth.Options{MaxEvents: 3}
+	sr, err := synth.SynthesizeShard(context.Background(), m, opts, synth.ShardSpec{Index: 0, Stride: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sr.Entries) == 0 {
+		t.Fatal("shard found no entries to corrupt")
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Synthesize(context.Background(), m, opts, nil)
+		errc <- err
+	}()
+
+	for attempt := 0; attempt <= cfg.MaxShardRetries; attempt++ {
+		job, ok := g.pollJob(5 * time.Second)
+		if !ok {
+			t.Fatalf("attempt %d: the worker whose upload was rejected got no shard", attempt)
+		}
+		wire := EncodeShardResult(job.ShardDigest, sr)
+		wire.Entries[0].Key = "not-the-witness-key"
+		body, _ := json.Marshal(wire)
+		if code := g.post("/v1/cluster/shards/"+job.ShardDigest+"/result", string(body)); code != http.StatusBadRequest {
+			t.Fatalf("attempt %d: corrupt upload status %d, want 400", attempt, code)
+		}
+	}
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("request succeeded although every upload was rejected")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("request still waiting after the retry budget was spent")
+	}
+	if got, want := metricInt(c, "shards_rejected"), int64(cfg.MaxShardRetries+1); got != want {
+		t.Errorf("shards_rejected = %d, want %d", got, want)
+	}
+	if got := metricInt(c, "merges"); got != 0 {
+		t.Errorf("merges = %d, want 0", got)
+	}
+}
+
 // TestCoordinatorRefusesDigestInFlight pins the one-caller contract: the
 // coordinator does not coalesce, so a second Synthesize for a digest
 // whose flight is still queued is an error (its shard digests would

@@ -2,29 +2,20 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 
-	"memsynth/internal/exec"
-	"memsynth/internal/litmus"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
 )
 
-// WireShardEntry is one shard finding on the wire: the merge coordinates
-// (Size, Winner, Within), the axiom memberships, and the witness
-// execution's relations. The test program itself travels in the result's
-// suite text (one litmus test per entry, in entry order), so the wire
-// format round-trips through the same parser the store uses — the decode
-// side rebuilds exactly the synth.Entry a local run would have produced.
+// WireShardEntry is one shard finding on the wire: the entry's manifest
+// (class key, size and witness relations, in the store's encoding) and the
+// axioms it is minimal for. The test program itself travels in the
+// result's suite text (one litmus test per entry, in entry order), so an
+// upload decodes through the same store.DecodeEntries a stored suite
+// does, and a malformed entry is rejected before it reaches a merge.
 type WireShardEntry struct {
-	Size   int      `json:"size"`
-	Winner int      `json:"winner"`
-	Within int      `json:"within"`
+	store.EntryManifest
 	Axioms []string `json:"axioms"`
-	Key    string   `json:"key"`
-	RF     []int    `json:"rf"`
-	CO     [][]int  `json:"co"`
-	SC     []int    `json:"sc,omitempty"`
 }
 
 // WireShardResult is the upload body of POST /v1/cluster/shards/{d}/result.
@@ -46,20 +37,14 @@ type WireShardResult struct {
 
 // EncodeShardResult serializes a shard run for upload.
 func EncodeShardResult(shardDigest string, sr *synth.ShardResult) *WireShardResult {
-	specs := make([]*litmus.Spec, len(sr.Entries))
-	entries := make([]WireShardEntry, len(sr.Entries))
+	entries := make([]synth.Entry, len(sr.Entries))
 	for i, se := range sr.Entries {
-		specs[i] = &litmus.Spec{Test: se.Entry.Test, Forbid: se.Entry.Exec.OutcomeConds()}
-		entries[i] = WireShardEntry{
-			Size:   se.Size,
-			Winner: se.Winner,
-			Within: se.Within,
-			Axioms: se.Axioms,
-			Key:    se.Entry.Key,
-			RF:     se.Entry.Exec.RF,
-			CO:     se.Entry.Exec.CO,
-			SC:     se.Entry.Exec.SC,
-		}
+		entries[i] = se.Entry
+	}
+	text, manifests := store.EncodeEntries(entries)
+	wire := make([]WireShardEntry, len(sr.Entries))
+	for i, se := range sr.Entries {
+		wire[i] = WireShardEntry{EntryManifest: manifests[i], Axioms: se.Axioms}
 	}
 	return &WireShardResult{
 		ShardDigest:   shardDigest,
@@ -70,28 +55,28 @@ func EncodeShardResult(shardDigest string, sr *synth.ShardResult) *WireShardResu
 		Options:       store.FromSynthOptions(sr.Options),
 		Index:         sr.Shard.Index,
 		Stride:        sr.Shard.Stride,
-		SuiteText:     litmus.FormatSuite(specs),
-		Entries:       entries,
+		SuiteText:     text,
+		Entries:       wire,
 		Stats:         sr.Stats,
 	}
 }
 
-// DecodeShardResult rebuilds the synth.ShardResult from its wire form,
-// reparsing each entry's test from the suite text and reattaching its
-// witness execution. Engine-version mismatches are rejected outright: a
-// shard synthesized by a different engine must never reach a merge.
+// DecodeShardResult rebuilds the synth.ShardResult from its wire form
+// through store.DecodeEntries, which checks every entry's witness and key.
+// Engine-version mismatches are rejected outright: a shard synthesized by
+// a different engine must never reach a merge.
 func DecodeShardResult(w *WireShardResult) (*synth.ShardResult, error) {
 	if w.EngineVersion != synth.EngineVersion {
 		return nil, fmt.Errorf("cluster: shard result from engine version %q, want %q",
 			w.EngineVersion, synth.EngineVersion)
 	}
-	specs, err := litmus.ParseSuite(strings.NewReader(w.SuiteText))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %s: bad suite text: %w", w.ShardDigest, err)
+	manifests := make([]store.EntryManifest, len(w.Entries))
+	for i, we := range w.Entries {
+		manifests[i] = we.EntryManifest
 	}
-	if len(specs) != len(w.Entries) {
-		return nil, fmt.Errorf("cluster: shard %s: %d tests in suite text but %d entries",
-			w.ShardDigest, len(specs), len(w.Entries))
+	entries, err := store.DecodeEntries(w.SuiteText, manifests)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %s: %w", w.ShardDigest, err)
 	}
 	sr := &synth.ShardResult{
 		Model:       w.Model,
@@ -99,23 +84,11 @@ func DecodeShardResult(w *WireShardResult) (*synth.ShardResult, error) {
 		ModelDigest: w.ModelDigest,
 		Options:     w.Options.SynthOptions().Normalize(),
 		Shard:       synth.ShardSpec{Index: w.Index, Stride: w.Stride},
-		Entries:     make([]synth.ShardEntry, len(w.Entries)),
+		Entries:     make([]synth.ShardEntry, len(entries)),
 		Stats:       w.Stats,
 	}
-	for i, we := range w.Entries {
-		spec := specs[i]
-		sr.Entries[i] = synth.ShardEntry{
-			Size:   we.Size,
-			Winner: we.Winner,
-			Within: we.Within,
-			Axioms: we.Axioms,
-			Entry: synth.Entry{
-				Test: spec.Test,
-				Exec: &exec.Execution{Test: spec.Test, RF: we.RF, CO: we.CO, SC: we.SC},
-				Key:  we.Key,
-				Size: we.Size,
-			},
-		}
+	for i, e := range entries {
+		sr.Entries[i] = synth.ShardEntry{Axioms: w.Entries[i].Axioms, Entry: e}
 	}
 	return sr, nil
 }

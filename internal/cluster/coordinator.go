@@ -32,8 +32,9 @@ type Config struct {
 	// overflow it is rejected with SaturatedError (the server's 429).
 	// Default 256.
 	QueueDepth int
-	// MaxShardRetries bounds re-dispatches of one shard (worker death or
-	// hand-back) before the whole request fails. Default 3.
+	// MaxShardRetries bounds re-dispatches of one shard (worker death,
+	// hand-back or rejected upload) before the whole request fails.
+	// Default 3.
 	MaxShardRetries int
 	// HeartbeatInterval is the cadence workers are told to report at.
 	// Default 2s.
@@ -405,7 +406,8 @@ func (c *Coordinator) popLocked() *shardState {
 }
 
 // requeueLocked returns an assigned shard to the queue after a worker
-// death or hand-back; past the retry budget it fails the whole flight.
+// death, a hand-back or a rejected upload; past the retry budget it fails
+// the whole flight.
 func (c *Coordinator) requeueLocked(ss *shardState, counter string) {
 	if ss.state != sAssigned {
 		return
@@ -714,28 +716,23 @@ func (c *Coordinator) noteProgress(dg, workerID string, ev synth.ProgressEvent) 
 
 // handleResult accepts a shard-result upload, idempotent by shard
 // digest: the first complete upload wins, duplicates are acknowledged
-// without effect, and uploads for cancelled or unknown shards get 410.
+// without effect, and uploads for cancelled or unknown shards get 410. A
+// rejected upload (400 or 422) is never merged, and the shard goes back
+// to the queue if the uploader holds it, so the worker is free again and
+// the retry budget fails a shard that keeps coming back bad.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	dg := r.PathValue("digest")
 	workerID := r.URL.Query().Get("worker")
-	var wire WireShardResult
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		clusterError(w, http.StatusBadRequest, "bad shard result body: %v", err)
-		return
-	}
-	if wire.ShardDigest != "" && wire.ShardDigest != dg {
-		clusterError(w, http.StatusBadRequest, "body shard digest %.12s does not match URL %.12s", wire.ShardDigest, dg)
-		return
-	}
-	wire.ShardDigest = dg
-	sr, err := DecodeShardResult(&wire)
+	sr, err := decodeUpload(r, dg)
 	if err != nil {
+		c.rejectUpload(dg, workerID)
 		clusterError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if sr.Stats.Interrupted {
 		// Interrupted shards are never merged; the worker should have
 		// released the shard instead.
+		c.rejectUpload(dg, workerID)
 		clusterJSON(w, http.StatusUnprocessableEntity, ResultResponse{Accepted: false, Reason: "interrupted shard result"})
 		return
 	}
@@ -761,6 +758,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	if sr.Shard.Index != ss.job.Index || sr.Shard.Stride != ss.job.Stride {
 		c.mu.Unlock()
+		c.rejectUpload(dg, workerID)
 		clusterError(w, http.StatusBadRequest, "shard coordinates (%d,%d) do not match job (%d,%d)",
 			sr.Shard.Index, sr.Shard.Stride, ss.job.Index, ss.job.Stride)
 		return
@@ -791,6 +789,31 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		go c.finalize(fl)
 	}
 	clusterJSON(w, http.StatusOK, ResultResponse{Accepted: true})
+}
+
+// decodeUpload reads and decodes a shard-result body posted for shard
+// digest dg.
+func decodeUpload(r *http.Request, dg string) (*synth.ShardResult, error) {
+	var wire WireShardResult
+	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
+		return nil, fmt.Errorf("bad shard result body: %v", err)
+	}
+	if wire.ShardDigest != "" && wire.ShardDigest != dg {
+		return nil, fmt.Errorf("body shard digest %.12s does not match URL %.12s", wire.ShardDigest, dg)
+	}
+	wire.ShardDigest = dg
+	return DecodeShardResult(&wire)
+}
+
+// rejectUpload requeues shard dg, counted as shards_rejected, after its
+// upload from workerID was refused, if workerID holds it. An upload from
+// anyone else leaves the holder's run alone.
+func (c *Coordinator) rejectUpload(dg, workerID string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ss := c.shards[dg]; ss != nil && ss.state == sAssigned && ss.worker == workerID {
+		c.requeueLocked(ss, "shards_rejected")
+	}
 }
 
 // handleRelease is the voluntary hand-back: a draining (or incapable)

@@ -496,3 +496,104 @@ func TestClusterStatusEndpoint(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestClusterCorruptUploadHTTP uploads a shard result whose witnesses
+// have no reads-from slots through a coordinator memsynthd. The upload
+// must be refused with 400 before it reaches the merge (merged, its
+// entries would panic the server while it persists the suite), the shard
+// must be dispatched again, and a correct upload must then complete the
+// request byte-identically to a single-node run.
+func TestClusterCorruptUploadHTTP(t *testing.T) {
+	coord := newCoordinatorNode(t, nil)
+	opts := synth.Options{MaxEvents: 3}
+	wantDigest, wantText := singleNodeText(t, "sc", opts)
+
+	post := func(path string, body any) *http.Response {
+		t.Helper()
+		raw, _ := json.Marshal(body)
+		resp, err := http.Post(coord.ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := post("/v1/cluster/workers", cluster.RegisterRequest{Name: "raw", EngineVersion: synth.EngineVersion})
+	var reg cluster.RegisterResponse
+	json.NewDecoder(resp.Body).Decode(&reg)
+	resp.Body.Close()
+	waitLive(t, coord, 1)
+	poll := func() cluster.ShardJob {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Now().Before(deadline) {
+			resp := post("/v1/cluster/workers/"+reg.WorkerID+"/poll", nil)
+			if resp.StatusCode == http.StatusOK {
+				var job cluster.ShardJob
+				err := json.NewDecoder(resp.Body).Decode(&job)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return job
+			}
+			resp.Body.Close()
+		}
+		t.Fatal("no shard dispatched")
+		return cluster.ShardJob{}
+	}
+	upload := func(job cluster.ShardJob, wire *cluster.WireShardResult) int {
+		t.Helper()
+		resp := post("/v1/cluster/shards/"+job.ShardDigest+"/result?worker="+reg.WorkerID, wire)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	type reply struct {
+		code   int
+		digest string
+		text   string
+	}
+	done := make(chan reply, 1)
+	go func() {
+		raw, _ := json.Marshal(map[string]any{"model": "sc", "max_events": 3, "format": "litmus"})
+		resp, err := http.Post(coord.ts.URL+"/v1/synthesize", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			done <- reply{text: err.Error()}
+			return
+		}
+		defer resp.Body.Close()
+		text, _ := io.ReadAll(resp.Body)
+		done <- reply{resp.StatusCode, resp.Header.Get("X-Memsynth-Digest"), string(text)}
+	}()
+
+	job := poll()
+	sr, err := synth.SynthesizeShard(context.Background(), memmodel.SC(), job.Options.SynthOptions(),
+		synth.ShardSpec{Index: job.Index, Stride: job.Stride})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := cluster.EncodeShardResult(job.ShardDigest, sr)
+	for i := range corrupt.Entries {
+		corrupt.Entries[i].RF = []int{}
+	}
+	if code := upload(job, corrupt); code != http.StatusBadRequest {
+		t.Fatalf("corrupt upload: status %d, want 400", code)
+	}
+	if again := poll(); again.ShardDigest != job.ShardDigest {
+		t.Fatalf("dispatched shard %.12s after the rejected upload, want %.12s again", again.ShardDigest, job.ShardDigest)
+	}
+	if code := upload(job, cluster.EncodeShardResult(job.ShardDigest, sr)); code != http.StatusOK {
+		t.Fatalf("correct upload: status %d, want 200", code)
+	}
+	select {
+	case r := <-done:
+		if r.code != http.StatusOK {
+			t.Fatalf("synthesize: status %d: %s", r.code, r.text)
+		}
+		if r.digest != wantDigest || r.text != wantText {
+			t.Error("suite after a rejected upload differs from single-node")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("synthesize did not finish after the correct upload")
+	}
+}

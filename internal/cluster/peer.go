@@ -49,12 +49,12 @@ func (p *PeerClient) FetchSuite(ctx context.Context, digest string) (*store.Stor
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("cluster: peer fetch of %.12s: status %d", digest, resp.StatusCode)
 	}
-	var bundle SuiteBundle
-	if err := json.NewDecoder(resp.Body).Decode(&bundle); err != nil {
+	var ss store.StoredSuite
+	if err := json.NewDecoder(resp.Body).Decode(&ss); err != nil {
 		return nil, fmt.Errorf("cluster: peer fetch of %.12s: %w", digest, err)
 	}
-	if bundle.Manifest == nil {
+	if ss.Manifest == nil {
 		return nil, fmt.Errorf("cluster: peer fetch of %.12s: bundle without manifest", digest)
 	}
-	return &store.StoredSuite{Manifest: bundle.Manifest, Texts: bundle.Texts}, nil
+	return &ss, nil
 }

@@ -122,6 +122,50 @@ func TestValues(t *testing.T) {
 	}
 }
 
+// TestWellFormed accepts every execution the enumerator visits, sc orders
+// included, and rejects each way a witness rebuilt from untrusted bytes
+// can break: a short rf, a read from a write to another address or from
+// a non-write, a co that drops, repeats or adds a write, and an sc that
+// is not an order of the sc fences.
+func TestWellFormed(t *testing.T) {
+	for _, m := range []*litmus.Test{mp(), sb()} {
+		Enumerate(m, EnumerateOptions{UseSC: true}, func(x *Execution) bool {
+			if err := x.WellFormed(); err != nil {
+				t.Errorf("%s: enumerated execution rejected: %v", x, err)
+			}
+			return true
+		})
+	}
+	// sb's events: 0 St x, 1 F sc, 2 Ld y, 3 St y, 4 F sc, 5 Ld x.
+	good := func() *Execution {
+		return &Execution{Test: sb(), RF: []int{-1, -1, 3, -1, -1, 0}, CO: [][]int{{0}, {3}}, SC: []int{1, 4}}
+	}
+	if err := good().WellFormed(); err != nil {
+		t.Fatalf("good execution rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(x *Execution){
+		"empty rf":         func(x *Execution) { x.RF = []int{} },
+		"rf other address": func(x *Execution) { x.RF[2] = 0 },
+		"rf from a fence":  func(x *Execution) { x.RF[2] = 1 },
+		"rf out of range":  func(x *Execution) { x.RF[5] = 6 },
+		"rf below -1":      func(x *Execution) { x.RF[5] = -2 },
+		"co missing write": func(x *Execution) { x.CO[1] = nil },
+		"co missing addr":  func(x *Execution) { x.CO = x.CO[:1] },
+		"co repeat":        func(x *Execution) { x.CO[0] = []int{0, 0} },
+		"co foreign write": func(x *Execution) { x.CO[0] = []int{3} },
+		"co extra addr":    func(x *Execution) { x.CO = append(x.CO, nil) },
+		"sc short":         func(x *Execution) { x.SC = []int{1} },
+		"sc repeat":        func(x *Execution) { x.SC = []int{1, 1} },
+		"sc not a fence":   func(x *Execution) { x.SC = []int{1, 2} },
+	} {
+		x := good()
+		mutate(x)
+		if err := x.WellFormed(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestClone(t *testing.T) {
 	m := mp()
 	var snap *Execution

@@ -24,8 +24,9 @@ import (
 
 // Execution fixes the dynamic relations of one candidate execution of a
 // litmus test. Well-formedness (rf respects addresses, co is a permutation
-// of the writes per address) is guaranteed by the enumerator; validity under
-// a memory model is judged by the model's axioms.
+// of the writes per address) is guaranteed by the enumerator and checked
+// by WellFormed; validity under a memory model is judged by the model's
+// axioms.
 type Execution struct {
 	// Test is the litmus test this execution belongs to.
 	Test *litmus.Test
@@ -54,6 +55,73 @@ func (x *Execution) Clone() *Execution {
 		c.SC = append([]int(nil), x.SC...)
 	}
 	return c
+}
+
+// WellFormed reports the first way x is not a candidate execution of its
+// test: RF must hold one slot per event, and every read's source must be
+// -1 or a write to the read's address; CO[a] must be a permutation of
+// address a's writes; SC must be nil or a permutation of the FSC fences.
+// The enumerator only builds well-formed executions. Executions rebuilt
+// from untrusted bytes (a shard upload, a stored manifest) are checked
+// here before anything indexes through their relations.
+func (x *Execution) WellFormed() error {
+	t := x.Test
+	if len(x.RF) != len(t.Events) {
+		return fmt.Errorf("exec: rf has %d slots for %d events", len(x.RF), len(t.Events))
+	}
+	numAddrs := t.NumAddrs()
+	if len(x.CO) > numAddrs {
+		return fmt.Errorf("exec: co has %d addresses, test has %d", len(x.CO), numAddrs)
+	}
+	writes := make([][]int, numAddrs)
+	var fences []int
+	for _, e := range t.Events {
+		switch {
+		case e.Kind == litmus.KRead:
+			src := x.RF[e.ID]
+			if src < -1 || src >= len(t.Events) ||
+				src >= 0 && (t.Events[src].Kind != litmus.KWrite || t.Events[src].Addr != e.Addr) {
+				return fmt.Errorf("exec: read %d reads from %d, not the initial value or a write to its address", e.ID, src)
+			}
+		case e.Kind == litmus.KWrite:
+			writes[e.Addr] = append(writes[e.Addr], e.ID)
+		case e.Kind == litmus.KFence && e.Fence == litmus.FSC:
+			fences = append(fences, e.ID)
+		}
+	}
+	for a, ws := range writes {
+		var co []int
+		if a < len(x.CO) {
+			co = x.CO[a]
+		}
+		if !isPermutation(co, ws) {
+			return fmt.Errorf("exec: co of address %d is %v, not an order of its writes %v", a, co, ws)
+		}
+	}
+	if x.SC != nil && !isPermutation(x.SC, fences) {
+		return fmt.Errorf("exec: sc is %v, not an order of the sc fences %v", x.SC, fences)
+	}
+	return nil
+}
+
+// isPermutation reports whether order lists every ID of set exactly once
+// and nothing else.
+func isPermutation(order, set []int) bool {
+	if len(order) != len(set) {
+		return false
+	}
+	for _, id := range set {
+		n := 0
+		for _, o := range order {
+			if o == id {
+				n++
+			}
+		}
+		if n != 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // coPosition returns the 1-based coherence position of write w, which is

@@ -498,7 +498,7 @@ func (s *Server) handleSuiteBundle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Memsynth-Digest", digest)
-	writeJSON(w, http.StatusOK, cluster.SuiteBundle{Manifest: ss.Manifest, Texts: ss.Texts})
+	writeJSON(w, http.StatusOK, ss)
 }
 
 // writeSuite renders a synthesize response in the requested format.

@@ -306,7 +306,16 @@ func TestJobProgressCarriesRecord(t *testing.T) {
 			s, ts := newTestServer(t, t.TempDir())
 			ran := make(chan *synth.Result, 1)
 			release := make(chan struct{})
-			defer close(release)
+			// Release the job and let it store its suite before the
+			// server closes and its store's directory is removed.
+			t.Cleanup(func() {
+				close(release)
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				if err := s.Drain(ctx); err != nil {
+					t.Errorf("job did not finish: %v", err)
+				}
+			})
 			// The engine run finishes (its done event is the job's
 			// progress), then holds the job running until the test has
 			// read that progress.

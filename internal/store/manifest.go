@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"memsynth/internal/canon"
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
@@ -149,11 +150,12 @@ const UnionSuite = "union"
 // StoredSuite is one store entry: the manifest plus the litmus text of
 // every suite. Texts are the canonical byte-identical artifacts (what the
 // suites API serves); the manifest carries everything needed to rebuild a
-// *synth.Result.
+// *synth.Result. As JSON it is the payload of GET /v1/suites/{digest}/bundle,
+// the transfer unit of the cluster's peer read-through cache tier.
 type StoredSuite struct {
-	Manifest *Manifest
+	Manifest *Manifest `json:"manifest"`
 	// Texts maps suite name ("union" or an axiom name) to litmus text.
-	Texts map[string]string
+	Texts map[string]string `json:"texts"`
 }
 
 // Text returns the litmus text of the named suite.
@@ -212,21 +214,9 @@ func Encode(res *synth.Result) (*StoredSuite, error) {
 	}
 	texts := make(map[string]string)
 	encodeSuite := func(name string, s *synth.Suite) {
-		sm := SuiteManifest{File: suiteFileName(name), Tests: len(s.Entries)}
-		specs := make([]*litmus.Spec, len(s.Entries))
-		for i, e := range s.Entries {
-			specs[i] = &litmus.Spec{Test: e.Test, Forbid: e.Exec.OutcomeConds()}
-			em := EntryManifest{
-				Key:  e.Key,
-				Size: e.Size,
-				RF:   e.Exec.RF,
-				CO:   e.Exec.CO,
-				SC:   e.Exec.SC,
-			}
-			sm.Entries = append(sm.Entries, em)
-		}
-		m.Suites[name] = sm
-		texts[name] = litmus.FormatSuite(specs)
+		text, entries := EncodeEntries(s.Entries)
+		m.Suites[name] = SuiteManifest{File: suiteFileName(name), Tests: len(s.Entries), Entries: entries}
+		texts[name] = text
 	}
 	encodeSuite(UnionSuite, res.Union)
 	for name, s := range res.PerAxiom {
@@ -258,23 +248,9 @@ func (ss *StoredSuite) Result() (*synth.Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("store: digest %s: suite %q text missing", m.Digest, name)
 		}
-		specs, err := litmus.ParseSuite(strings.NewReader(text))
+		entries, err := DecodeEntries(text, sm.Entries)
 		if err != nil {
 			return nil, fmt.Errorf("store: digest %s: suite %q: %w", m.Digest, name, err)
-		}
-		if len(specs) != len(sm.Entries) {
-			return nil, fmt.Errorf("store: digest %s: suite %q has %d tests but %d manifest entries",
-				m.Digest, name, len(specs), len(sm.Entries))
-		}
-		entries := make([]synth.Entry, len(specs))
-		for i, spec := range specs {
-			em := sm.Entries[i]
-			entries[i] = synth.Entry{
-				Test: spec.Test,
-				Exec: &exec.Execution{Test: spec.Test, RF: em.RF, CO: em.CO, SC: em.SC},
-				Key:  em.Key,
-				Size: em.Size,
-			}
 		}
 		s := synth.NewSuite(m.Model, name, entries)
 		if name == UnionSuite {
@@ -288,4 +264,52 @@ func (ss *StoredSuite) Result() (*synth.Result, error) {
 	}
 	res.Stats.Entries = len(res.Union.Entries)
 	return res, nil
+}
+
+// EncodeEntries is the one entry encoding, shared by stored suites and
+// cluster shard uploads: the entries' tests as one litmus suite text, in
+// entry order, and beside it each entry's manifest (class key, size and
+// witness relations).
+func EncodeEntries(entries []synth.Entry) (string, []EntryManifest) {
+	specs := make([]*litmus.Spec, len(entries))
+	// Appended, not made, so that an empty suite's manifest keeps the
+	// "entries": null of the manifests already on disk.
+	var manifests []EntryManifest
+	for i, e := range entries {
+		specs[i] = &litmus.Spec{Test: e.Test, Forbid: e.Exec.OutcomeConds()}
+		manifests = append(manifests, EntryManifest{Key: e.Key, Size: e.Size, RF: e.Exec.RF, CO: e.Exec.CO, SC: e.Exec.SC})
+	}
+	return litmus.FormatSuite(specs), manifests
+}
+
+// DecodeEntries inverts EncodeEntries: it reparses the tests and rebuilds
+// each witness execution from its manifest. The bytes may come from disk
+// or from another node, so every entry is checked before anything indexes
+// through its relations: the witness must be well formed, its size must
+// be the test's event count, and its key the canonical key of the rebuilt
+// execution.
+func DecodeEntries(text string, manifests []EntryManifest) ([]synth.Entry, error) {
+	specs, err := litmus.ParseSuite(strings.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	if len(specs) != len(manifests) {
+		return nil, fmt.Errorf("%d tests but %d entry manifests", len(specs), len(manifests))
+	}
+	entries := make([]synth.Entry, len(specs))
+	for i, spec := range specs {
+		em := manifests[i]
+		x := &exec.Execution{Test: spec.Test, RF: em.RF, CO: em.CO, SC: em.SC}
+		if err := x.WellFormed(); err != nil {
+			return nil, fmt.Errorf("entry %d: %w", i, err)
+		}
+		if em.Size != len(spec.Test.Events) {
+			return nil, fmt.Errorf("entry %d: size %d, test has %d events", i, em.Size, len(spec.Test.Events))
+		}
+		if key := canon.Key(x); key != em.Key {
+			return nil, fmt.Errorf("entry %d: key %q is not the witness's canonical key %q", i, em.Key, key)
+		}
+		entries[i] = synth.Entry{Test: spec.Test, Exec: x, Key: em.Key, Size: em.Size}
+	}
+	return entries, nil
 }

@@ -138,6 +138,47 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeEntries pins the one entry codec: every builtin's union
+// survives EncodeEntries → DecodeEntries with its tests, keys and
+// witnesses (each key recomputes from the reparsed test), and an entry
+// whose witness is malformed, whose size is not its test's or whose key
+// is not its witness's is rejected.
+func TestDecodeEntries(t *testing.T) {
+	for _, m := range memmodel.All() {
+		res := synth.Synthesize(m, synth.Options{MaxEvents: 3})
+		text, manifests := EncodeEntries(res.Union.Entries)
+		back, err := DecodeEntries(text, manifests)
+		if err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		for i, e := range res.Union.Entries {
+			if b := back[i]; b.Key != e.Key || b.Size != e.Size || b.Exec.OutcomeString() != e.Exec.OutcomeString() {
+				t.Errorf("%s entry %d: (%s, %d, %s) decoded as (%s, %d, %s)", m.Name(), i,
+					e.Key, e.Size, e.Exec.OutcomeString(), b.Key, b.Size, b.Exec.OutcomeString())
+			}
+		}
+	}
+
+	res := synthesizeSC(t, 3)
+	text, manifests := EncodeEntries(res.Union.Entries)
+	for name, mutate := range map[string]func(em *EntryManifest){
+		"empty rf": func(em *EntryManifest) { em.RF = []int{} },
+		"no co":    func(em *EntryManifest) { em.CO = nil },
+		"size":     func(em *EntryManifest) { em.Size++ },
+		"key":      func(em *EntryManifest) { em.Key += "x" },
+	} {
+		bad := make([]EntryManifest, len(manifests))
+		copy(bad, manifests)
+		mutate(&bad[len(bad)-1])
+		if _, err := DecodeEntries(text, bad); err == nil {
+			t.Errorf("%s: corrupt entry decoded", name)
+		}
+	}
+	if _, err := DecodeEntries(text, manifests[1:]); err == nil {
+		t.Error("more tests than entry manifests decoded")
+	}
+}
+
 // manifestFixture is a tso@2 manifest (CountForbidden on) in the format
 // written before the stats record carried "entries" and "interrupted".
 const manifestFixture = `{"format_version":1,"digest":"5933a778e0ae80c356b31fd0ddb4b7477a64c67e9e73fed035291ba64b48cc34","engine_version":"1","model":"tso","model_source":"builtin","backend":"enum","options":{"min_events":2,"max_events":2,"max_threads":4,"max_addrs":3,"max_deps":2,"max_rmws":1,"count_forbidden":true},"created_at":"2026-10-17T08:04:52Z","stats":{"programs_raw":7,"programs":6,"executions":11,"executions_fast":1,"forbidden_outcomes":3,"elapsed_ns":237502,"generation_ns":59542,"dedupe_ns":24015,"execution_ns":51011,"minimality_ns":42660},"suites":{"causality":{"file":"axiom-causality.litmus","tests":1,"entries":[{"key":"T0,g0:[k1o0f0s0a0][k1o0f0s0a0];DMRC|1,0,","size":2,"rf":[-1,-1],"co":[[1,0]]}]},"rmw_atomicity":{"file":"axiom-rmw_atomicity.litmus","tests":0,"entries":null},"sc_per_loc":{"file":"axiom-sc_per_loc.litmus","tests":3,"entries":[{"key":"T0,g0:[k0o0f0s0a0][k1o0f0s0a0];DMR(1)C|1,","size":2,"rf":[1,-1],"co":[[1]]},{"key":"T0,g0:[k1o0f0s0a0][k0o0f0s0a0];DMR(i)C|0,","size":2,"rf":[-1,-1],"co":[[0]]},{"key":"T0,g0:[k1o0f0s0a0][k1o0f0s0a0];DMRC|1,0,","size":2,"rf":[-1,-1],"co":[[1,0]]}]},"union":{"file":"union.litmus","tests":3,"entries":[{"key":"T0,g0:[k0o0f0s0a0][k1o0f0s0a0];DMR(1)C|1,","size":2,"rf":[1,-1],"co":[[1]]},{"key":"T0,g0:[k1o0f0s0a0][k0o0f0s0a0];DMR(i)C|0,","size":2,"rf":[-1,-1],"co":[[0]]},{"key":"T0,g0:[k1o0f0s0a0][k1o0f0s0a0];DMRC|1,0,","size":2,"rf":[-1,-1],"co":[[1,0]]}]}}}`

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"testing"
 
 	"memsynth/internal/canon"
@@ -17,10 +18,16 @@ import (
 // through the public layers — EnumeratePrograms, first-wins ProgramKey,
 // exec.Enumerate, minimal.Checker, canon.Key — collects every forbidden
 // key with its program class, and the engine's Entries and
-// ForbiddenOutcomes must equal the replay's global distinct counts. Every
+// ForbiddenOutcomes must equal the replay's global distinct counts.
+//
+// The engine also keeps only the first finding of a key within a program,
+// which drops nothing only if every repeat of a key within one program is
+// minimal for the same axioms; the replay checks that too, and fails if no
+// builtin repeats a key at all, so the check cannot pass vacuously. Every
 // builtin runs at bound 4, except armv8, scc and hsa at bound 3.
 func TestEntryKeysStayInProgramClass(t *testing.T) {
 	small := map[string]bool{"armv8": true, "scc": true, "hsa": true}
+	repeats, ran := 0, 0
 	for _, m := range memmodel.All() {
 		bound := 4
 		if small[m.Name()] {
@@ -38,6 +45,7 @@ func TestEntryKeysStayInProgramClass(t *testing.T) {
 					return true
 				}
 				seen[pk] = true
+				axioms := make(map[string]string) // entry key → its MinimalFor axioms
 				c.Bind(p)
 				exec.Enumerate(p, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
 					v := c.Check(x)
@@ -49,7 +57,15 @@ func TestEntryKeysStayInProgramClass(t *testing.T) {
 						t.Errorf("key %s comes from program classes %s and %s", key, prev, pk)
 					}
 					class[key] = pk
-					if len(v.MinimalFor()) > 0 {
+					if mins := v.MinimalFor(); len(mins) > 0 {
+						set := fmt.Sprint(mins)
+						if prev, ok := axioms[key]; ok {
+							repeats++
+							if prev != set {
+								t.Errorf("key %s repeats in one program minimal for axioms %s and %s", key, prev, set)
+							}
+						}
+						axioms[key] = set
 						entries[key] = true
 					}
 					return true
@@ -65,6 +81,11 @@ func TestEntryKeysStayInProgramClass(t *testing.T) {
 					res.Stats.ForbiddenOutcomes, res.Stats.Entries, len(class), len(entries))
 			}
 			t.Logf("%s@%d: %d programs, %d forbidden keys, %d entries", m.Name(), bound, len(seen), len(class), len(entries))
+			ran++
 		})
 	}
+	if ran == len(memmodel.All()) && repeats == 0 {
+		t.Error("no builtin repeated an entry key within a program; the axiom-set check checked nothing")
+	}
+	t.Logf("%d entry-key repeats within programs", repeats)
 }

@@ -324,8 +324,8 @@ func TestCancelDuringGenerate(t *testing.T) {
 			return res.Stats
 		})
 		for _, se := range res.Entries {
-			if se.Size > 4 {
-				t.Fatalf("shard entry of size %d merged from the interrupted size", se.Size)
+			if se.Entry.Size > 4 {
+				t.Fatalf("shard entry of size %d merged from the interrupted size", se.Entry.Size)
 			}
 		}
 	})

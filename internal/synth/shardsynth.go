@@ -3,7 +3,6 @@ package synth
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"memsynth/internal/memmodel"
 )
@@ -16,10 +15,11 @@ import (
 // so all shards agree on the identical per-size winner list, then each
 // shard explores only the winners whose per-size index is congruent to
 // Index modulo Stride. The union of the shards' explored programs is
-// therefore exactly the single-node winner set, partitioned, and
-// MergeShards replays the per-entry suite adds in the engine's global
-// (size, winner, within-program) order — reproducing the single-node
-// first-wins merge byte for byte, for any stride.
+// therefore exactly the single-node winner set, partitioned. A canonical
+// key embeds its program's encoding, so the shards' findings are disjoint
+// sets of keys, and MergeShards unions them in any order: the suites'
+// final (Size, Key) sort reproduces the single-node suites byte for byte,
+// for any stride.
 
 // ShardSpec selects one (index, stride) partition of the deduped program
 // stream. Stride 1 / index 0 is the whole stream (equivalent to a plain
@@ -40,16 +40,9 @@ func (s ShardSpec) Validate() error {
 	return nil
 }
 
-// ShardEntry is one minimal-test finding of a shard run, tagged with its
-// merge position: Size is the instruction-count phase, Winner the
-// per-size index of the program in the deduped generation order, Within
-// the finding's index among that program's findings. Sorting all shards'
-// entries by (Size, Winner, Within) recovers the exact order the
-// single-node engine would have fed them to the suites.
+// ShardEntry is one minimal-test finding of a shard run: the entry and
+// the axioms it belongs to. A shard reports each class key at most once.
 type ShardEntry struct {
-	Size   int
-	Winner int
-	Within int
 	// Axioms are the names of the axioms the entry is minimal for, in the
 	// engine's axiom order.
 	Axioms []string
@@ -117,10 +110,10 @@ func sameOutputOptions(a, b Options) bool {
 // MergeShards folds a complete set of shard results — exactly one per
 // index in [0, stride) — into a single Result that is byte-identical
 // (suite texts, entry order, store digest) to a single-node run of the
-// same (model, options). The merge replays every entry's suite adds in
-// the global (Size, Winner, Within) order through the same code a
-// single-node run fills its suites with, in the same order, so first-wins
-// picks the same representatives.
+// same (model, options). The shards' findings are disjoint sets of class
+// keys, so the merge adds them in any order through the same fill a
+// single-node run uses. A key that two shards both carry means they
+// explored one class, and the merge fails instead of keeping either.
 //
 // Stats are folded by MergeStats. The shards' Entries and
 // ForbiddenOutcomes add up exactly: a canonical key embeds its program's
@@ -166,18 +159,6 @@ func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result
 	for _, sr := range shards {
 		all = append(all, sr.Entries...)
 	}
-	// (Size, Winner) pairs are unique across shards — the winner index
-	// space is partitioned — so this order is total and deterministic.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Size != all[j].Size {
-			return all[i].Size < all[j].Size
-		}
-		if all[i].Winner != all[j].Winner {
-			return all[i].Winner < all[j].Winner
-		}
-		return all[i].Within < all[j].Within
-	})
-
 	res := newResult(m, opts)
 	res.Backend = "cluster"
 	if err := res.fill(all); err != nil {

@@ -146,6 +146,38 @@ func TestShardMergeCountForbidden(t *testing.T) {
 	}
 }
 
+// TestShardMergeRejectsDuplicateKeys hands the merge two shards that
+// carry the same entry key. Shards explore disjoint program classes, so
+// that can only mean two shards explored one class, and the merge must
+// fail instead of keeping either copy.
+func TestShardMergeRejectsDuplicateKeys(t *testing.T) {
+	m, err := memmodel.ByName("sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxEvents: 3}
+	shards := make([]*ShardResult, 2)
+	for i := range shards {
+		if shards[i], err = SynthesizeShard(context.Background(), m, opts, ShardSpec{Index: i, Stride: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := MergeShards(m, opts, shards); err != nil {
+		t.Fatalf("disjoint shards: %v", err)
+	}
+	src, dst := shards[0], shards[1]
+	if len(src.Entries) == 0 {
+		src, dst = dst, src
+	}
+	if len(src.Entries) == 0 {
+		t.Fatal("no shard found an entry")
+	}
+	dst.Entries = append(dst.Entries, src.Entries[0])
+	if _, err := MergeShards(m, opts, shards); err == nil {
+		t.Errorf("merge accepted key %s from both shards", src.Entries[0].Entry.Key)
+	}
+}
+
 // TestShardValidationAndInterrupts covers the merge preconditions: bad
 // specs, incomplete covers, mixed strides, and interrupted shards are all
 // rejected rather than silently merged.

@@ -22,9 +22,10 @@
 // Each instruction-count size runs in two phases: generate (skeleton
 // enumeration feeding canonical-key dedupe workers) and explore (workers
 // enumerate executions of each distinct program and apply the minimality
-// criterion). Per-program findings are buffered and added to the suites in
-// generation order, which reproduces the sequential engine's output
-// exactly.
+// criterion). A canonical key embeds its program's encoding, so no key
+// comes from two program classes: each program keeps the first finding of
+// every key, the findings of all programs form a set, and the suites'
+// final (Size, Key) sort fixes their order whatever order they arrive in.
 package synth
 
 import (
@@ -260,8 +261,9 @@ func Synthesize(m memmodel.Model, opts Options) *Result {
 // SynthesizeContext runs minimal-test synthesis for model m, honoring ctx
 // cancellation and deadline. A cancelled run stops promptly and returns
 // the suites synthesized so far with Stats.Interrupted set (and a nil
-// error — partial results are results). The only error returned is an
-// Options validation failure.
+// error — partial results are results). It returns an error for invalid
+// Options, and from fill, which only fails if two programs reported one
+// class key.
 func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -278,12 +280,17 @@ func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Re
 	return res, nil
 }
 
-// fill adds entries, which must be in (Size, Winner, Within) order, to
-// the suites of r — each under its axioms and the union, first of a key
-// wins — and sorts the suites. A single-node run and a shard merge both
-// build their suites here.
+// fill adds entries, in any order, to the suites of r — each under its
+// axioms and the union — and sorts the suites. A single-node run and a
+// shard merge both build their suites here. Each program reports a key at
+// most once and no key comes from two program classes, so a key that
+// reaches the union twice means one class was explored twice (by two
+// shards of a merge): fill returns an error rather than keep either.
 func (r *Result) fill(entries []ShardEntry) error {
 	for _, se := range entries {
+		if !r.Union.add(se.Entry) {
+			return fmt.Errorf("synth: entry key %q found twice", se.Entry.Key)
+		}
 		for _, name := range se.Axioms {
 			s, ok := r.PerAxiom[name]
 			if !ok {
@@ -291,7 +298,6 @@ func (r *Result) fill(entries []ShardEntry) error {
 			}
 			s.add(se.Entry)
 		}
-		r.Union.add(se.Entry)
 	}
 	r.Union.sortEntries()
 	for _, s := range r.PerAxiom {
@@ -375,9 +381,9 @@ func newEngine(m memmodel.Model, opts Options) *engine {
 // run is the engine's one size loop, shared by SynthesizeContext and
 // SynthesizeShard. Every size is generated and deduped in full; then
 // only the winners whose per-size index is congruent to shard.Index
-// modulo shard.Stride are explored. It returns their findings in
-// (Size, Winner, Within) order, the order the suites take them in. A
-// cancelled run stops promptly and reports Stats.Interrupted.
+// modulo shard.Stride are explored. It returns their findings, one per
+// class key. A cancelled run stops promptly and reports
+// Stats.Interrupted.
 func (e *engine) run(ctx context.Context, shard ShardSpec) ([]ShardEntry, Stats) {
 	e.start = time.Now()
 
@@ -414,11 +420,8 @@ func (e *engine) run(ctx context.Context, shard ShardSpec) ([]ShardEntry, Stats)
 			break
 		}
 		e.prog.emit(PhaseExplore, e.snapshot())
-		for i, fs := range e.explore(winners, shard) {
-			for _, f := range fs {
-				f.Size, f.Winner = n, shard.Index+i*shard.Stride
-				found = append(found, f)
-			}
+		for _, fs := range e.explore(winners, shard) {
+			found = append(found, fs...)
 		}
 	}
 
@@ -599,11 +602,14 @@ func (e *engine) explore(winners []*litmus.Test, shard ShardSpec) [][]ShardEntry
 // Decide forced skips the minimality check: it cannot be minimal (both
 // filters are sound, so every finding an unfiltered run makes survives).
 //
-// The findings carry their axiom names and Within index; run sets Size
-// and Winner. The distinct entry and forbidden-outcome keys are counted
-// per program: a canonical key embeds its program's encoding, so no key
-// is shared by two program classes and the per-program counts add up to
-// the run's. On cancellation mid-program the partial findings are
+// The findings carry their axiom names, one finding per distinct entry
+// key: a repeat of a key within the program is a symmetric image of an
+// execution already found, with the same axiom set
+// (TestEntryKeysStayInProgramClass checks this), so it returns before its
+// execution is cloned. The distinct entry and forbidden-outcome keys are
+// counted per program: a canonical key embeds its program's encoding, so
+// no key is shared by two program classes and the per-program counts add
+// up to the run's. On cancellation mid-program the partial findings are
 // discarded, and so is their entry count (the other counters keep what
 // was actually checked).
 func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmus.Test) []ShardEntry {
@@ -647,14 +653,17 @@ func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmu
 		if entryKeys == nil {
 			entryKeys = make(map[string]struct{})
 		}
+		_, repeat := entryKeys[key]
 		entryKeys[key] = struct{}{}
 		dedupeNS += int64(time.Since(d0))
+		if repeat {
+			return true
+		}
 		names := make([]string, len(mins))
 		for k, ai := range mins {
 			names[k] = e.axioms[ai].Name
 		}
 		found = append(found, ShardEntry{
-			Within: len(found),
 			Axioms: names,
 			Entry:  Entry{Test: t, Exec: x.Clone(), Key: key, Size: len(t.Events)},
 		})
