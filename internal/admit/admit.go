@@ -29,15 +29,18 @@
 // and store digests are byte-identical with the filter on or off
 // (DESIGN.md §15).
 //
-// Algorithms are registered for the builtin sc and tso models only. The
-// tso check folds the store buffer into the closure: its causality graph
-// (rfe ∪ co ∪ fr ∪ ppo ∪ mfence-order, with ppo = po minus write→read)
-// is saturated jointly with the sc_per_loc graph over one shared forced
-// coherence set, rather than enumerating coherence and fence
-// permutations. Models without a registered algorithm — power, armv7,
-// and every cat-compiled model, including one *named* "sc" or "tso"
-// (gated on memmodel.SourceOf, not the name) — fall back to plain
-// enumeration.
+// The graphs come from the model itself: an axiom built by
+// memmodel.Acyclic declares acyclic(static ∪ rf ∪ co ∪ fr), or with rfe
+// in place of rf, and this package saturates that declaration in each
+// application's static context; the minimality check evaluates the same
+// declaration through the axiom's Holds. No model is named here. All of a
+// model's graphs are saturated jointly over one shared forced-coherence
+// set, which is how a store-buffer model's causality graph (rfe ∪ co ∪ fr
+// ∪ ppo ∪ fence order) replaces enumerating its write→read reorderings.
+// A model's other axioms are ignored, which weakens refutation but never
+// soundness. A model that declares no graph — including every
+// cat-compiled model, whatever its name — falls back to plain enumeration
+// (DESIGN.md §15 lists which builtins do).
 package admit
 
 import (
@@ -51,64 +54,36 @@ import (
 	"memsynth/internal/relation"
 )
 
-// graph is one acyclicity constraint of a perturbed model, split into its
-// execution-independent base edges and the rf-inclusion rule. Every
-// registered graph must contain the full co and fr relations (the
-// saturation rules rely on co ⊆ graph and fr ⊆ graph to justify forced
-// edges).
+// graph is one acyclicity axiom of the model (memmodel.Graph) in one
+// relaxation application: its static base edges and the rf-inclusion rule.
+// Every such graph contains the full co and fr relations (the saturation
+// rules rely on co ⊆ graph and fr ⊆ graph to justify forced edges).
 type graph struct {
-	// base holds the static edges (program-order fragments, fence
-	// orderings) of the perturbed test.
-	base relation.Rel
-	// rfExternal restricts the rf edges folded into the graph to
-	// cross-thread ones (tso causality uses rfe, not rf).
-	rfExternal bool
+	base       relation.Rel
+	rfExternal bool // only the cross-thread rf edges (rfe) are in the graph
 }
 
-// graphsFunc derives a model's acyclicity graphs from the static
-// evaluation context of one relaxation application. The view is used for
-// its static accessors only (it is never Reset).
-type graphsFunc func(v *exec.View) []graph
-
-// algorithms maps builtin model names to their graph builders. Only the
-// acyclicity axioms appear: ignoring rmw_atomicity costs pruning power but
-// never soundness (refuting a weaker axiom set still refutes the model).
-var algorithms = map[string]graphsFunc{
-	"sc":  scGraphs,
-	"tso": tsoGraphs,
-}
-
-// scGraphs: sc_order = acyclic(com ∪ po), i.e. one graph with base po and
-// all rf edges.
-func scGraphs(v *exec.View) []graph {
-	return []graph{{base: v.PO()}}
-}
-
-// tsoGraphs: sc_per_loc = acyclic(com ∪ po_loc) and causality =
-// acyclic(rfe ∪ co ∪ fr ∪ ppo ∪ mfence-order) with ppo = po \ (W×R).
-// Saturating both over one shared forced-co set is what replaces the
-// store-buffer (write→read reordering) permutations.
-func tsoGraphs(v *exec.View) []graph {
-	ppo := v.PO().Minus(relation.Cross(v.N(), v.Writes(), v.Reads()))
-	ppo.UnionWith(v.FenceRel(litmus.FMFence))
-	return []graph{
-		{base: v.POLoc()},
-		{base: ppo, rfExternal: true},
-	}
-}
-
-// Supports reports whether model m has a registered fast-admissibility
-// algorithm, with a human-readable reason when it does not. Only builtin
-// models qualify: a compiled model shadowing a builtin name has its own
-// semantics and must take the enumeration fallback.
+// Supports reports whether model m declares an acyclicity graph for fast
+// admissibility to saturate, with a human-readable reason when it does
+// not. Only the graphs are saturated: ignoring the model's other axioms
+// costs pruning power but never soundness (refuting a weaker axiom set
+// still refutes the model).
 func Supports(m memmodel.Model) (bool, string) {
-	if src, _ := memmodel.SourceOf(m); src != "builtin" {
-		return false, fmt.Sprintf("model %q is %s-compiled; fast admissibility covers only the builtin native models", m.Name(), src)
-	}
-	if _, ok := algorithms[m.Name()]; !ok {
-		return false, fmt.Sprintf("model %q has no registered fast-admissibility algorithm", m.Name())
+	if len(declaredGraphs(m)) == 0 {
+		return false, fmt.Sprintf("model %q declares no acyclic(static ∪ rf ∪ co ∪ fr) axiom graph", m.Name())
 	}
 	return true, ""
+}
+
+// declaredGraphs returns the graphs m's axioms declare, in axiom order.
+func declaredGraphs(m memmodel.Model) []*memmodel.Graph {
+	var gs []*memmodel.Graph
+	for _, a := range m.Axioms() {
+		if a.Graph != nil {
+			gs = append(gs, a.Graph)
+		}
+	}
+	return gs
 }
 
 // Capability describes one model's fast-admissibility support, for
@@ -132,15 +107,11 @@ func Models() []Capability {
 	return caps
 }
 
-// appCtx is the per-relaxation-application static state: the perturbed
-// graphs plus the live-event classification the saturation rules consult.
+// appCtx is the per-relaxation-application static state: the
+// application's static context and the model's graphs in it.
 type appCtx struct {
-	view   *exec.View
-	live   relation.Set
-	reads  relation.Set
+	*exec.StaticCtx
 	graphs []graph
-	// liveWrites[a] is the set of live writes to address a.
-	liveWrites []relation.Set
 }
 
 // Checker decides fast admissibility for the rf assignments of one bound
@@ -149,8 +120,7 @@ type appCtx struct {
 // saturation per assignment. A Checker is not safe for concurrent use;
 // the synthesis engine gives each worker its own.
 type Checker struct {
-	model  memmodel.Model
-	build  graphsFunc
+	decls  []*memmodel.Graph
 	nAddrs int
 
 	t    *litmus.Test
@@ -172,13 +142,14 @@ type Checker struct {
 	unionCo relation.Rel // forced co edges across all apps of one Decide
 }
 
-// NewChecker returns a Checker for model m, or nil when the model has no
-// registered algorithm (see Supports).
+// NewChecker returns a Checker for model m, or nil when the model declares
+// no acyclicity graph (see Supports).
 func NewChecker(m memmodel.Model) *Checker {
-	if ok, _ := Supports(m); !ok {
+	decls := declaredGraphs(m)
+	if len(decls) == 0 {
 		return nil
 	}
-	return &Checker{model: m, build: algorithms[m.Name()]}
+	return &Checker{decls: decls}
 }
 
 // Bind points the checker at test t with the model's relaxation
@@ -210,18 +181,9 @@ func (c *Checker) Bind(t *litmus.Test, apps []exec.Perturb) {
 // the front application alone.
 func (c *Checker) appCtxFor(i int) *appCtx {
 	if c.perApp[i] == nil {
-		v := exec.NewStaticCtx(c.t, c.apps[i]).NewView()
-		a := &appCtx{
-			view:       v,
-			live:       v.Live(),
-			reads:      v.Reads(),
-			graphs:     c.build(v),
-			liveWrites: make([]relation.Set, c.nAddrs),
-		}
-		for _, e := range c.t.Events {
-			if e.Kind == litmus.KWrite && a.live.Has(e.ID) {
-				a.liveWrites[e.Addr] = a.liveWrites[e.Addr].Add(e.ID)
-			}
+		a := &appCtx{StaticCtx: exec.NewStaticCtx(c.t, c.apps[i]), graphs: make([]graph, len(c.decls))}
+		for k, d := range c.decls {
+			a.graphs[k] = graph{base: d.Base(a.StaticCtx), rfExternal: d.RFExternal()}
 		}
 		c.perApp[i] = a
 	}
@@ -282,13 +244,14 @@ func (c *Checker) Extends(co [][]int) bool {
 func (c *Checker) saturate(a *appCtx, rf []int) bool {
 	c.fco.Clear()
 	c.ffr.Clear()
+	reads, live, ext := a.Reads(), a.Live(), a.Ext()
 
 	// An initial (non-orphaned) read is from-reads-before every live write
 	// to its address, for every coherence order.
-	for m := a.reads; m != 0; m &= m - 1 {
+	for m := reads; m != 0; m &= m - 1 {
 		r := bits.TrailingZeros64(uint64(m))
 		if rf[r] < 0 {
-			c.ffr.UnionRow(r, a.liveWrites[c.t.Events[r].Addr])
+			c.ffr.UnionRow(r, a.LiveWrites(c.t.Events[r].Addr))
 		}
 	}
 
@@ -299,13 +262,13 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 			// base, the rf edges the graph includes, and everything forced
 			// so far.
 			c.cl.CopyFrom(g.base)
-			for m := a.reads; m != 0; m &= m - 1 {
+			for m := reads; m != 0; m &= m - 1 {
 				r := bits.TrailingZeros64(uint64(m))
 				src := rf[r]
-				if src < 0 || !a.live.Has(src) {
+				if src < 0 || !live.Has(src) {
 					continue // initial or orphaned (source removed by RI)
 				}
-				if g.rfExternal && !a.view.Ext().Has(src, r) {
+				if g.rfExternal && !ext.Has(src, r) {
 					continue
 				}
 				c.cl.Add(src, r)
@@ -321,7 +284,7 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 			// co(w1, w2): the opposite orientation would put the co edge
 			// w2→w1 on the path's cycle.
 			for addr := 0; addr < c.nAddrs; addr++ {
-				ws := a.liveWrites[addr]
+				ws := a.LiveWrites(addr)
 				if ws.Size() < 2 {
 					continue
 				}
@@ -339,14 +302,14 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 				}
 			}
 
-			for m := a.reads; m != 0; m &= m - 1 {
+			for m := reads; m != 0; m &= m - 1 {
 				r := bits.TrailingZeros64(uint64(m))
 				src := rf[r]
-				if src < 0 || !a.live.Has(src) {
+				if src < 0 || !live.Has(src) {
 					continue
 				}
-				rfInGraph := !g.rfExternal || a.view.Ext().Has(src, r)
-				for mw := a.liveWrites[c.t.Events[r].Addr].Remove(src); mw != 0; mw &= mw - 1 {
+				rfInGraph := !g.rfExternal || ext.Has(src, r)
+				for mw := a.LiveWrites(c.t.Events[r].Addr).Remove(src); mw != 0; mw &= mw - 1 {
 					w := bits.TrailingZeros64(uint64(mw))
 					// (wr) A path w →+ r forces co(w, src): co(src, w)
 					// would derive fr(r, w), closing the cycle w →+ r → w.
@@ -389,7 +352,7 @@ func (c *Checker) force(a *appCtx, rf []int, w1, w2 int) (bool, bool) {
 		return false, false
 	}
 	c.fco.Add(w1, w2)
-	for m := a.reads; m != 0; m &= m - 1 {
+	for m := a.Reads(); m != 0; m &= m - 1 {
 		r := bits.TrailingZeros64(uint64(m))
 		if rf[r] == w1 {
 			c.ffr.Add(r, w2)

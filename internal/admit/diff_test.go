@@ -80,36 +80,36 @@ func requireIdentical(t *testing.T, m memmodel.Model, bound int, on, off *synth.
 	}
 }
 
-// TestAdmitDifferentialNative: models with a registered closure algorithm
-// must take the fast path, prune a nonzero share of the execution space,
-// and still produce byte-identical suites and digests.
+// TestAdmitDifferentialNative: every builtin that declares an acyclicity
+// graph must take the fast path, prune a nonzero share of the execution
+// space, and still produce byte-identical suites and digests — at bound 4,
+// and sc and tso also at bound 5.
 func TestAdmitDifferentialNative(t *testing.T) {
-	bound := 5
-	if testing.Short() {
-		bound = 4
-	}
-	for _, name := range []string{"sc", "tso"} {
+	for _, name := range admit.SupportedBuiltins() {
+		bounds := []int{4}
+		if (name == "sc" || name == "tso") && !testing.Short() {
+			bounds = append(bounds, 5)
+		}
 		m, err := memmodel.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, reason := admit.Supports(m); !ok {
-			t.Fatalf("expected fast admissibility for %s, got fallback: %s", name, reason)
+		for _, bound := range bounds {
+			on := runAdmit(t, m, "", bound)
+			off := runAdmit(t, m, "off", bound)
+			if on.Admit != "fast" {
+				t.Errorf("%s@%d: Result.Admit = %q, want fast", name, bound, on.Admit)
+			}
+			if on.Stats.ExecutionsFast == 0 {
+				t.Errorf("%s@%d: fast path decided nothing (ExecutionsFast = 0)", name, bound)
+			}
+			requireIdentical(t, m, bound, on, off)
 		}
-		on := runAdmit(t, m, "", bound)
-		off := runAdmit(t, m, "off", bound)
-		if on.Admit != "fast" {
-			t.Errorf("%s@%d: Result.Admit = %q, want fast", name, bound, on.Admit)
-		}
-		if on.Stats.ExecutionsFast == 0 {
-			t.Errorf("%s@%d: fast path decided nothing (ExecutionsFast = 0)", name, bound)
-		}
-		requireIdentical(t, m, bound, on, off)
 	}
 }
 
 // TestAdmitDifferentialAllBuiltins covers every builtin at a small bound:
-// models without a closure algorithm must fall back to full enumeration
+// models that declare no acyclicity graph must fall back to full enumeration
 // (Result.Admit = "off" even when requested) and stay byte-identical.
 func TestAdmitDifferentialAllBuiltins(t *testing.T) {
 	for _, m := range memmodel.All() {
@@ -137,9 +137,10 @@ func TestAdmitDifferentialAllBuiltins(t *testing.T) {
 }
 
 // TestAdmitDifferentialCatModels compiles the example cat definitions.
-// Definition-language models must always fall back — including sc.cat and
-// tso.cat, whose names collide with the builtins that do have algorithms;
-// the gate is the model's provenance, not its name.
+// Compiled axioms declare no acyclicity graph, so these models must always
+// fall back — including sc.cat and tso.cat, whose names collide with
+// builtins that take the fast path; the gate is the model's axioms, not
+// its name.
 func TestAdmitDifferentialCatModels(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "cat", "*.cat"))
 	if err != nil || len(files) == 0 {

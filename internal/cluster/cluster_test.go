@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"memsynth/internal/exec"
+	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
@@ -619,6 +621,68 @@ func TestWorkerDrainHandsBackShard(t *testing.T) {
 	// (dispatches - hand-backs).
 	if got := metricInt(c, "shards_completed"); got != 2 {
 		t.Errorf("shards_completed = %d, want 2", got)
+	}
+}
+
+// TestWorkerReleasesPanickingShard: a model that panics in a worker's
+// engine fails the shard, not the worker: the worker hands the shard back
+// with the panic as the reason and stays live.
+func TestWorkerReleasesPanickingShard(t *testing.T) {
+	cfg := fastConfig()
+	var mu sync.Mutex
+	var logs []string
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	c := New(cfg)
+	defer c.Close()
+	ts := httptest.NewServer(c)
+	defer ts.Close()
+
+	boom := memmodel.Define("boom",
+		[]memmodel.Axiom{{Name: "explodes", Holds: func(*exec.View) bool { panic("axiom exploded") }}},
+		memmodel.Vocab{Ops: []litmus.Op{litmus.R(0), litmus.W(0)}},
+		memmodel.RelaxSpec{})
+	wk := NewWorker(WorkerConfig{CoordinatorURL: ts.URL, Name: "w", DrainGrace: time.Second})
+	wk.synthFn = func(ctx context.Context, _ memmodel.Model, opts synth.Options, shard synth.ShardSpec) (*synth.ShardResult, error) {
+		return synth.SynthesizeShard(ctx, boom, opts, shard)
+	}
+	wctx, wcancel := context.WithCancel(context.Background())
+	wdone := make(chan struct{})
+	go func() {
+		defer close(wdone)
+		wk.Run(wctx)
+	}()
+	defer func() {
+		wcancel()
+		<-wdone
+	}()
+	waitFor(t, func() bool { return c.LiveWorkers() == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Synthesize(ctx, mustModel(t, "sc"), synth.Options{MaxEvents: 2}, nil)
+		done <- err
+	}()
+	waitFor(t, func() bool { return metricInt(c, "shards_released") >= 1 })
+	cancel()
+	<-done
+
+	mu.Lock()
+	seen := append([]string(nil), logs...)
+	mu.Unlock()
+	released := false
+	for _, l := range seen {
+		released = released || (strings.Contains(l, "released by") && strings.Contains(l, "model boom panicked"))
+	}
+	if !released {
+		t.Errorf("no release naming the panic; logs: %q", seen)
+	}
+	if c.LiveWorkers() != 1 {
+		t.Errorf("worker not live after the panicking shard")
 	}
 }
 

@@ -92,7 +92,8 @@ func (p Perturb) String() string {
 // classes, po, po_loc, sameAddr, ext, rmw, and the dependency relations.
 // Computing it once and stamping many executions through it is what makes
 // the synthesis explore phase cheap: per execution only rf, co, fr, and
-// the RI-orphan set have to be rebuilt (View.Reset).
+// the RI-orphan set have to be rebuilt (View.Reset). A View embeds its
+// context, so the static accessors below serve views too.
 //
 // A context and its views are not safe for concurrent use; the synthesis
 // engine gives each worker its own.
@@ -116,7 +117,7 @@ type StaticCtx struct {
 	// of an initial read).
 	liveWrites []relation.Set
 
-	memo map[string]any // StaticMemo storage
+	staticMemo map[string]any // StaticMemo storage
 }
 
 // NewStaticCtx computes the static relations of test t under perturbation
@@ -214,9 +215,175 @@ func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
 	for _, pair := range t.RMW {
 		addDep(litmus.Dep{From: pair[0], To: pair[1], Type: litmus.DepData})
 	}
-	c.depAll = c.dep[litmus.DepAddr].Union(c.dep[litmus.DepData]).Union(c.dep[litmus.DepCtrl])
+	c.depAll = relation.New(c.n)
+	for _, d := range c.dep {
+		c.depAll.UnionWith(d)
+	}
 
 	return c
+}
+
+// Test returns the underlying litmus test.
+func (c *StaticCtx) Test() *litmus.Test { return c.test }
+
+// Perturbation returns the applied perturbation.
+func (c *StaticCtx) Perturbation() Perturb { return c.perturb }
+
+// N returns the universe size (all events, live or not).
+func (c *StaticCtx) N() int { return c.n }
+
+// Live returns the set of live (non-removed) events.
+func (c *StaticCtx) Live() relation.Set { return c.live }
+
+// Reads returns the live read events.
+func (c *StaticCtx) Reads() relation.Set { return c.reads }
+
+// Writes returns the live write events.
+func (c *StaticCtx) Writes() relation.Set { return c.writes }
+
+// Fences returns the live fence events.
+func (c *StaticCtx) Fences() relation.Set { return c.fences }
+
+// LiveWrites returns the live writes to address addr.
+func (c *StaticCtx) LiveWrites(addr int) relation.Set { return c.liveWrites[addr] }
+
+// PO returns (perturbed) program order, transitive.
+func (c *StaticCtx) PO() relation.Rel { return c.po }
+
+// POLoc returns program order restricted to same-address pairs.
+func (c *StaticCtx) POLoc() relation.Rel { return c.poLoc }
+
+// SameAddr returns the symmetric same-address relation over memory events.
+func (c *StaticCtx) SameAddr() relation.Rel { return c.sameAddr }
+
+// Ext returns the cross-thread (external) pair relation.
+func (c *StaticCtx) Ext() relation.Rel { return c.ext }
+
+// RMW returns the (perturbed) read-modify-write pairing.
+func (c *StaticCtx) RMW() relation.Rel { return c.rmw }
+
+// Dep returns the (perturbed) dependency relation of one flavor.
+func (c *StaticCtx) Dep(t litmus.DepType) relation.Rel { return c.dep[t] }
+
+// DepAll returns the union of all dependency flavors.
+func (c *StaticCtx) DepAll() relation.Rel { return c.depAll }
+
+// StaticMemo caches build's value in the static context: it survives
+// View.Reset and is shared by every view of the same (test,
+// perturbation). build must depend only on execution-independent state —
+// po, dependencies, event classes, effective orders/fences/scopes — never
+// on rf, co, fr, orphans, or the sc order.
+func (c *StaticCtx) StaticMemo(key string, build func() any) any {
+	if c.staticMemo == nil {
+		c.staticMemo = make(map[string]any)
+	}
+	if val, ok := c.staticMemo[key]; ok {
+		return val
+	}
+	val := build()
+	c.staticMemo[key] = val
+	return val
+}
+
+// OrderOf returns the effective memory order of event id, honoring a PDMO
+// perturbation.
+func (c *StaticCtx) OrderOf(id int) litmus.Order {
+	if c.perturb.Kind == PDMO && c.perturb.Event == id {
+		return c.perturb.NewOrder
+	}
+	return c.test.Events[id].Order
+}
+
+// FenceOf returns the effective fence kind of event id, honoring a PDF
+// perturbation. Non-fence events return FNone.
+func (c *StaticCtx) FenceOf(id int) litmus.FenceKind {
+	if c.test.Events[id].Kind != litmus.KFence {
+		return litmus.FNone
+	}
+	if c.perturb.Kind == PDF && c.perturb.Event == id {
+		return c.perturb.NewFence
+	}
+	return c.test.Events[id].Fence
+}
+
+// ScopeOf returns the effective scope of event id, honoring a PDS
+// perturbation.
+func (c *StaticCtx) ScopeOf(id int) litmus.Scope {
+	if c.perturb.Kind == PDS && c.perturb.Event == id {
+		return c.perturb.NewScope
+	}
+	return c.test.Events[id].Scope
+}
+
+// Where returns the set of live events satisfying pred.
+func (c *StaticCtx) Where(pred func(id int) bool) relation.Set {
+	var s relation.Set
+	for m := c.live; m != 0; m &= m - 1 {
+		id := bits.TrailingZeros64(uint64(m))
+		if pred(id) {
+			s = s.Add(id)
+		}
+	}
+	return s
+}
+
+// FencesOfKind returns the live fences whose effective kind is one of ks.
+func (c *StaticCtx) FencesOfKind(ks ...litmus.FenceKind) relation.Set {
+	return c.Where(func(id int) bool {
+		fk := c.FenceOf(id)
+		if fk == litmus.FNone {
+			return false
+		}
+		for _, k := range ks {
+			if fk == k {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// FenceRel returns the ordering induced by fences of the given kinds:
+// (po :> F) ; po — every pair of events separated by such a fence in
+// program order (paper Fig. 4's fence function), cached in the context.
+func (c *StaticCtx) FenceRel(ks ...litmus.FenceKind) relation.Rel {
+	key := make([]byte, 0, 16)
+	key = append(key, "fencerel:"...)
+	for _, k := range ks {
+		key = append(key, byte(k))
+	}
+	return c.StaticMemo(string(key), func() any {
+		return c.po.RestrictRange(c.FencesOfKind(ks...)).Join(c.po)
+	}).(relation.Rel)
+}
+
+// ScopeCompatible returns the relation containing pairs (a, b) whose scopes
+// mutually cover each other's thread: a's effective scope includes b's
+// thread and vice versa. Events with ScopeNone cover all threads (non-scoped
+// models are unaffected). The result is cached in the context.
+func (c *StaticCtx) ScopeCompatible() relation.Rel {
+	return c.StaticMemo("scopecompat", func() any {
+		r := relation.New(c.n)
+		covers := func(a, b int) bool {
+			switch c.ScopeOf(a) {
+			case litmus.ScopeNone, litmus.ScopeSys:
+				return true
+			case litmus.ScopeWG:
+				return c.test.GroupOf(c.test.Events[a].Thread) == c.test.GroupOf(c.test.Events[b].Thread)
+			}
+			return false
+		}
+		for ma := c.live; ma != 0; ma &= ma - 1 {
+			a := bits.TrailingZeros64(uint64(ma))
+			for mb := c.live; mb != 0; mb &= mb - 1 {
+				b := bits.TrailingZeros64(uint64(mb))
+				if covers(a, b) && covers(b, a) {
+					r.Add(a, b)
+				}
+			}
+		}
+		return r
+	}).(relation.Rel)
 }
 
 // derived relation cache slots of a View (computed lazily per Reset).
@@ -232,12 +399,12 @@ const (
 )
 
 // View presents the (possibly perturbed) relations of one execution to
-// memory-model axioms. The static relations live in the shared StaticCtx;
-// the dynamic ones (rf, co, fr, orphans) are rebuilt into the view's own
-// scratch buffers by Reset, so one View can stamp through thousands of
-// executions without reallocating.
+// memory-model axioms. The static relations and their accessors come from
+// the embedded StaticCtx; the dynamic ones (rf, co, fr, orphans) are
+// rebuilt into the view's own scratch buffers by Reset, so one View can
+// stamp through thousands of executions without reallocating.
 type View struct {
-	c *StaticCtx
+	*StaticCtx
 	x *Execution
 
 	rf      relation.Rel
@@ -255,10 +422,10 @@ type View struct {
 // scratch buffers; call Reset to point it at an execution.
 func (c *StaticCtx) NewView() *View {
 	return &View{
-		c:  c,
-		rf: relation.New(c.n),
-		co: relation.New(c.n),
-		fr: relation.New(c.n),
+		StaticCtx: c,
+		rf:        relation.New(c.n),
+		co:        relation.New(c.n),
+		fr:        relation.New(c.n),
 	}
 }
 
@@ -276,8 +443,7 @@ func NewView(x *Execution, p Perturb) *View {
 // per-execution caches (derived relations and Memo). x.SC is read lazily
 // by SCRel, so resetting after mutating only x.SC is valid and cheap.
 func (v *View) Reset(x *Execution) {
-	c := v.c
-	if x.Test != c.test {
+	if x.Test != v.test {
 		panic("exec: Reset with execution of a different test")
 	}
 	v.x = x
@@ -291,13 +457,13 @@ func (v *View) Reset(x *Execution) {
 	// (paper §4.3).
 	v.rf.Clear()
 	v.orphans = 0
-	for m := c.reads; m != 0; m &= m - 1 {
+	for m := v.reads; m != 0; m &= m - 1 {
 		id := bits.TrailingZeros64(uint64(m))
 		src := x.RF[id]
 		if src < 0 {
 			continue // initial read
 		}
-		if !c.live.Has(src) {
+		if !v.live.Has(src) {
 			v.orphans = v.orphans.Add(id)
 			continue
 		}
@@ -310,12 +476,12 @@ func (v *View) Reset(x *Execution) {
 	v.co.Clear()
 	for _, ws := range x.CO {
 		for i := 0; i < len(ws); i++ {
-			if !c.live.Has(ws[i]) {
+			if !v.live.Has(ws[i]) {
 				continue
 			}
 			var later relation.Set
 			for j := i + 1; j < len(ws); j++ {
-				if c.live.Has(ws[j]) {
+				if v.live.Has(ws[j]) {
 					later = later.Add(ws[j])
 				}
 			}
@@ -327,11 +493,11 @@ func (v *View) Reset(x *Execution) {
 	// co-after w; an initial read is fr-before every live same-address
 	// write. Orphaned reads contribute nothing.
 	v.fr.Clear()
-	for m := c.reads.Minus(v.orphans); m != 0; m &= m - 1 {
+	for m := v.reads.Minus(v.orphans); m != 0; m &= m - 1 {
 		id := bits.TrailingZeros64(uint64(m))
 		src := x.RF[id]
 		if src < 0 {
-			v.fr.UnionRow(id, c.liveWrites[c.test.Events[id].Addr])
+			v.fr.UnionRow(id, v.liveWrites[v.test.Events[id].Addr])
 		} else {
 			v.fr.UnionRow(id, v.co.Successors(src))
 		}
@@ -354,29 +520,11 @@ func (v *View) Memo(key string, build func() any) any {
 	return val
 }
 
-// StaticMemo caches build's value in the view's static context: it
-// survives Reset and is shared by every view of the same (test,
-// perturbation). build must depend only on execution-independent state —
-// po, dependencies, event classes, effective orders/fences/scopes — never
-// on rf, co, fr, orphans, or the sc order.
-func (v *View) StaticMemo(key string, build func() any) any {
-	c := v.c
-	if c.memo == nil {
-		c.memo = make(map[string]any)
-	}
-	if val, ok := c.memo[key]; ok {
-		return val
-	}
-	val := build()
-	c.memo[key] = val
-	return val
-}
-
 // derived lazily computes cache slot k with build on first use per Reset.
 func (v *View) derived(k uint8, build func(dst relation.Rel)) relation.Rel {
 	if v.derOK&(1<<k) == 0 {
-		if v.der[k].N() != v.c.n {
-			v.der[k] = relation.New(v.c.n)
+		if v.der[k].N() != v.n {
+			v.der[k] = relation.New(v.n)
 		}
 		build(v.der[k])
 		v.derOK |= 1 << k
@@ -384,45 +532,12 @@ func (v *View) derived(k uint8, build func(dst relation.Rel)) relation.Rel {
 	return v.der[k]
 }
 
-// Test returns the underlying litmus test.
-func (v *View) Test() *litmus.Test { return v.c.test }
-
 // Execution returns the underlying execution.
 func (v *View) Execution() *Execution { return v.x }
-
-// Perturbation returns the applied perturbation.
-func (v *View) Perturbation() Perturb { return v.c.perturb }
-
-// N returns the universe size (all events, live or not).
-func (v *View) N() int { return v.c.n }
-
-// Live returns the set of live (non-removed) events.
-func (v *View) Live() relation.Set { return v.c.live }
-
-// Reads returns the live read events.
-func (v *View) Reads() relation.Set { return v.c.reads }
-
-// Writes returns the live write events.
-func (v *View) Writes() relation.Set { return v.c.writes }
-
-// Fences returns the live fence events.
-func (v *View) Fences() relation.Set { return v.c.fences }
 
 // Orphans returns the live reads whose rf source was removed; their return
 // value is unconstrained.
 func (v *View) Orphans() relation.Set { return v.orphans }
-
-// PO returns (perturbed) program order, transitive.
-func (v *View) PO() relation.Rel { return v.c.po }
-
-// POLoc returns program order restricted to same-address pairs.
-func (v *View) POLoc() relation.Rel { return v.c.poLoc }
-
-// SameAddr returns the symmetric same-address relation over memory events.
-func (v *View) SameAddr() relation.Rel { return v.c.sameAddr }
-
-// Ext returns the cross-thread (external) pair relation.
-func (v *View) Ext() relation.Rel { return v.c.ext }
 
 // RF returns the (perturbed) reads-from relation.
 func (v *View) RF() relation.Rel { return v.rf }
@@ -433,20 +548,11 @@ func (v *View) CO() relation.Rel { return v.co }
 // FR returns the (perturbed) from-reads relation.
 func (v *View) FR() relation.Rel { return v.fr }
 
-// RMW returns the (perturbed) read-modify-write pairing.
-func (v *View) RMW() relation.Rel { return v.c.rmw }
-
-// Dep returns the (perturbed) dependency relation of one flavor.
-func (v *View) Dep(t litmus.DepType) relation.Rel { return v.c.dep[t] }
-
-// DepAll returns the union of all dependency flavors.
-func (v *View) DepAll() relation.Rel { return v.c.depAll }
-
 // RFE returns external reads-from (across threads).
 func (v *View) RFE() relation.Rel {
 	return v.derived(derRFE, func(dst relation.Rel) {
 		dst.CopyFrom(v.rf)
-		dst.IntersectWith(v.c.ext)
+		dst.IntersectWith(v.ext)
 	})
 }
 
@@ -454,7 +560,7 @@ func (v *View) RFE() relation.Rel {
 func (v *View) RFI() relation.Rel {
 	return v.derived(derRFI, func(dst relation.Rel) {
 		dst.CopyFrom(v.rf)
-		dst.MinusWith(v.c.ext)
+		dst.MinusWith(v.ext)
 	})
 }
 
@@ -462,7 +568,7 @@ func (v *View) RFI() relation.Rel {
 func (v *View) COE() relation.Rel {
 	return v.derived(derCOE, func(dst relation.Rel) {
 		dst.CopyFrom(v.co)
-		dst.IntersectWith(v.c.ext)
+		dst.IntersectWith(v.ext)
 	})
 }
 
@@ -470,7 +576,7 @@ func (v *View) COE() relation.Rel {
 func (v *View) COI() relation.Rel {
 	return v.derived(derCOI, func(dst relation.Rel) {
 		dst.CopyFrom(v.co)
-		dst.MinusWith(v.c.ext)
+		dst.MinusWith(v.ext)
 	})
 }
 
@@ -478,7 +584,7 @@ func (v *View) COI() relation.Rel {
 func (v *View) FRE() relation.Rel {
 	return v.derived(derFRE, func(dst relation.Rel) {
 		dst.CopyFrom(v.fr)
-		dst.IntersectWith(v.c.ext)
+		dst.IntersectWith(v.ext)
 	})
 }
 
@@ -486,7 +592,7 @@ func (v *View) FRE() relation.Rel {
 func (v *View) FRI() relation.Rel {
 	return v.derived(derFRI, func(dst relation.Rel) {
 		dst.CopyFrom(v.fr)
-		dst.MinusWith(v.c.ext)
+		dst.MinusWith(v.ext)
 	})
 }
 
@@ -499,91 +605,17 @@ func (v *View) Com() relation.Rel {
 	})
 }
 
-// OrderOf returns the effective memory order of event id, honoring a PDMO
-// perturbation.
-func (v *View) OrderOf(id int) litmus.Order {
-	if v.c.perturb.Kind == PDMO && v.c.perturb.Event == id {
-		return v.c.perturb.NewOrder
-	}
-	return v.c.test.Events[id].Order
-}
-
-// FenceOf returns the effective fence kind of event id, honoring a PDF
-// perturbation. Non-fence events return FNone.
-func (v *View) FenceOf(id int) litmus.FenceKind {
-	if v.c.test.Events[id].Kind != litmus.KFence {
-		return litmus.FNone
-	}
-	if v.c.perturb.Kind == PDF && v.c.perturb.Event == id {
-		return v.c.perturb.NewFence
-	}
-	return v.c.test.Events[id].Fence
-}
-
-// ScopeOf returns the effective scope of event id, honoring a PDS
-// perturbation.
-func (v *View) ScopeOf(id int) litmus.Scope {
-	if v.c.perturb.Kind == PDS && v.c.perturb.Event == id {
-		return v.c.perturb.NewScope
-	}
-	return v.c.test.Events[id].Scope
-}
-
-// Where returns the set of live events satisfying pred.
-func (v *View) Where(pred func(id int) bool) relation.Set {
-	var s relation.Set
-	for m := v.c.live; m != 0; m &= m - 1 {
-		id := bits.TrailingZeros64(uint64(m))
-		if pred(id) {
-			s = s.Add(id)
-		}
-	}
-	return s
-}
-
-// FencesOfKind returns the live fences whose effective kind is one of ks.
-func (v *View) FencesOfKind(ks ...litmus.FenceKind) relation.Set {
-	return v.Where(func(id int) bool {
-		fk := v.FenceOf(id)
-		if fk == litmus.FNone {
-			return false
-		}
-		for _, k := range ks {
-			if fk == k {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// FenceRel returns the ordering induced by fences of the given kinds:
-// (po :> F) ; po — every pair of events separated by such a fence in
-// program order (paper Fig. 4's fence function). Fence kinds and po are
-// execution-independent, so the result is cached in the static context.
-func (v *View) FenceRel(ks ...litmus.FenceKind) relation.Rel {
-	key := make([]byte, 0, 16)
-	key = append(key, "fencerel:"...)
-	for _, k := range ks {
-		key = append(key, byte(k))
-	}
-	return v.StaticMemo(string(key), func() any {
-		f := v.FencesOfKind(ks...)
-		return v.c.po.RestrictRange(f).Join(v.c.po)
-	}).(relation.Rel)
-}
-
 // SCRel returns the strict total order over live FSC fences induced by the
 // execution's SC permutation, honoring DF demotions (a demoted fence leaves
 // the order). If reversed is set, the order is reversed — used by the SCC
 // workaround of paper Fig. 19.
 func (v *View) SCRel(reversed bool) relation.Rel {
-	r := relation.New(v.c.n)
+	r := relation.New(v.n)
 	if v.x.SC == nil {
 		return r
 	}
 	inOrder := func(id int) bool {
-		return v.c.live.Has(id) && v.FenceOf(id) == litmus.FSC
+		return v.live.Has(id) && v.FenceOf(id) == litmus.FSC
 	}
 	for i := 0; i < len(v.x.SC); i++ {
 		if !inOrder(v.x.SC[i]) {
@@ -608,35 +640,4 @@ func (v *View) SCRel(reversed bool) relation.Rel {
 // sc edge) applies.
 func (v *View) SCEdgeCount() int {
 	return v.SCRel(false).Size()
-}
-
-// ScopeCompatible returns the relation containing pairs (a, b) whose scopes
-// mutually cover each other's thread: a's effective scope includes b's
-// thread and vice versa. Events with ScopeNone cover all threads (non-scoped
-// models are unaffected). Scopes are execution-independent, so the result
-// is cached in the static context.
-func (v *View) ScopeCompatible() relation.Rel {
-	return v.StaticMemo("scopecompat", func() any {
-		c := v.c
-		r := relation.New(c.n)
-		covers := func(a, b int) bool {
-			switch v.ScopeOf(a) {
-			case litmus.ScopeNone, litmus.ScopeSys:
-				return true
-			case litmus.ScopeWG:
-				return c.test.GroupOf(c.test.Events[a].Thread) == c.test.GroupOf(c.test.Events[b].Thread)
-			}
-			return false
-		}
-		for ma := c.live; ma != 0; ma &= ma - 1 {
-			a := bits.TrailingZeros64(uint64(ma))
-			for mb := c.live; mb != 0; mb &= mb - 1 {
-				b := bits.TrailingZeros64(uint64(mb))
-				if covers(a, b) && covers(b, a) {
-					r.Add(a, b)
-				}
-			}
-		}
-		return r
-	}).(relation.Rel)
 }

@@ -57,14 +57,14 @@ func ARMv8() Model {
 // armv8Order computes the acquire/release ordering edges: an acquire load
 // is ordered before every po-later access; every po-earlier access is
 // ordered before a release store.
-func armv8Order(v *exec.View) relation.Rel {
-	acq := v.Where(func(id int) bool {
-		return v.Reads().Has(id) && v.OrderOf(id) == litmus.OAcquire
+func armv8Order(c *exec.StaticCtx) relation.Rel {
+	acq := c.Where(func(id int) bool {
+		return c.Reads().Has(id) && c.OrderOf(id) == litmus.OAcquire
 	})
-	rel := v.Where(func(id int) bool {
-		return v.Writes().Has(id) && v.OrderOf(id) == litmus.ORelease
+	rel := c.Where(func(id int) bool {
+		return c.Writes().Has(id) && c.OrderOf(id) == litmus.ORelease
 	})
-	return v.PO().RestrictDomain(acq).Union(v.PO().RestrictRange(rel))
+	return c.PO().RestrictDomain(acq).Union(c.PO().RestrictRange(rel))
 }
 
 // deriveARMv8 augments the ARMv7 (Power-skeleton) derivation with the
@@ -73,7 +73,7 @@ func armv8Order(v *exec.View) relation.Rel {
 func deriveARMv8(v *exec.View) *powerDerived {
 	return v.Memo("armv8", func() any {
 		base := derivePower(v, true)
-		ar := armv8Order(v)
+		ar := armv8Order(v.StaticCtx)
 		fences := base.fences.Union(ar)
 		hb := base.ppo.Union(fences).Union(v.RFE())
 		hbRT := hb.ReflexiveClosure()
@@ -89,18 +89,8 @@ func deriveARMv8(v *exec.View) *powerDerived {
 
 func armv8Axioms() []Axiom {
 	return []Axiom{
-		{
-			Name: "sc_per_loc",
-			Holds: func(v *exec.View) bool {
-				return v.Com().Union(v.POLoc()).Acyclic()
-			},
-		},
-		{
-			Name: "rmw_atomicity",
-			Holds: func(v *exec.View) bool {
-				return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
-			},
-		},
+		scPerLoc(),
+		rmwAtomicity(true),
 		{
 			Name: "no_thin_air",
 			Holds: func(v *exec.View) bool {

@@ -75,12 +75,7 @@ func C11() Model {
 					return d.hb.Join(d.eco.OptStep()).Irreflexive()
 				},
 			},
-			{
-				Name: "rmw_atomicity",
-				Holds: func(v *exec.View) bool {
-					return v.FR().Join(v.CO()).Intersect(v.RMW()).IsEmpty()
-				},
-			},
+			rmwAtomicity(false),
 			{
 				Name: "sc",
 				Holds: func(v *exec.View) bool {

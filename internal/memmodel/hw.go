@@ -12,18 +12,8 @@ func SC() Model {
 	return &model{
 		name: "sc",
 		axioms: []Axiom{
-			{
-				Name: "rmw_atomicity",
-				Holds: func(v *exec.View) bool {
-					return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
-				},
-			},
-			{
-				Name: "sc_order",
-				Holds: func(v *exec.View) bool {
-					return v.Com().Union(v.PO()).Acyclic()
-				},
-			},
+			rmwAtomicity(true),
+			Acyclic("sc_order", false, (*exec.StaticCtx).PO),
 		},
 		vocab: Vocab{
 			Ops: []litmus.Op{litmus.R(0), litmus.W(0)},
@@ -41,32 +31,9 @@ func TSO() Model {
 	return &model{
 		name: "tso",
 		axioms: []Axiom{
-			{
-				Name: "sc_per_loc",
-				Holds: func(v *exec.View) bool {
-					return v.Com().Union(v.POLoc()).Acyclic()
-				},
-			},
-			{
-				Name: "rmw_atomicity",
-				Holds: func(v *exec.View) bool {
-					// no fre.coe & rmw
-					return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
-				},
-			},
-			{
-				Name: "causality",
-				Holds: func(v *exec.View) bool {
-					// acyclic[rfe + co + fr + ppo + fence] with
-					// ppo = po - (Write->Read).
-					n := v.N()
-					wr := relation.Cross(n, v.Writes(), v.Reads())
-					ppo := v.PO().Minus(wr)
-					fence := v.FenceRel(litmus.FMFence)
-					g := v.RFE().Union(v.CO()).Union(v.FR()).Union(ppo).Union(fence)
-					return g.Acyclic()
-				},
-			},
+			scPerLoc(),
+			rmwAtomicity(true),
+			Acyclic("causality", true, tsoPPO),
 		},
 		vocab: Vocab{
 			Ops: []litmus.Op{
@@ -78,4 +45,13 @@ func TSO() Model {
 		},
 		relax: RelaxSpec{DRMW: true},
 	}
+}
+
+// tsoPPO is the static part of tso's causality axiom,
+// acyclic(rfe ∪ co ∪ fr ∪ ppo ∪ fence): ppo = po minus write→read pairs,
+// plus the mfence ordering.
+func tsoPPO(c *exec.StaticCtx) relation.Rel {
+	ppo := c.PO().Minus(relation.Cross(c.N(), c.Writes(), c.Reads()))
+	ppo.UnionWith(c.FenceRel(litmus.FMFence))
+	return ppo
 }

@@ -14,9 +14,12 @@ package memmodel
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"sync/atomic"
 
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
+	"memsynth/internal/relation"
 )
 
 // Axiom is one named constraint of a memory model. Holds reports whether
@@ -26,6 +29,95 @@ import (
 type Axiom struct {
 	Name  string
 	Holds func(v *exec.View) bool
+	// Graph declares the axiom's acyclicity graph when the axiom was
+	// built by Acyclic, and is nil for every other axiom shape.
+	Graph *Graph
+}
+
+// Graph declares an axiom of the shape acyclic(static ∪ rf ∪ co ∪ fr),
+// with rfe in place of rf when RFExternal: a static part determined by
+// the (test, perturbation) pair alone, plus the execution's communication
+// edges. The minimality check evaluates it through the axiom's Holds, and
+// fast admissibility (internal/admit) saturates it, so each such axiom is
+// written once.
+type Graph struct {
+	key        string // StaticMemo key of the per-context state
+	static     func(c *exec.StaticCtx) relation.Rel
+	rfExternal bool
+}
+
+// graphIDs numbers graphs for their StaticMemo keys. Axiom names would
+// not do: one static context may serve several models (catlint's
+// DiffModels evaluates two through one view), whose same-named axioms can
+// differ.
+var graphIDs atomic.Uint64
+
+// Acyclic returns the axiom acyclic(static ∪ rf ∪ co ∪ fr), or with rfe
+// in place of rf when rfExternal, declaring its Graph and deriving Holds
+// from it. Holds evaluates static once per static context; its result
+// must not be mutated.
+func Acyclic(name string, rfExternal bool, static func(c *exec.StaticCtx) relation.Rel) Axiom {
+	g := &Graph{
+		key:        "acyclic#" + strconv.FormatUint(graphIDs.Add(1), 10),
+		static:     static,
+		rfExternal: rfExternal,
+	}
+	return Axiom{Name: name, Holds: g.holds, Graph: g}
+}
+
+// graphCtx is a graph's state in one static context, cached there by
+// Holds: the static part and the scratch relation the whole graph is
+// assembled in.
+type graphCtx struct {
+	base, scratch relation.Rel
+}
+
+// Base computes the graph's static part in context c. It does not cache:
+// a caller evaluating many executions in one context computes it once and
+// keeps it, as Holds and admit do. The caller must not mutate it.
+func (g *Graph) Base(c *exec.StaticCtx) relation.Rel { return g.static(c) }
+
+// RFExternal reports whether the graph includes only the cross-thread rf
+// edges (rfe) rather than all of rf.
+func (g *Graph) RFExternal() bool { return g.rfExternal }
+
+func (g *Graph) holds(v *exec.View) bool {
+	s := v.StaticMemo(g.key, func() any {
+		return &graphCtx{base: g.static(v.StaticCtx), scratch: relation.New(v.N())}
+	}).(*graphCtx)
+	if g.rfExternal {
+		s.scratch.CopyFrom(v.RFE())
+		s.scratch.UnionWith(v.CO())
+		s.scratch.UnionWith(v.FR())
+	} else {
+		s.scratch.CopyFrom(v.Com())
+	}
+	s.scratch.UnionWith(s.base)
+	return s.scratch.Acyclic()
+}
+
+// scPerLoc is sc_per_loc = acyclic(po_loc ∪ com): per-location sequential
+// consistency, stated alike by tso (paper Fig. 4), power/armv7 (Fig. 15),
+// armv8, and scc/hsa (Fig. 17).
+func scPerLoc() Axiom {
+	return Acyclic("sc_per_loc", false, (*exec.StaticCtx).POLoc)
+}
+
+// rmwAtomicity is the atomicity of read-modify-write pairs: no write
+// intervenes in coherence between a pair's read and its write, i.e.
+// empty(fr;co ∩ rmw). With external set only cross-thread writes count,
+// empty(fre;coe ∩ rmw) — herding-cats "atomic", where a larx/stcx pair
+// fails only if another thread's write intervenes.
+func rmwAtomicity(external bool) Axiom {
+	return Axiom{
+		Name: "rmw_atomicity",
+		Holds: func(v *exec.View) bool {
+			if external {
+				return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
+			}
+			return v.FR().Join(v.CO()).Intersect(v.RMW()).IsEmpty()
+		},
+	}
 }
 
 // Vocab describes the instruction alphabet available to the synthesizer for

@@ -18,7 +18,7 @@ type powerDerived struct {
 }
 
 // powerStatic holds the execution-independent half of the Power derivation
-// (cached per static context via View.StaticMemo) together with the pooled
+// (cached per static context via StaticCtx.StaticMemo) together with the pooled
 // scratch buffers the per-execution derivation writes into. One derivation
 // runs at a time per context (views are single-threaded), so sharing the
 // scratch across executions is safe and keeps the hot fixpoint
@@ -40,38 +40,38 @@ type powerStatic struct {
 	d                  powerDerived
 }
 
-func powerStaticOf(v *exec.View, arm bool) *powerStatic {
+func powerStaticOf(c *exec.StaticCtx, arm bool) *powerStatic {
 	key := "power.static"
 	if arm {
 		key = "armv7.static"
 	}
-	return v.StaticMemo(key, func() any {
-		n := v.N()
+	return c.StaticMemo(key, func() any {
+		n := c.N()
 		s := &powerStatic{
-			rr: relation.Cross(n, v.Reads(), v.Reads()),
-			rw: relation.Cross(n, v.Reads(), v.Writes()),
-			ww: relation.Cross(n, v.Writes(), v.Writes()),
+			rr: relation.Cross(n, c.Reads(), c.Reads()),
+			rw: relation.Cross(n, c.Reads(), c.Writes()),
+			ww: relation.Cross(n, c.Writes(), c.Writes()),
 		}
-		wr := relation.Cross(n, v.Writes(), v.Reads())
+		wr := relation.Cross(n, c.Writes(), c.Reads())
 
-		dp := v.Dep(litmus.DepAddr).Union(v.Dep(litmus.DepData))
-		ctrl := v.Dep(litmus.DepCtrl)
-		addrPo := v.Dep(litmus.DepAddr).Join(v.PO())
+		dp := c.Dep(litmus.DepAddr).Union(c.Dep(litmus.DepData))
+		ctrl := c.Dep(litmus.DepCtrl)
+		addrPo := c.Dep(litmus.DepAddr).Join(c.PO())
 		// ctrl+isync: control dependencies refined through an isync
 		// fence order the read before everything po-after the fence.
-		isync := v.FencesOfKind(litmus.FISync)
+		isync := c.FencesOfKind(litmus.FISync)
 		s.ii0s = dp
-		s.ci0s = ctrl.RestrictRange(isync).Join(v.PO())
+		s.ci0s = ctrl.RestrictRange(isync).Join(c.PO())
 		s.cc0 = dp.Union(ctrl).Union(addrPo)
 		if !arm {
-			s.cc0 = s.cc0.Union(v.POLoc())
+			s.cc0 = s.cc0.Union(c.POLoc())
 		}
 
-		s.ffence = v.FenceRel(litmus.FSync)
+		s.ffence = c.FenceRel(litmus.FSync)
 		if arm {
 			s.fences = s.ffence
 		} else {
-			lwfence := v.FenceRel(litmus.FLwSync).Minus(wr)
+			lwfence := c.FenceRel(litmus.FLwSync).Minus(wr)
 			s.fences = lwfence.Union(s.ffence)
 		}
 		s.d.fences, s.d.ffence = s.fences, s.ffence
@@ -101,7 +101,7 @@ func derivePower(v *exec.View, arm bool) *powerDerived {
 		key = "armv7"
 	}
 	return v.Memo(key, func() any {
-		s := powerStaticOf(v, arm)
+		s := powerStaticOf(v.StaticCtx, arm)
 
 		// ii0 = dp ∪ rdw ∪ rfi, with rdw = po_loc ∩ (fre;rfe).
 		s.ii0.CopyFrom(s.ii0s)
@@ -195,21 +195,10 @@ func derivePower(v *exec.View, arm bool) *powerDerived {
 
 func powerAxioms(arm bool) []Axiom {
 	return []Axiom{
-		{
-			Name: "sc_per_loc",
-			Holds: func(v *exec.View) bool {
-				return v.Com().Union(v.POLoc()).Acyclic()
-			},
-		},
-		{
-			// herding-cats "atomic": a larx/stcx pair succeeds only if no
-			// external write intervenes. Charted separately from the four
-			// axioms of paper Fig. 16, which saturates like TSO's.
-			Name: "rmw_atomicity",
-			Holds: func(v *exec.View) bool {
-				return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
-			},
-		},
+		scPerLoc(),
+		// Charted separately from the four axioms of paper Fig. 16, which
+		// saturates like TSO's.
+		rmwAtomicity(true),
 		{
 			Name: "no_thin_air",
 			Holds: func(v *exec.View) bool {

@@ -7,7 +7,7 @@ import (
 )
 
 // sccStatic holds the execution-independent half of the SCC/HSA derivation
-// (cached per static context via View.StaticMemo) together with pooled
+// (cached per static context via StaticCtx.StaticMemo) together with pooled
 // scratch for the per-execution sync and causality computations.
 type sccStatic struct {
 	releasers, acquirers relation.Set
@@ -18,33 +18,33 @@ type sccStatic struct {
 	chain, sync, cause, tmp relation.Rel
 }
 
-func sccStaticOf(v *exec.View, scoped bool) *sccStatic {
+func sccStaticOf(c *exec.StaticCtx, scoped bool) *sccStatic {
 	key := "scc.static"
 	if scoped {
 		key = "scc.scoped.static"
 	}
-	return v.StaticMemo(key, func() any {
-		n := v.N()
-		fences := v.Fences()
-		releases := v.Where(func(id int) bool {
-			return v.Writes().Has(id) && v.OrderOf(id) == litmus.ORelease
+	return c.StaticMemo(key, func() any {
+		n := c.N()
+		fences := c.Fences()
+		releases := c.Where(func(id int) bool {
+			return c.Writes().Has(id) && c.OrderOf(id) == litmus.ORelease
 		})
-		acquires := v.Where(func(id int) bool {
-			return v.Reads().Has(id) && v.OrderOf(id) == litmus.OAcquire
+		acquires := c.Where(func(id int) bool {
+			return c.Reads().Has(id) && c.OrderOf(id) == litmus.OAcquire
 		})
 		s := &sccStatic{
 			releasers: releases.Union(fences),
 			acquirers: acquires.Union(fences),
 		}
 
-		iden := relation.IdentityOn(n, v.Live())
+		iden := relation.IdentityOn(n, c.Live())
 		s.prefix = iden.
-			Union(v.PO().RestrictDomain(fences)).
-			Union(v.POLoc().RestrictDomain(releases))
+			Union(c.PO().RestrictDomain(fences)).
+			Union(c.POLoc().RestrictDomain(releases))
 		s.suffix = iden.
-			Union(v.PO().RestrictRange(fences)).
-			Union(v.POLoc().RestrictRange(acquires))
-		s.poRT = v.PO().ReflexiveClosure()
+			Union(c.PO().RestrictRange(fences)).
+			Union(c.POLoc().RestrictRange(acquires))
+		s.poRT = c.PO().ReflexiveClosure()
 
 		for _, r := range []*relation.Rel{&s.chain, &s.sync, &s.cause, &s.tmp} {
 			*r = relation.New(n)
@@ -70,7 +70,7 @@ func sccSync(v *exec.View, scoped bool) relation.Rel {
 		key = "scc.scoped.sync"
 	}
 	return v.Memo(key, func() any {
-		s := sccStaticOf(v, scoped)
+		s := sccStaticOf(v.StaticCtx, scoped)
 		s.chain.CopyFrom(v.RF())
 		s.chain.UnionWith(v.RMW())
 		s.chain.CloseIn()
@@ -90,7 +90,7 @@ func sccSync(v *exec.View, scoped bool) relation.Rel {
 // result lives in the static bundle's pooled cause buffer, valid until the
 // next sccCause call on the same context.
 func sccCause(v *exec.View, scoped, reverseSC bool) relation.Rel {
-	s := sccStaticOf(v, scoped)
+	s := sccStaticOf(v.StaticCtx, scoped)
 	sc := v.SCRel(reverseSC)
 	if scoped {
 		sc = sc.Intersect(v.ScopeCompatible())
@@ -105,7 +105,7 @@ func sccCause(v *exec.View, scoped, reverseSC bool) relation.Rel {
 }
 
 func sccCausalityHolds(v *exec.View, scoped, reverseSC bool) bool {
-	s := sccStaticOf(v, scoped)
+	s := sccStaticOf(v.StaticCtx, scoped)
 	cause := sccCause(v, scoped, reverseSC)
 	s.tmp.CopyFrom(cause)
 	s.tmp.CloseIn()
@@ -123,25 +123,14 @@ func sccCausalityHolds(v *exec.View, scoped, reverseSC bool) bool {
 
 func sccAxioms(scoped bool) []Axiom {
 	return []Axiom{
-		{
-			Name: "sc_per_loc",
-			Holds: func(v *exec.View) bool {
-				return v.Com().Union(v.POLoc()).Acyclic()
-			},
-		},
+		scPerLoc(),
 		{
 			Name: "no_thin_air",
 			Holds: func(v *exec.View) bool {
 				return v.RF().Union(v.DepAll()).Acyclic()
 			},
 		},
-		{
-			Name: "rmw_atomicity",
-			Holds: func(v *exec.View) bool {
-				// no fr.co & rmw (Fig. 17).
-				return v.FR().Join(v.CO()).Intersect(v.RMW()).IsEmpty()
-			},
-		},
+		rmwAtomicity(false), // no fr.co & rmw (Fig. 17)
 		{
 			// The sc order this axiom consults is auxiliary; package
 			// minimal quantifies over all sc orders (the general form of

@@ -266,8 +266,8 @@ type SynthesizeRequest struct {
 	Model string `json:"model"`
 	store.RequestOptions
 	// Admit controls the fast-admissibility filter on the enumeration hot
-	// path: "" or "auto" uses it for models with a registered algorithm,
-	// "off" forces exhaustive enumeration. The switch never changes the
+	// path: "" or "auto" uses it for models that declare an acyclicity
+	// graph, "off" forces exhaustive enumeration. The switch never changes the
 	// produced suites or the cache digest.
 	Admit string `json:"admit,omitempty"`
 	// Async enqueues a job and returns 202 with its ID instead of
@@ -538,8 +538,7 @@ func synthesizeResponse(ss *store.StoredSuite, cached bool) SynthesizeResponse {
 }
 
 // handleAdmit reports, per builtin model, whether the enumeration engine
-// has a fast-admissibility algorithm for it (and why not, when it does
-// not). Models registered from cat definitions always fall back, so they
+// runs fast admissibility for it (and why not, when it does not). Models registered from cat definitions always fall back, so they
 // are reported only through their absence from the builtin capability
 // matrix.
 func (s *Server) handleAdmit(w http.ResponseWriter, _ *http.Request) {

@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"memsynth/internal/exec"
+	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/store"
 	"memsynth/internal/synth"
@@ -612,16 +614,17 @@ func TestAdmitEndpointAndMetrics(t *testing.T) {
 			t.Errorf("/v1/admit for %s: %+v, want supported with no reason", name, c)
 		}
 	}
-	if c, ok := byModel["power"]; !ok || c.Supported || c.Reason == "" {
-		t.Errorf("/v1/admit for power: %+v, want unsupported with a reason", c)
+	if c, ok := byModel["c11"]; !ok || c.Supported || c.Reason == "" {
+		t.Errorf("/v1/admit for c11: %+v, want unsupported with a reason", c)
 	}
 
-	// A model with no algorithm falls back: counted and logged per request.
-	resp1, data := postSynthesize(t, ts.URL, `{"model":"power","max_events":3}`)
+	// A model with no acyclicity graph falls back: counted and logged per
+	// request.
+	resp1, data := postSynthesize(t, ts.URL, `{"model":"c11","max_events":3}`)
 	if resp1.StatusCode != http.StatusOK {
-		t.Fatalf("power POST: %d: %s", resp1.StatusCode, data)
+		t.Fatalf("c11 POST: %d: %s", resp1.StatusCode, data)
 	}
-	if !logged("admit: model power falls back to exhaustive enumeration") {
+	if !logged("admit: model c11 falls back to exhaustive enumeration") {
 		t.Errorf("missing admit fallback log; logs: %q", logs)
 	}
 	if n, _ := readMetrics(t, ts.URL)["admit_fallbacks"].(float64); n != 1 {
@@ -654,6 +657,59 @@ func TestAdmitEndpointAndMetrics(t *testing.T) {
 	resp4, data := postSynthesize(t, ts.URL, `{"model":"tso","max_events":3,"admit":"fast"}`)
 	if resp4.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown admit mode: status %d (%s), want 400", resp4.StatusCode, data)
+	}
+}
+
+// TestModelPanicFailsRequest: a model whose axiom panics fails its own
+// request with an error status naming the model, stores nothing, and
+// leaves the daemon serving other requests.
+func TestModelPanicFailsRequest(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := memmodel.Define("boom",
+		[]memmodel.Axiom{{Name: "explodes", Holds: func(*exec.View) bool { panic("axiom exploded") }}},
+		memmodel.Vocab{Ops: []litmus.Op{litmus.R(0), litmus.W(0)}},
+		memmodel.RelaxSpec{})
+	models := memmodel.NewRegistry()
+	if err := models.Register(boom); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Store: st, MaxJobs: 2, Models: models})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	resp, data := postSynthesize(t, ts.URL, `{"model":"boom","max_events":2}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking model: status %d (%s), want 500", resp.StatusCode, data)
+	}
+	for _, want := range []string{"model boom panicked", "axiom exploded"} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Errorf("error body %s does not mention %q", data, want)
+		}
+	}
+	if _, err := st.Get(store.DigestModel(boom, synth.Options{MaxEvents: 2})); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("failed run left a stored suite (Get: %v)", err)
+	}
+
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("healthz after a model panic: %d", health.StatusCode)
+	}
+	resp, data = postSynthesize(t, ts.URL, `{"model":"sc","max_events":2}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sc after a model panic: %d: %s", resp.StatusCode, data)
+	}
+	if _, err := st.Get(store.DigestModel(memmodel.SC(), synth.Options{MaxEvents: 2})); err != nil {
+		t.Errorf("sc suite not stored under the digest this test computes: %v", err)
 	}
 }
 

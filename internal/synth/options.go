@@ -22,10 +22,10 @@ type Options struct {
 	// Admit selects the fast-admissibility filter (internal/admit), which
 	// refutes reads-from assignments that provably cannot extend into a
 	// minimal execution before their coherence orders are enumerated. ""
-	// or "auto" enables it whenever the model has a registered algorithm
-	// (the builtin sc and tso models) and silently falls back to plain
-	// enumeration otherwise, and for CountForbidden runs; "off" disables
-	// it everywhere. The filter is
+	// or "auto" enables it whenever one of the model's axioms declares
+	// an acyclicity graph (memmodel.Acyclic: every builtin but c11) and
+	// silently falls back to plain enumeration otherwise, and for
+	// CountForbidden runs; "off" disables it everywhere. The filter is
 	// refutation-sound — admitted assignments are still enumerated, and
 	// every coherence order that keeps the edges admit forced is
 	// re-confirmed by the minimality checker — so suites and store digests

@@ -72,7 +72,8 @@ type ShardResult struct {
 // list), and only winners with per-size index ≡ shard.Index (mod
 // shard.Stride) are explored. Cancellation returns a partial result with
 // Stats.Interrupted set, which MergeShards rejects — an interrupted shard
-// must be retried, never merged.
+// must be retried, never merged. A model that panics fails the shard with
+// an error.
 func SynthesizeShard(ctx context.Context, m memmodel.Model, opts Options, shard ShardSpec) (*ShardResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -89,7 +90,11 @@ func SynthesizeShard(ctx context.Context, m memmodel.Model, opts Options, shard 
 		Options:     opts.Normalize(),
 		Shard:       shard,
 	}
-	out.Entries, out.Stats = e.run(ctx, shard)
+	var err error
+	out.Entries, out.Stats, err = e.run(ctx, shard)
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -262,15 +262,18 @@ func Synthesize(m memmodel.Model, opts Options) *Result {
 // cancellation and deadline. A cancelled run stops promptly and returns
 // the suites synthesized so far with Stats.Interrupted set (and a nil
 // error — partial results are results). It returns an error for invalid
-// Options, and from fill, which only fails if two programs reported one
-// class key.
+// Options, when the model panics while a program is explored, and from
+// fill, which only fails if two programs reported one class key.
 func SynthesizeContext(ctx context.Context, m memmodel.Model, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
 	e := newEngine(m, opts)
-	found, st := e.run(ctx, ShardSpec{Index: 0, Stride: 1})
+	found, st, err := e.run(ctx, ShardSpec{Index: 0, Stride: 1})
+	if err != nil {
+		return nil, err
+	}
 	res := e.res
 	res.Backend = "enum"
 	res.Stats = st
@@ -317,6 +320,11 @@ type engine struct {
 	stopped atomic.Bool  // set when ctx is done; checked at cancellation points
 	size    atomic.Int32 // instruction-count phase currently running
 
+	// failure is the first panic an explore worker recovered from; it
+	// also sets stopped, so the run winds down and returns it.
+	failMu  sync.Mutex
+	failure error
+
 	programsRaw    atomic.Int64
 	programs       atomic.Int64
 	executions     atomic.Int64
@@ -325,7 +333,8 @@ type engine struct {
 	forbidden      atomic.Int64
 
 	// admitOn enables the per-worker fast-admissibility checkers: the
-	// model has a registered algorithm and Options.Admit did not opt out.
+	// model declares an acyclicity graph and Options.Admit did not opt
+	// out.
 	admitOn bool
 
 	genNS    atomic.Int64
@@ -383,8 +392,9 @@ func newEngine(m memmodel.Model, opts Options) *engine {
 // only the winners whose per-size index is congruent to shard.Index
 // modulo shard.Stride are explored. It returns their findings, one per
 // class key. A cancelled run stops promptly and reports
-// Stats.Interrupted.
-func (e *engine) run(ctx context.Context, shard ShardSpec) ([]ShardEntry, Stats) {
+// Stats.Interrupted; a run whose model panicked stops and returns the
+// panic as an error.
+func (e *engine) run(ctx context.Context, shard ShardSpec) ([]ShardEntry, Stats, error) {
 	e.start = time.Now()
 
 	if ctx.Err() != nil {
@@ -427,7 +437,21 @@ func (e *engine) run(ctx context.Context, shard ShardSpec) ([]ShardEntry, Stats)
 
 	st := e.snapshot()
 	e.prog.emit(PhaseDone, st)
-	return found, st
+	if e.failure != nil {
+		return nil, st, e.failure
+	}
+	return found, st, nil
+}
+
+// fail records err as the run's failure, unless one is already recorded,
+// and stops the run.
+func (e *engine) fail(err error) {
+	e.failMu.Lock()
+	if e.failure == nil {
+		e.failure = err
+	}
+	e.failMu.Unlock()
+	e.stopped.Store(true)
 }
 
 // snapshot reads the run's counters and stage times. Progress events and
@@ -561,7 +585,9 @@ func (e *engine) generateAndDedupe(n int) []*litmus.Test {
 // belongs to winners[shard.Index+i*shard.Stride]. Each worker holds one
 // minimal.Checker, so the static evaluation contexts and scratch buffers
 // are pooled per worker and amortized across every execution of every
-// program the worker claims.
+// program the worker claims. A panic in the model's code (an axiom or its
+// relaxation spec) fails the run rather than the process: the worker
+// recovers and records it with the model, size and program.
 func (e *engine) explore(winners []*litmus.Test, shard ShardSpec) [][]ShardEntry {
 	n := 0
 	if len(winners) > shard.Index {
@@ -574,6 +600,13 @@ func (e *engine) explore(winners []*litmus.Test, shard ShardSpec) [][]ShardEntry
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var t *litmus.Test
+			defer func() {
+				if r := recover(); r != nil {
+					e.fail(fmt.Errorf("synth: model %s panicked at size %d on program %v: %v",
+						e.model.Name(), e.size.Load(), t, r))
+				}
+			}()
 			checker := minimal.NewChecker(e.model)
 			var adm *admit.Checker
 			if e.admitOn {
@@ -584,7 +617,8 @@ func (e *engine) explore(winners []*litmus.Test, shard ShardSpec) [][]ShardEntry
 				if i >= n || e.stopped.Load() {
 					return
 				}
-				results[i] = e.processProgram(checker, adm, winners[shard.Index+i*shard.Stride])
+				t = winners[shard.Index+i*shard.Stride]
+				results[i] = e.processProgram(checker, adm, t)
 			}
 		}()
 	}

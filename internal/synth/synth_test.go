@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"memsynth/internal/canon"
@@ -324,6 +326,48 @@ func TestHSASynthesisScoped(t *testing.T) {
 	for _, e := range res.Union.Entries {
 		if err := e.Test.Validate(); err != nil {
 			t.Fatalf("invalid synthesized test: %v", err)
+		}
+	}
+}
+
+// TestModelPanicFailsRun: a panic in a model's axiom or relaxation spec
+// happens on an explore worker; it must fail the run with an error naming
+// the model, size and program instead of killing the process.
+func TestModelPanicFailsRun(t *testing.T) {
+	vocab := memmodel.Vocab{Ops: []litmus.Op{litmus.R(0), litmus.W(0)}}
+	axiom := memmodel.Axiom{Name: "explodes", Holds: func(v *exec.View) bool {
+		if v.N() == 2 {
+			panic("axiom exploded")
+		}
+		return true
+	}}
+	relax := memmodel.RelaxSpec{DemoteOrder: func(e litmus.Event) []litmus.Order {
+		panic("spec exploded")
+	}}
+	for _, tc := range []struct {
+		model memmodel.Model
+		want  []string
+	}{
+		{memmodel.Define("boom", []memmodel.Axiom{axiom}, vocab, memmodel.RelaxSpec{}),
+			[]string{"model boom panicked at size 2 on program", "axiom exploded"}},
+		{memmodel.Define("badspec", []memmodel.Axiom{memmodel.SC().Axioms()[1]}, vocab, relax),
+			[]string{"model badspec panicked at size 2 on program", "spec exploded"}},
+	} {
+		opts := Options{MaxEvents: 3, Workers: 2}
+		res, err := SynthesizeContext(context.Background(), tc.model, opts)
+		if err == nil {
+			t.Fatalf("%s: SynthesizeContext returned %v with no error", tc.model.Name(), res)
+		}
+		sr, shardErr := SynthesizeShard(context.Background(), tc.model, opts, ShardSpec{Index: 1, Stride: 2})
+		if shardErr == nil {
+			t.Fatalf("%s: SynthesizeShard returned %v with no error", tc.model.Name(), sr)
+		}
+		for _, e := range []error{err, shardErr} {
+			for _, want := range tc.want {
+				if !strings.Contains(e.Error(), want) {
+					t.Errorf("%s: error %q does not mention %q", tc.model.Name(), e, want)
+				}
+			}
 		}
 	}
 }
