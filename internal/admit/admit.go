@@ -41,6 +41,12 @@
 // soundness. A model that declares no graph — including every
 // cat-compiled model, whatever its name — falls back to plain enumeration
 // (DESIGN.md §15 lists which builtins do).
+//
+// Each graph's static part is read from the StaticMemo slot that the
+// axiom's Holds fills, in a static context the Checker keeps per
+// relaxation-application slot and rebinds in place per program
+// (DESIGN.md §10), so neither the contexts nor the graphs are rebuilt
+// from scratch for each program.
 package admit
 
 import (
@@ -107,18 +113,23 @@ func Models() []Capability {
 	return caps
 }
 
-// appCtx is the per-relaxation-application static state: the
-// application's static context and the model's graphs in it.
+// appCtx is one relaxation application's slot: a pooled static context,
+// rebound to the application on its first use in each program, and the
+// model's graphs in it.
 type appCtx struct {
-	*exec.StaticCtx
-	graphs []graph
+	exec.StaticCtx
+	graphs  []graph
+	program uint64 // the Bind the context was last rebound for
 }
 
 // Checker decides fast admissibility for the rf assignments of one bound
-// program. Bind computes the relaxation applications' static contexts
-// lazily (mirroring minimal.Checker); Decide then runs pure bitset
-// saturation per assignment. A Checker is not safe for concurrent use;
-// the synthesis engine gives each worker its own.
+// program. It keeps one static context per relaxation-application slot
+// across programs: Bind only records the program, and a slot's context is
+// rebound in place to its application on first use (mirroring
+// minimal.Checker), so a warm Checker allocates nothing per program.
+// Decide then runs pure bitset saturation per assignment. A Checker is
+// not safe for concurrent use; the synthesis engine gives each worker its
+// own.
 type Checker struct {
 	decls  []*memmodel.Graph
 	nAddrs int
@@ -132,8 +143,9 @@ type Checker struct {
 	// apps, so the order affects speed only, never the verdict — and it
 	// resets at Bind, keeping per-program behavior deterministic for any
 	// worker count.
-	order  []int
-	perApp []*appCtx
+	order   []int
+	slots   []*appCtx // slots[i] serves apps[i]; grows to the most apps seen
+	program uint64    // counts Bind calls
 
 	// Saturation scratch, sized to the bound test's universe.
 	fco     relation.Rel // forced coherence edges of the current app
@@ -160,34 +172,35 @@ func (c *Checker) Bind(t *litmus.Test, apps []exec.Perturb) {
 	c.n = len(t.Events)
 	c.nAddrs = t.NumAddrs()
 	c.apps = apps
+	c.program++
 	c.order = c.order[:0]
 	for i := range apps {
 		c.order = append(c.order, i)
 	}
-	c.perApp = c.perApp[:0]
-	for range apps {
-		c.perApp = append(c.perApp, nil)
+	for len(c.slots) < len(apps) {
+		c.slots = append(c.slots, &appCtx{graphs: make([]graph, len(c.decls))})
 	}
 	if c.fco.N() != c.n {
-		c.fco = relation.New(c.n)
-		c.ffr = relation.New(c.n)
-		c.cl = relation.New(c.n)
-		c.unionCo = relation.New(c.n)
+		c.fco.Resize(c.n)
+		c.ffr.Resize(c.n)
+		c.cl.Resize(c.n)
+		c.unionCo.Resize(c.n)
 	}
 }
 
-// appCtxFor builds application i's static context on first use.
-// Construction is lazy because the fail-fast order usually refutes with
-// the front application alone.
+// appCtxFor returns application i's slot, rebinding its context on the
+// slot's first use in this program. Rebinding is lazy because the
+// fail-fast order usually refutes with the front application alone.
 func (c *Checker) appCtxFor(i int) *appCtx {
-	if c.perApp[i] == nil {
-		a := &appCtx{StaticCtx: exec.NewStaticCtx(c.t, c.apps[i]), graphs: make([]graph, len(c.decls))}
+	a := c.slots[i]
+	if a.program != c.program {
+		a.Rebind(c.t, c.apps[i])
 		for k, d := range c.decls {
-			a.graphs[k] = graph{base: d.Base(a.StaticCtx), rfExternal: d.RFExternal()}
+			a.graphs[k] = graph{base: d.Static(&a.StaticCtx), rfExternal: d.RFExternal()}
 		}
-		c.perApp[i] = a
+		a.program = c.program
 	}
-	return c.perApp[i]
+	return a
 }
 
 // Decide reports whether some coherence order extending rf (indexed by

@@ -25,7 +25,8 @@ const relationPkg = "memsynth/internal/relation"
 //	  pooled-buffer code that unions a relation with itself almost
 //	  certainly meant a different operand.
 //	MinusWith(s): r \= r zeroes r; the intended spelling is Clear().
-//	RestrictIn(dom, rng): Set operands are value bitsets — no contract.
+//	RestrictIn/UnionCross/MinusCross(dom, rng): Set operands are value
+//	  bitsets — no contract. Resize takes only a size — no contract.
 //
 // Rel is a value struct sharing its rows slice, so "same reference
 // chain" (sameRef) is the aliasing witness: two syntactically identical

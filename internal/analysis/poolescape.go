@@ -38,10 +38,17 @@ var poolOwnerPkgs = map[string]bool{
 // value is safe (it is passed down as an argument everywhere); escapes
 // are what let a view outlive the execution it was Reset against, which
 // silently reads the next execution's rf/co through stale aliases.
-// Deliberate ownership transfers carry //memvet:escapes on the line.
+//
+// It also flags any use of (*exec.StaticCtx).Rebind outside the owner
+// packages, called or taken as a method value, directly or promoted
+// through a View: a rebind refills the context's buffers in place, which
+// invalidates every view of the context and every StaticMemo value read
+// from it, so only the owner of all of them may rebind.
+//
+// Deliberate exceptions carry //memvet:escapes on the line.
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
-	Doc:  "pooled exec.View/exec.StaticCtx values must not escape their Reset lifetime outside owner packages",
+	Doc:  "pooled exec.View/exec.StaticCtx values must not escape their Reset lifetime, nor be rebound, outside owner packages",
 	Run:  runPoolEscape,
 }
 
@@ -108,6 +115,10 @@ func runPoolEscape(pass *Pass) {
 				if isPooledExpr(info, s.Value) {
 					report(s.Pos(), "pooled %s sent on a channel", pooledName(info, s.Value))
 				}
+			case *ast.SelectorExpr:
+				if f, ok := info.Uses[s.Sel].(*types.Func); ok && isRebind(f) {
+					report(s.Pos(), "exec.StaticCtx.Rebind outside its owner packages: a rebind invalidates every view of the context")
+				}
 			}
 			return true
 		})
@@ -156,4 +167,14 @@ func pooledName(info *types.Info, e ast.Expr) string {
 		return "value"
 	}
 	return "exec." + named.Obj().Name()
+}
+
+// isRebind reports whether f is the method (*exec.StaticCtx).Rebind.
+func isRebind(f *types.Func) bool {
+	recv := funcSig(f).Recv()
+	if recv == nil || f.Name() != "Rebind" {
+		return false
+	}
+	named, path := namedType(recv.Type())
+	return named != nil && path == execPkg && named.Obj().Name() == "StaticCtx"
 }

@@ -39,6 +39,14 @@ func sent(ch chan *exec.View, v *exec.View) {
 	ch <- v // want `pooled exec.View sent on a channel`
 }
 
+// rebind re-points a context it does not own, invalidating the owner's
+// views of it: directly, promoted through a view, and as a method value.
+func rebind(c *exec.StaticCtx, v *exec.View) func(int) {
+	c.Rebind(3)     // want `exec.StaticCtx.Rebind outside its owner packages: a rebind invalidates every view of the context`
+	v.Rebind(4)     // want `exec.StaticCtx.Rebind outside its owner packages`
+	return c.Rebind // want `exec.StaticCtx.Rebind outside its owner packages`
+}
+
 // clean is the sanctioned pattern: mint, reset, pass down synchronously.
 func clean(c *exec.StaticCtx) {
 	v := c.NewView()

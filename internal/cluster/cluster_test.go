@@ -626,9 +626,12 @@ func TestWorkerDrainHandsBackShard(t *testing.T) {
 
 // TestWorkerReleasesPanickingShard: a model that panics in a worker's
 // engine fails the shard, not the worker: the worker hands the shard back
-// with the panic as the reason and stays live.
+// with the panic as the reason and stays live. The coordinator requeues
+// the released shard only up to its retry budget, then fails the request.
 func TestWorkerReleasesPanickingShard(t *testing.T) {
 	cfg := fastConfig()
+	cfg.ShardsPerRequest = 1
+	cfg.MaxShardRetries = 2
 	var mu sync.Mutex
 	var logs []string
 	cfg.Logf = func(format string, args ...any) {
@@ -661,15 +664,23 @@ func TestWorkerReleasesPanickingShard(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return c.LiveWorkers() == 1 })
 
-	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Synthesize(ctx, mustModel(t, "sc"), synth.Options{MaxEvents: 2}, nil)
+		_, err := c.Synthesize(context.Background(), mustModel(t, "sc"), synth.Options{MaxEvents: 2}, nil)
 		done <- err
 	}()
-	waitFor(t, func() bool { return metricInt(c, "shards_released") >= 1 })
-	cancel()
-	<-done
+	select {
+	case err := <-done:
+		want := fmt.Sprintf("failed after %d attempts", cfg.MaxShardRetries+1)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("request error = %v, want one containing %q", err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("request still waiting after the retry budget was spent")
+	}
+	if got, want := metricInt(c, "shards_released"), int64(cfg.MaxShardRetries+1); got != want {
+		t.Errorf("shards_released = %d, want %d", got, want)
+	}
 
 	mu.Lock()
 	seen := append([]string(nil), logs...)

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"memsynth/internal/litmus"
 	"memsynth/internal/relation"
@@ -95,11 +96,17 @@ func (p Perturb) String() string {
 // the RI-orphan set have to be rebuilt (View.Reset). A View embeds its
 // context, so the static accessors below serve views too.
 //
+// A context is pooled: Rebind points it at the next (test, perturbation)
+// and refills every relation, and every StaticMemo slot on first use, in
+// the buffers the previous binding left, so a worker's contexts stop
+// allocating once they have seen its largest program.
+//
 // A context and its views are not safe for concurrent use; the synthesis
 // engine gives each worker its own.
 type StaticCtx struct {
 	test    *litmus.Test
 	perturb Perturb
+	binding uint64 // counts Rebind calls; stamps StaticMemo slots
 
 	n    int
 	live relation.Set
@@ -116,25 +123,69 @@ type StaticCtx struct {
 	// liveWrites[a] is the set of live writes to address a (the fr targets
 	// of an initial read).
 	liveWrites []relation.Set
+	// byThread and byAddr are Rebind's scratch: the live events of each
+	// thread and of each address.
+	byThread, byAddr []relation.Set
 
-	staticMemo map[string]any // StaticMemo storage
+	staticMemo map[string]*memoSlot // StaticMemo storage
+}
+
+// resetSets returns s resized to n empty sets, reusing its storage when it
+// has room.
+func resetSets(s []relation.Set, n int) []relation.Set {
+	if cap(s) < n {
+		return make([]relation.Set, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// memoSlot is one StaticMemo value, stamped with the binding it was built
+// for.
+type memoSlot struct {
+	binding uint64
+	val     any
 }
 
 // NewStaticCtx computes the static relations of test t under perturbation
 // p, implementing the execution-independent part of the paper's _p
-// relations (Fig. 6).
+// relations (Fig. 6). It is a zero context bound by Rebind.
 func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
-	c := &StaticCtx{test: t, perturb: p, n: len(t.Events)}
+	c := &StaticCtx{}
+	c.Rebind(t, p)
+	return c
+}
+
+// Rebind points c at test t under perturbation p, recomputing every static
+// relation into c's own buffers (reallocating only those too small for
+// t) and invalidating every StaticMemo slot. It also invalidates every
+// view of c until that view's next Reset, so only the owner of the
+// context's views may call it.
+func (c *StaticCtx) Rebind(t *litmus.Test, p Perturb) {
+	c.test, c.perturb, c.n = t, p, len(t.Events)
+	c.binding++
 	c.live = relation.UniverseSet(c.n)
 	if p.Kind == PRI {
 		c.live = c.live.Remove(p.Event)
 	}
+	for _, r := range [...]*relation.Rel{
+		&c.po, &c.poLoc, &c.sameAddr, &c.ext, &c.rmw,
+		&c.dep[0], &c.dep[1], &c.dep[2], &c.depAll,
+	} {
+		r.Resize(c.n)
+	}
 
-	// Event classes (live only).
-	for _, e := range t.Events {
-		if !c.live.Has(e.ID) {
-			continue
-		}
+	// Event classes, and the live events of each thread and address.
+	c.reads, c.writes, c.fences = 0, 0, 0
+	threads := 0
+	for i := range t.Events {
+		threads = max(threads, t.Events[i].Thread+1)
+	}
+	c.byThread = resetSets(c.byThread, threads)
+	c.byAddr = resetSets(c.byAddr, t.NumAddrs())
+	for m := c.live; m != 0; m &= m - 1 {
+		e := &t.Events[bits.TrailingZeros64(uint64(m))]
 		switch e.Kind {
 		case litmus.KRead:
 			c.reads = c.reads.Add(e.ID)
@@ -143,45 +194,39 @@ func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
 		case litmus.KFence:
 			c.fences = c.fences.Add(e.ID)
 		}
+		c.byThread[e.Thread] = c.byThread[e.Thread].Add(e.ID)
+		if e.Addr >= 0 {
+			c.byAddr[e.Addr] = c.byAddr[e.Addr].Add(e.ID)
+		}
 	}
 
-	// Program order (transitive) and same-address, restricted to live.
-	c.po = relation.New(c.n)
-	c.sameAddr = relation.New(c.n)
-	c.ext = relation.New(c.n)
-	for _, a := range t.Events {
-		if !c.live.Has(a.ID) {
-			continue
-		}
-		for _, b := range t.Events {
-			if a.ID == b.ID || !c.live.Has(b.ID) {
-				continue
-			}
-			if a.Thread == b.Thread && a.Index < b.Index {
+	// Program order (transitive), cross-thread pairs and same-address
+	// pairs, restricted to live events.
+	for m := c.live; m != 0; m &= m - 1 {
+		a := &t.Events[bits.TrailingZeros64(uint64(m))]
+		thread := c.byThread[a.Thread]
+		c.ext.UnionRow(a.ID, c.live.Minus(thread))
+		for mb := thread; mb != 0; mb &= mb - 1 {
+			if b := &t.Events[bits.TrailingZeros64(uint64(mb))]; a.Index < b.Index {
 				c.po.Add(a.ID, b.ID)
 			}
-			if a.Thread != b.Thread {
-				c.ext.Add(a.ID, b.ID)
-			}
-			if a.Addr >= 0 && a.Addr == b.Addr {
-				c.sameAddr.Add(a.ID, b.ID)
-			}
+		}
+		if a.Addr >= 0 {
+			c.sameAddr.UnionRow(a.ID, c.byAddr[a.Addr].Remove(a.ID))
 		}
 	}
-	c.poLoc = c.po.Intersect(c.sameAddr)
+	c.poLoc.CopyFrom(c.po)
+	c.poLoc.IntersectWith(c.sameAddr)
 
 	// Live writes per address, for the fr edges of initial reads.
-	c.liveWrites = make([]relation.Set, t.NumAddrs())
-	for _, e := range t.Events {
-		if e.Kind == litmus.KWrite && c.live.Has(e.ID) {
-			c.liveWrites[e.Addr] = c.liveWrites[e.Addr].Add(e.ID)
-		}
+	c.liveWrites = resetSets(c.liveWrites, len(c.byAddr))
+	for a, evs := range c.byAddr {
+		c.liveWrites[a] = evs.Intersect(c.writes)
 	}
 
 	// rmw: pairs with both endpoints live; a pair is dissolved by PDRMW on
 	// its read and by PRD on its read (removing the data dependency that
 	// links the pair — paper Fig. 6 rmw_p).
-	c.rmw = relation.New(c.n)
 	for _, pair := range t.RMW {
 		r, w := pair[0], pair[1]
 		if !c.live.Has(r) || !c.live.Has(w) {
@@ -197,9 +242,6 @@ func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
 	// each RMW pair. PRD removes all deps originating at the event. PDRMW
 	// keeps the pair's data dependency (paper §3.2: "The po_loc and data
 	// dependencies between the load and the store remain in effect").
-	for i := range c.dep {
-		c.dep[i] = relation.New(c.n)
-	}
 	addDep := func(d litmus.Dep) {
 		if !c.live.Has(d.From) || !c.live.Has(d.To) {
 			return
@@ -215,12 +257,9 @@ func NewStaticCtx(t *litmus.Test, p Perturb) *StaticCtx {
 	for _, pair := range t.RMW {
 		addDep(litmus.Dep{From: pair[0], To: pair[1], Type: litmus.DepData})
 	}
-	c.depAll = relation.New(c.n)
 	for _, d := range c.dep {
 		c.depAll.UnionWith(d)
 	}
-
-	return c
 }
 
 // Test returns the underlying litmus test.
@@ -273,16 +312,39 @@ func (c *StaticCtx) DepAll() relation.Rel { return c.depAll }
 // perturbation). build must depend only on execution-independent state —
 // po, dependencies, event classes, effective orders/fences/scopes — never
 // on rf, co, fr, orphans, or the sc order.
-func (c *StaticCtx) StaticMemo(key string, build func() any) any {
-	if c.staticMemo == nil {
-		c.staticMemo = make(map[string]any)
+//
+// A slot outlives Rebind but is stamped with the binding it was built
+// for: the first lookup after a Rebind calls build again, passing the
+// previous binding's value (nil on the slot's first build) so that build
+// can refill its buffers in place instead of allocating new ones. A value
+// is therefore valid only until the next Rebind.
+func (c *StaticCtx) StaticMemo(key string, build func(prev any) any) any {
+	slot := c.staticMemo[key]
+	if slot != nil && slot.binding == c.binding {
+		return slot.val
 	}
-	if val, ok := c.staticMemo[key]; ok {
-		return val
+	if slot == nil {
+		if c.staticMemo == nil {
+			c.staticMemo = make(map[string]*memoSlot)
+		}
+		slot = &memoSlot{}
+		c.staticMemo[key] = slot
 	}
-	val := build()
-	c.staticMemo[key] = val
-	return val
+	// Stamped after the build, so a build that panics leaves it stale.
+	slot.val = build(slot.val)
+	slot.binding = c.binding
+	return slot.val
+}
+
+// refillRel returns a StaticMemo relation value emptied over n atoms:
+// prev's relation when there is one, else a new one.
+func refillRel(prev any, n int) *relation.Rel {
+	r, _ := prev.(*relation.Rel)
+	if r == nil {
+		r = new(relation.Rel)
+	}
+	r.Resize(n)
+	return r
 }
 
 // OrderOf returns the effective memory order of event id, honoring a PDMO
@@ -343,27 +405,44 @@ func (c *StaticCtx) FencesOfKind(ks ...litmus.FenceKind) relation.Set {
 	})
 }
 
+// fenceRelKeys holds FenceRel's StaticMemo key per set of fence kinds,
+// built once so that a warm FenceRel call allocates nothing.
+var fenceRelKeys = func() (keys [1 << (litmus.FRel + 1)]string) {
+	for mask := range keys {
+		keys[mask] = "fencerel:" + strconv.Itoa(mask)
+	}
+	return keys
+}()
+
 // FenceRel returns the ordering induced by fences of the given kinds:
 // (po :> F) ; po — every pair of events separated by such a fence in
 // program order (paper Fig. 4's fence function), cached in the context.
+// The caller must not mutate it.
 func (c *StaticCtx) FenceRel(ks ...litmus.FenceKind) relation.Rel {
-	key := make([]byte, 0, 16)
-	key = append(key, "fencerel:"...)
+	var mask int
 	for _, k := range ks {
-		key = append(key, byte(k))
+		if k > litmus.FRel {
+			panic(fmt.Sprintf("exec: FenceRel of unknown fence kind %v", k))
+		}
+		mask |= 1 << k
 	}
-	return c.StaticMemo(string(key), func() any {
-		return c.po.RestrictRange(c.FencesOfKind(ks...)).Join(c.po)
-	}).(relation.Rel)
+	return *c.StaticMemo(fenceRelKeys[mask], func(prev any) any {
+		r := refillRel(prev, c.n)
+		r.CopyFrom(c.po)
+		r.RestrictIn(c.live, c.FencesOfKind(ks...))
+		r.JoinInto(c.po, *r)
+		return r
+	}).(*relation.Rel)
 }
 
 // ScopeCompatible returns the relation containing pairs (a, b) whose scopes
 // mutually cover each other's thread: a's effective scope includes b's
 // thread and vice versa. Events with ScopeNone cover all threads (non-scoped
-// models are unaffected). The result is cached in the context.
+// models are unaffected). The result is cached in the context; the caller
+// must not mutate it.
 func (c *StaticCtx) ScopeCompatible() relation.Rel {
-	return c.StaticMemo("scopecompat", func() any {
-		r := relation.New(c.n)
+	return *c.StaticMemo("scopecompat", func(prev any) any {
+		r := refillRel(prev, c.n)
 		covers := func(a, b int) bool {
 			switch c.ScopeOf(a) {
 			case litmus.ScopeNone, litmus.ScopeSys:
@@ -383,7 +462,7 @@ func (c *StaticCtx) ScopeCompatible() relation.Rel {
 			}
 		}
 		return r
-	}).(relation.Rel)
+	}).(*relation.Rel)
 }
 
 // derived relation cache slots of a View (computed lazily per Reset).
@@ -395,6 +474,8 @@ const (
 	derFRE
 	derFRI
 	derCom
+	derSC    // SCRel(false)
+	derSCRev // SCRel(true)
 	derCount
 )
 
@@ -413,7 +494,7 @@ type View struct {
 	orphans relation.Set // reads whose rf source was RI'd
 
 	der   [derCount]relation.Rel
-	derOK uint8
+	derOK uint16
 
 	memo map[string]any
 }
@@ -450,6 +531,11 @@ func (v *View) Reset(x *Execution) {
 	v.derOK = 0
 	if v.memo != nil {
 		clear(v.memo)
+	}
+	if v.rf.N() != v.n { // the context was rebound to another size
+		v.rf.Resize(v.n)
+		v.co.Resize(v.n)
+		v.fr.Resize(v.n)
 	}
 
 	// rf, recording orphaned reads (source removed by RI): such reads are
@@ -524,7 +610,7 @@ func (v *View) Memo(key string, build func() any) any {
 func (v *View) derived(k uint8, build func(dst relation.Rel)) relation.Rel {
 	if v.derOK&(1<<k) == 0 {
 		if v.der[k].N() != v.n {
-			v.der[k] = relation.New(v.n)
+			v.der[k].Resize(v.n)
 		}
 		build(v.der[k])
 		v.derOK |= 1 << k
@@ -608,31 +694,38 @@ func (v *View) Com() relation.Rel {
 // SCRel returns the strict total order over live FSC fences induced by the
 // execution's SC permutation, honoring DF demotions (a demoted fence leaves
 // the order). If reversed is set, the order is reversed — used by the SCC
-// workaround of paper Fig. 19.
+// workaround of paper Fig. 19. Each orientation is computed once per
+// Reset into a pooled slot, like RFE; the caller must not mutate it.
 func (v *View) SCRel(reversed bool) relation.Rel {
-	r := relation.New(v.n)
-	if v.x.SC == nil {
-		return r
+	k := uint8(derSC)
+	if reversed {
+		k = derSCRev
 	}
-	inOrder := func(id int) bool {
-		return v.live.Has(id) && v.FenceOf(id) == litmus.FSC
-	}
-	for i := 0; i < len(v.x.SC); i++ {
-		if !inOrder(v.x.SC[i]) {
-			continue
-		}
-		for j := i + 1; j < len(v.x.SC); j++ {
-			if !inOrder(v.x.SC[j]) {
+	return v.derived(k, func(dst relation.Rel) {
+		dst.Clear()
+		sc := v.x.SC
+		for i := 0; i < len(sc); i++ {
+			if !v.inSCOrder(sc[i]) {
 				continue
 			}
-			if reversed {
-				r.Add(v.x.SC[j], v.x.SC[i])
-			} else {
-				r.Add(v.x.SC[i], v.x.SC[j])
+			for j := i + 1; j < len(sc); j++ {
+				if !v.inSCOrder(sc[j]) {
+					continue
+				}
+				if reversed {
+					dst.Add(sc[j], sc[i])
+				} else {
+					dst.Add(sc[i], sc[j])
+				}
 			}
 		}
-	}
-	return r
+	})
+}
+
+// inSCOrder reports whether event id takes part in the sc order: a live
+// fence whose effective kind is FSC.
+func (v *View) inSCOrder(id int) bool {
+	return v.live.Has(id) && v.FenceOf(id) == litmus.FSC
 }
 
 // SCEdgeCount returns the number of edges in the (unperturbed) sc order —

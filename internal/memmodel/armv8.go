@@ -72,7 +72,7 @@ func armv8Order(c *exec.StaticCtx) relation.Rel {
 // participate in hb and propagation.
 func deriveARMv8(v *exec.View) *powerDerived {
 	return v.Memo("armv8", func() any {
-		base := derivePower(v, true)
+		base := &derivePower(v, true).d
 		ar := armv8Order(v.StaticCtx)
 		fences := base.fences.Union(ar)
 		hb := base.ppo.Union(fences).Union(v.RFE())

@@ -13,7 +13,7 @@ func SC() Model {
 		name: "sc",
 		axioms: []Axiom{
 			rmwAtomicity(true),
-			Acyclic("sc_order", false, (*exec.StaticCtx).PO),
+			Acyclic("sc_order", false, copyOf((*exec.StaticCtx).PO)),
 		},
 		vocab: Vocab{
 			Ops: []litmus.Op{litmus.R(0), litmus.W(0)},
@@ -50,8 +50,8 @@ func TSO() Model {
 // tsoPPO is the static part of tso's causality axiom,
 // acyclic(rfe ∪ co ∪ fr ∪ ppo ∪ fence): ppo = po minus write→read pairs,
 // plus the mfence ordering.
-func tsoPPO(c *exec.StaticCtx) relation.Rel {
-	ppo := c.PO().Minus(relation.Cross(c.N(), c.Writes(), c.Reads()))
-	ppo.UnionWith(c.FenceRel(litmus.FMFence))
-	return ppo
+func tsoPPO(c *exec.StaticCtx, dst relation.Rel) {
+	dst.CopyFrom(c.PO())
+	dst.MinusCross(c.Writes(), c.Reads())
+	dst.UnionWith(c.FenceRel(litmus.FMFence))
 }

@@ -656,3 +656,45 @@ func TestByNameAndAll(t *testing.T) {
 		t.Error("AxiomByName(nope) should fail")
 	}
 }
+
+// TestRMWAtomicityMatchesFormula pins rmw_atomicity's row-wise check to
+// its formula, empty(fr;co ∩ rmw) and empty(fre;coe ∩ rmw), on every
+// execution of rmw programs under every removal and decomposition.
+func TestRMWAtomicityMatchesFormula(t *testing.T) {
+	progs := []*Test{
+		New("rmw+w", [][]Op{
+			{R(0), W(0)},
+			{W(0)},
+		}, WithRMW(0, 0)),
+		New("rmw+rmw+w", [][]Op{
+			{R(0), W(0), W(0)},
+			{R(0), W(0)},
+			{W(0), R(1)},
+		}, WithRMW(0, 0), WithRMW(1, 0)),
+	}
+	checks := 0
+	for _, external := range []bool{false, true} {
+		a := rmwAtomicity(external)
+		for _, tt := range progs {
+			perturbs := []exec.Perturb{exec.NoPerturb}
+			for _, e := range tt.Events {
+				perturbs = append(perturbs, exec.Perturb{Kind: exec.PRI, Event: e.ID}, exec.Perturb{Kind: exec.PDRMW, Event: e.ID})
+			}
+			exec.Enumerate(tt, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+				for _, p := range perturbs {
+					v := exec.NewView(x, p)
+					want := v.FR().Join(v.CO()).Intersect(v.RMW()).IsEmpty()
+					if external {
+						want = v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
+					}
+					if got := a.Holds(v); got != want {
+						t.Fatalf("%s under %v (external %v), execution %s: Holds = %v, formula = %v", tt.Name, p, external, x, got, want)
+					}
+					checks++
+				}
+				return true
+			})
+		}
+	}
+	t.Logf("%d checks", checks)
+}

@@ -13,6 +13,7 @@ package memmodel
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -42,7 +43,7 @@ type Axiom struct {
 // written once.
 type Graph struct {
 	key        string // StaticMemo key of the per-context state
-	static     func(c *exec.StaticCtx) relation.Rel
+	static     func(c *exec.StaticCtx, dst relation.Rel)
 	rfExternal bool
 }
 
@@ -54,9 +55,9 @@ var graphIDs atomic.Uint64
 
 // Acyclic returns the axiom acyclic(static ∪ rf ∪ co ∪ fr), or with rfe
 // in place of rf when rfExternal, declaring its Graph and deriving Holds
-// from it. Holds evaluates static once per static context; its result
-// must not be mutated.
-func Acyclic(name string, rfExternal bool, static func(c *exec.StaticCtx) relation.Rel) Axiom {
+// from it. static adds the static part's edges to dst, which is empty
+// over c's universe; it runs once per binding of a static context.
+func Acyclic(name string, rfExternal bool, static func(c *exec.StaticCtx, dst relation.Rel)) Axiom {
 	g := &Graph{
 		key:        "acyclic#" + strconv.FormatUint(graphIDs.Add(1), 10),
 		static:     static,
@@ -65,26 +66,44 @@ func Acyclic(name string, rfExternal bool, static func(c *exec.StaticCtx) relati
 	return Axiom{Name: name, Holds: g.holds, Graph: g}
 }
 
-// graphCtx is a graph's state in one static context, cached there by
-// Holds: the static part and the scratch relation the whole graph is
-// assembled in.
+// copyOf is the static part of a graph whose static edges are one of the
+// context's relations.
+func copyOf(rel func(c *exec.StaticCtx) relation.Rel) func(c *exec.StaticCtx, dst relation.Rel) {
+	return func(c *exec.StaticCtx, dst relation.Rel) { dst.CopyFrom(rel(c)) }
+}
+
+// graphCtx is a graph's state in one static context, cached there: the
+// static part and the scratch relation Holds assembles the whole graph in.
 type graphCtx struct {
 	base, scratch relation.Rel
 }
 
-// Base computes the graph's static part in context c. It does not cache:
-// a caller evaluating many executions in one context computes it once and
-// keeps it, as Holds and admit do. The caller must not mutate it.
-func (g *Graph) Base(c *exec.StaticCtx) relation.Rel { return g.static(c) }
+// state returns the graph's state in context c, refilling the slot's
+// buffers once per binding of c.
+func (g *Graph) state(c *exec.StaticCtx) *graphCtx {
+	return c.StaticMemo(g.key, func(prev any) any {
+		s, _ := prev.(*graphCtx)
+		if s == nil {
+			s = new(graphCtx)
+		}
+		s.base.Resize(c.N())
+		s.scratch.Resize(c.N())
+		g.static(c, s.base)
+		return s
+	}).(*graphCtx)
+}
+
+// Static returns the graph's static part in context c, from the same
+// StaticMemo slot Holds reads. It is valid until c's next Rebind; the
+// caller must not mutate it.
+func (g *Graph) Static(c *exec.StaticCtx) relation.Rel { return g.state(c).base }
 
 // RFExternal reports whether the graph includes only the cross-thread rf
 // edges (rfe) rather than all of rf.
 func (g *Graph) RFExternal() bool { return g.rfExternal }
 
 func (g *Graph) holds(v *exec.View) bool {
-	s := v.StaticMemo(g.key, func() any {
-		return &graphCtx{base: g.static(v.StaticCtx), scratch: relation.New(v.N())}
-	}).(*graphCtx)
+	s := g.state(v.StaticCtx)
 	if g.rfExternal {
 		s.scratch.CopyFrom(v.RFE())
 		s.scratch.UnionWith(v.CO())
@@ -100,7 +119,7 @@ func (g *Graph) holds(v *exec.View) bool {
 // consistency, stated alike by tso (paper Fig. 4), power/armv7 (Fig. 15),
 // armv8, and scc/hsa (Fig. 17).
 func scPerLoc() Axiom {
-	return Acyclic("sc_per_loc", false, (*exec.StaticCtx).POLoc)
+	return Acyclic("sc_per_loc", false, copyOf((*exec.StaticCtx).POLoc))
 }
 
 // rmwAtomicity is the atomicity of read-modify-write pairs: no write
@@ -112,10 +131,23 @@ func rmwAtomicity(external bool) Axiom {
 	return Axiom{
 		Name: "rmw_atomicity",
 		Holds: func(v *exec.View) bool {
-			if external {
-				return v.FRE().Join(v.COE()).Intersect(v.RMW()).IsEmpty()
+			rmw := v.RMW()
+			if rmw.IsEmpty() {
+				return true
 			}
-			return v.FR().Join(v.CO()).Intersect(v.RMW()).IsEmpty()
+			fr, co := v.FR(), v.CO()
+			if external {
+				fr, co = v.FRE(), v.COE()
+			}
+			// fr;co ∩ rmw is empty iff no pair (r, w) of rmw has a write
+			// co-before w that r is fr-before.
+			for m := rmw.Domain(); m != 0; m &= m - 1 {
+				r := bits.TrailingZeros64(uint64(m))
+				if !co.Image(fr.Successors(r)).Intersect(rmw.Successors(r)).IsEmpty() {
+					return false
+				}
+			}
+			return true
 		},
 	}
 }

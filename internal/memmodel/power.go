@@ -18,11 +18,11 @@ type powerDerived struct {
 }
 
 // powerStatic holds the execution-independent half of the Power derivation
-// (cached per static context via StaticCtx.StaticMemo) together with the pooled
-// scratch buffers the per-execution derivation writes into. One derivation
-// runs at a time per context (views are single-threaded), so sharing the
-// scratch across executions is safe and keeps the hot fixpoint
-// allocation-free.
+// (cached per static context via StaticCtx.StaticMemo, and refilled in
+// place when the context is rebound) together with the pooled scratch
+// buffers the per-execution derivation writes into. One derivation runs at
+// a time per context (views are single-threaded), so sharing the scratch
+// across executions is safe and keeps the hot fixpoint allocation-free.
 type powerStatic struct {
 	rr, rw, ww relation.Rel
 	cc0        relation.Rel // dp ∪ ctrl ∪ addrPo [∪ po_loc on Power]
@@ -45,47 +45,59 @@ func powerStaticOf(c *exec.StaticCtx, arm bool) *powerStatic {
 	if arm {
 		key = "armv7.static"
 	}
-	return c.StaticMemo(key, func() any {
-		n := c.N()
-		s := &powerStatic{
-			rr: relation.Cross(n, c.Reads(), c.Reads()),
-			rw: relation.Cross(n, c.Reads(), c.Writes()),
-			ww: relation.Cross(n, c.Writes(), c.Writes()),
+	return c.StaticMemo(key, func(prev any) any {
+		s, _ := prev.(*powerStatic)
+		if s == nil {
+			s = new(powerStatic)
 		}
-		wr := relation.Cross(n, c.Writes(), c.Reads())
-
-		dp := c.Dep(litmus.DepAddr).Union(c.Dep(litmus.DepData))
-		ctrl := c.Dep(litmus.DepCtrl)
-		addrPo := c.Dep(litmus.DepAddr).Join(c.PO())
-		// ctrl+isync: control dependencies refined through an isync
-		// fence order the read before everything po-after the fence.
-		isync := c.FencesOfKind(litmus.FISync)
-		s.ii0s = dp
-		s.ci0s = ctrl.RestrictRange(isync).Join(c.PO())
-		s.cc0 = dp.Union(ctrl).Union(addrPo)
-		if !arm {
-			s.cc0 = s.cc0.Union(c.POLoc())
-		}
-
-		s.ffence = c.FenceRel(litmus.FSync)
-		if arm {
-			s.fences = s.ffence
-		} else {
-			lwfence := c.FenceRel(litmus.FLwSync).Minus(wr)
-			s.fences = lwfence.Union(s.ffence)
-		}
-		s.d.fences, s.d.ffence = s.fences, s.ffence
-
-		for _, r := range []*relation.Rel{
-			&s.ii0, &s.ci0, &s.ii, &s.ic, &s.ci, &s.cc,
-			&s.nii, &s.nic, &s.nci, &s.ncc, &s.tmp, &s.chain,
-			&s.propBase, &s.comRT,
-			&s.d.ppo, &s.d.hb, &s.d.hbRT, &s.d.prop,
-		} {
-			*r = relation.New(n)
-		}
+		s.refill(c, arm)
 		return s
 	}).(*powerStatic)
+}
+
+// refill recomputes the static half for context c into s's buffers.
+func (s *powerStatic) refill(c *exec.StaticCtx, arm bool) {
+	for _, r := range [...]*relation.Rel{
+		&s.rr, &s.rw, &s.ww, &s.cc0, &s.ii0s, &s.ci0s, &s.ffence, &s.fences,
+		&s.ii0, &s.ci0, &s.ii, &s.ic, &s.ci, &s.cc,
+		&s.nii, &s.nic, &s.nci, &s.ncc, &s.tmp, &s.chain,
+		&s.propBase, &s.comRT,
+		&s.d.ppo, &s.d.hb, &s.d.hbRT, &s.d.prop,
+	} {
+		r.Resize(c.N())
+	}
+	s.rr.UnionCross(c.Reads(), c.Reads())
+	s.rw.UnionCross(c.Reads(), c.Writes())
+	s.ww.UnionCross(c.Writes(), c.Writes())
+
+	// ii0s = dp = addr ∪ data.
+	s.ii0s.CopyFrom(c.Dep(litmus.DepAddr))
+	s.ii0s.UnionWith(c.Dep(litmus.DepData))
+	// ci0s = ctrl+isync: control dependencies refined through an isync
+	// fence order the read before everything po-after the fence.
+	s.ci0s.CopyFrom(c.Dep(litmus.DepCtrl))
+	s.ci0s.RestrictIn(c.Live(), c.FencesOfKind(litmus.FISync))
+	s.ci0s.JoinInto(c.PO(), s.ci0s)
+	// cc0 = dp ∪ ctrl ∪ addr;po, plus po_loc on Power.
+	s.cc0.CopyFrom(s.ii0s)
+	s.cc0.UnionWith(c.Dep(litmus.DepCtrl))
+	c.Dep(litmus.DepAddr).JoinInto(c.PO(), s.tmp)
+	s.cc0.UnionWith(s.tmp)
+	if !arm {
+		s.cc0.UnionWith(c.POLoc())
+	}
+
+	// fences = ffence on ARM; lwfence ∪ ffence on Power, where lwsync
+	// does not order a write before a read.
+	s.ffence.CopyFrom(c.FenceRel(litmus.FSync))
+	if arm {
+		s.fences.CopyFrom(s.ffence)
+	} else {
+		s.fences.CopyFrom(c.FenceRel(litmus.FLwSync))
+		s.fences.MinusCross(c.Writes(), c.Reads())
+		s.fences.UnionWith(s.ffence)
+	}
+	s.d.fences, s.d.ffence = s.fences, s.ffence
 }
 
 // derivePower computes preserved program order (the fixed point of the four
@@ -94,8 +106,9 @@ func powerStaticOf(c *exec.StaticCtx, arm bool) *powerStatic {
 // (reflecting the ARMv7 subtleties the formalization leaves out). The
 // static half comes from powerStaticOf; the dynamic half is recomputed
 // into that bundle's pooled scratch, so a steady-state derivation does not
-// allocate.
-func derivePower(v *exec.View, arm bool) *powerDerived {
+// allocate. It returns the bundle, whose d holds the derived relations and
+// whose tmp and chain are free scratch until the next derivation.
+func derivePower(v *exec.View, arm bool) *powerStatic {
 	key := "power"
 	if arm {
 		key = "armv7"
@@ -189,8 +202,8 @@ func derivePower(v *exec.View, arm bool) *powerDerived {
 		d.prop.IntersectWith(s.propBase)
 		d.prop.UnionWith(s.tmp)
 
-		return d
-	}).(*powerDerived)
+		return s
+	}).(*powerStatic)
 }
 
 func powerAxioms(arm bool) []Axiom {
@@ -202,21 +215,27 @@ func powerAxioms(arm bool) []Axiom {
 		{
 			Name: "no_thin_air",
 			Holds: func(v *exec.View) bool {
-				return derivePower(v, arm).hb.Acyclic()
+				return derivePower(v, arm).d.hb.Acyclic()
 			},
 		},
 		{
 			Name: "observation",
 			Holds: func(v *exec.View) bool {
-				d := derivePower(v, arm)
-				return v.FRE().Join(d.prop).Join(d.hbRT).Irreflexive()
+				s := derivePower(v, arm)
+				// irreflexive(fre ; prop ; hb*)
+				v.FRE().JoinInto(s.d.prop, s.tmp)
+				s.tmp.JoinInto(s.d.hbRT, s.chain)
+				return s.chain.Irreflexive()
 			},
 		},
 		{
 			Name: "propagation",
 			Holds: func(v *exec.View) bool {
-				d := derivePower(v, arm)
-				return v.CO().Union(d.prop).Acyclic()
+				s := derivePower(v, arm)
+				// acyclic(co ∪ prop)
+				s.tmp.CopyFrom(v.CO())
+				s.tmp.UnionWith(s.d.prop)
+				return s.tmp.Acyclic()
 			},
 		},
 	}

@@ -1,14 +1,17 @@
 package memmodel
 
 import (
+	"math/bits"
+
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
 	"memsynth/internal/relation"
 )
 
 // sccStatic holds the execution-independent half of the SCC/HSA derivation
-// (cached per static context via StaticCtx.StaticMemo) together with pooled
-// scratch for the per-execution sync and causality computations.
+// (cached per static context via StaticCtx.StaticMemo, and refilled in
+// place when the context is rebound) together with pooled scratch for the
+// per-execution sync and causality computations.
 type sccStatic struct {
 	releasers, acquirers relation.Set
 	prefix, suffix       relation.Rel
@@ -16,6 +19,7 @@ type sccStatic struct {
 
 	// scratch (per-execution values, pooled across executions)
 	chain, sync, cause, tmp relation.Rel
+	scopedSC                relation.Rel // sc ∩ scope-compat (scoped only)
 }
 
 func sccStaticOf(c *exec.StaticCtx, scoped bool) *sccStatic {
@@ -23,34 +27,61 @@ func sccStaticOf(c *exec.StaticCtx, scoped bool) *sccStatic {
 	if scoped {
 		key = "scc.scoped.static"
 	}
-	return c.StaticMemo(key, func() any {
-		n := c.N()
-		fences := c.Fences()
-		releases := c.Where(func(id int) bool {
-			return c.Writes().Has(id) && c.OrderOf(id) == litmus.ORelease
-		})
-		acquires := c.Where(func(id int) bool {
-			return c.Reads().Has(id) && c.OrderOf(id) == litmus.OAcquire
-		})
-		s := &sccStatic{
-			releasers: releases.Union(fences),
-			acquirers: acquires.Union(fences),
+	return c.StaticMemo(key, func(prev any) any {
+		s, _ := prev.(*sccStatic)
+		if s == nil {
+			s = new(sccStatic)
 		}
-
-		iden := relation.IdentityOn(n, c.Live())
-		s.prefix = iden.
-			Union(c.PO().RestrictDomain(fences)).
-			Union(c.POLoc().RestrictDomain(releases))
-		s.suffix = iden.
-			Union(c.PO().RestrictRange(fences)).
-			Union(c.POLoc().RestrictRange(acquires))
-		s.poRT = c.PO().ReflexiveClosure()
-
-		for _, r := range []*relation.Rel{&s.chain, &s.sync, &s.cause, &s.tmp} {
-			*r = relation.New(n)
-		}
+		s.refill(c)
 		return s
 	}).(*sccStatic)
+}
+
+// refill recomputes the static half for context c into s's buffers:
+//
+//	prefix = iden + (Fence <: po) + (Release <: po_loc)
+//	suffix = iden + (po :> Fence) + (po_loc :> Acquire)
+//
+// with iden over the live events, and poRT = *po.
+func (s *sccStatic) refill(c *exec.StaticCtx) {
+	for _, r := range [...]*relation.Rel{
+		&s.prefix, &s.suffix, &s.poRT,
+		&s.chain, &s.sync, &s.cause, &s.tmp, &s.scopedSC,
+	} {
+		r.Resize(c.N())
+	}
+	fences := c.Fences()
+	releases := c.Where(func(id int) bool {
+		return c.Writes().Has(id) && c.OrderOf(id) == litmus.ORelease
+	})
+	acquires := c.Where(func(id int) bool {
+		return c.Reads().Has(id) && c.OrderOf(id) == litmus.OAcquire
+	})
+	s.releasers = releases.Union(fences)
+	s.acquirers = acquires.Union(fences)
+
+	all := relation.UniverseSet(c.N())
+	for m := c.Live(); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(uint64(m))
+		s.prefix.Add(i, i)
+	}
+	s.suffix.CopyFrom(s.prefix)
+	for _, part := range [...]struct {
+		dst      relation.Rel
+		rel      relation.Rel
+		dom, rng relation.Set
+	}{
+		{s.prefix, c.PO(), fences, all},
+		{s.prefix, c.POLoc(), releases, all},
+		{s.suffix, c.PO(), all, fences},
+		{s.suffix, c.POLoc(), all, acquires},
+	} {
+		s.tmp.CopyFrom(part.rel)
+		s.tmp.RestrictIn(part.dom, part.rng)
+		part.dst.UnionWith(s.tmp)
+	}
+	s.poRT.CopyFrom(c.PO())
+	s.poRT.ReflexiveCloseIn()
 }
 
 // sccSync computes the SCC synchronization relation of paper Fig. 17:
@@ -69,7 +100,7 @@ func sccSync(v *exec.View, scoped bool) relation.Rel {
 	if scoped {
 		key = "scc.scoped.sync"
 	}
-	return v.Memo(key, func() any {
+	return *v.Memo(key, func() any {
 		s := sccStaticOf(v.StaticCtx, scoped)
 		s.chain.CopyFrom(v.RF())
 		s.chain.UnionWith(v.RMW())
@@ -80,8 +111,8 @@ func sccSync(v *exec.View, scoped bool) relation.Rel {
 		if scoped {
 			s.sync.IntersectWith(v.ScopeCompatible())
 		}
-		return s.sync
-	}).(relation.Rel)
+		return &s.sync
+	}).(*relation.Rel)
 }
 
 // sccCause computes cause = *po.(sc + sync).*po, with the sc order possibly
@@ -93,7 +124,9 @@ func sccCause(v *exec.View, scoped, reverseSC bool) relation.Rel {
 	s := sccStaticOf(v.StaticCtx, scoped)
 	sc := v.SCRel(reverseSC)
 	if scoped {
-		sc = sc.Intersect(v.ScopeCompatible())
+		s.scopedSC.CopyFrom(sc)
+		s.scopedSC.IntersectWith(v.ScopeCompatible())
+		sc = s.scopedSC
 	}
 	sync := sccSync(v, scoped)
 	s.tmp.CopyFrom(sc)
@@ -127,7 +160,10 @@ func sccAxioms(scoped bool) []Axiom {
 		{
 			Name: "no_thin_air",
 			Holds: func(v *exec.View) bool {
-				return v.RF().Union(v.DepAll()).Acyclic()
+				s := sccStaticOf(v.StaticCtx, scoped)
+				s.tmp.CopyFrom(v.RF())
+				s.tmp.UnionWith(v.DepAll())
+				return s.tmp.Acyclic()
 			},
 		},
 		rmwAtomicity(false), // no fr.co & rmw (Fig. 17)

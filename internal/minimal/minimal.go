@@ -23,10 +23,11 @@
 //
 // The evaluation-context machinery is amortized for the synthesis explore
 // hot path: a Checker binds to one program, computes the relaxation
-// applications, the sc-order permutations, and one static evaluation
-// context (exec.StaticCtx plus a pooled exec.View) per perturbation once,
-// and then stamps every execution of the program through those pooled
-// contexts.
+// applications and the sc-order permutations once, rebinds one pooled
+// evaluation context (exec.StaticCtx plus an exec.View) per perturbation
+// in place, and then stamps every execution of the program through those
+// contexts. The contexts outlive the program: the next Bind rebinds them
+// into the same buffers instead of allocating new ones.
 package minimal
 
 import (
@@ -107,10 +108,13 @@ func scOrders(m memmodel.Model, x *exec.Execution) [][]int {
 }
 
 // Checker amortizes the static work of the minimality criterion across the
-// executions of one program. Bind computes the relaxation applications,
-// the sc-order permutations, and lazily one static evaluation context per
-// perturbation; Check then rebuilds only the dynamic relations (rf, co,
-// fr) per execution into the pooled views.
+// executions of one program. Bind computes the relaxation applications and
+// the sc-order permutations and rebinds the base view's context; the view
+// of each relaxation-application slot is rebound lazily, on the slot's
+// first use in the program. The views and their contexts are kept across
+// Bind calls, so a warm Checker rebinds in place instead of allocating.
+// Check then rebuilds only the dynamic relations (rf, co, fr) per
+// execution into the pooled views.
 //
 // A Checker is not safe for concurrent use; the synthesis engine gives
 // each worker its own.
@@ -131,8 +135,15 @@ type Checker struct {
 	scPerms  [][]int    // precomputed permutations (UsesSC models, ≥2 fences)
 	oneOrder [1][]int   // scratch for the single-order case
 	base     *exec.View // pooled NoPerturb view
-	perApp   []*exec.View
-	violated []bool // scratch for the per-axiom forbidden sweep
+	slots    []appSlot  // slots[i] serves apps[i]; grows to the most apps seen
+	program  uint64     // counts bind calls
+	violated []bool     // scratch for the per-axiom forbidden sweep
+}
+
+// appSlot is one relaxation application's pooled view.
+type appSlot struct {
+	*exec.View
+	program uint64 // the bind its context was last rebound for
 }
 
 // NewChecker returns a Checker for model m; Bind points it at a program.
@@ -162,10 +173,13 @@ func (c *Checker) bind(t *litmus.Test, apps []exec.Perturb) {
 			c.scPerms = permutations(fences)
 		}
 	}
-	c.base = exec.NewStaticCtx(t, exec.NoPerturb).NewView()
-	c.perApp = c.perApp[:0]
-	for range apps {
-		c.perApp = append(c.perApp, nil)
+	if c.base == nil {
+		c.base = new(exec.StaticCtx).NewView()
+	}
+	c.base.Rebind(t, exec.NoPerturb)
+	c.program++
+	for len(c.slots) < len(apps) {
+		c.slots = append(c.slots, appSlot{View: new(exec.StaticCtx).NewView()})
 	}
 }
 
@@ -179,15 +193,17 @@ func (c *Checker) ordersFor(x *exec.Execution) [][]int {
 	return c.oneOrder[:]
 }
 
-// appView returns the pooled view for relaxation application i, building
-// its static context on first use. Construction is lazy because the
-// observability sweep only runs for executions that violate some axiom —
-// a small minority — and even then usually short-circuits.
+// appView returns the pooled view for relaxation application i, rebinding
+// its context on the slot's first use in this program. Rebinding is lazy
+// because the observability sweep only runs for executions that violate
+// some axiom — a small minority — and even then usually short-circuits.
 func (c *Checker) appView(i int) *exec.View {
-	if c.perApp[i] == nil {
-		c.perApp[i] = exec.NewStaticCtx(c.t, c.apps[i]).NewView()
+	s := &c.slots[i]
+	if s.program != c.program {
+		s.Rebind(c.t, c.apps[i])
+		s.program = c.program
 	}
-	return c.perApp[i]
+	return s.View
 }
 
 // Check evaluates the minimality criterion for execution x of the bound

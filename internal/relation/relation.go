@@ -209,6 +209,23 @@ func (r Rel) Join(s Rel) Rel {
 // relaxation) triple. These variants write into an existing Rel instead,
 // letting callers reuse pooled scratch buffers.
 
+// Resize empties r and sets its universe to n atoms, reusing r's row
+// storage when it has room for n rows. It is how a pooled relation follows
+// its owner from one program to the next without reallocating. It panics
+// if n is negative or exceeds MaxUniverse.
+func (r *Rel) Resize(n int) {
+	if n < 0 || n > MaxUniverse {
+		panic(fmt.Sprintf("relation: universe size %d out of range [0,%d]", n, MaxUniverse))
+	}
+	if cap(r.rows) < n {
+		r.rows = make([]uint64, n)
+	} else {
+		r.rows = r.rows[:n]
+		clear(r.rows)
+	}
+	r.n = n
+}
+
 // Clear removes every pair, keeping the universe.
 func (r Rel) Clear() {
 	for i := range r.rows {
@@ -292,6 +309,25 @@ func (r Rel) RestrictIn(dom, rng Set) {
 		} else {
 			r.rows[i] &= uint64(rng)
 		}
+	}
+}
+
+// UnionCross adds every pair of dom × rng to r in place (r ∪= dom × rng).
+func (r Rel) UnionCross(dom, rng Set) {
+	r.mustMatchSet(dom, "cross union")
+	r.mustMatchSet(rng, "cross union")
+	for m := uint64(dom); m != 0; m &= m - 1 {
+		r.rows[bits.TrailingZeros64(m)] |= uint64(rng)
+	}
+}
+
+// MinusCross removes every pair of dom × rng from r in place
+// (r \= dom × rng).
+func (r Rel) MinusCross(dom, rng Set) {
+	r.mustMatchSet(dom, "cross minus")
+	r.mustMatchSet(rng, "cross minus")
+	for m := uint64(dom); m != 0; m &= m - 1 {
+		r.rows[bits.TrailingZeros64(m)] &^= uint64(rng)
 	}
 }
 

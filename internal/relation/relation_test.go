@@ -256,6 +256,16 @@ func TestQuickInPlaceMatchesAllocating(t *testing.T) {
 		if !dst.Equal(a.Restrict(dom, rng2)) {
 			return false
 		}
+		dst.CopyFrom(a)
+		dst.UnionCross(dom, rng2)
+		if !dst.Equal(a.Union(Cross(10, dom, rng2))) {
+			return false
+		}
+		dst.CopyFrom(a)
+		dst.MinusCross(dom, rng2)
+		if !dst.Equal(a.Minus(Cross(10, dom, rng2))) {
+			return false
+		}
 		dst.Clear()
 		return dst.IsEmpty()
 	}
@@ -279,6 +289,37 @@ func TestUnionRow(t *testing.T) {
 	want.Add(3, 4)
 	if !r.Equal(want) {
 		t.Errorf("UnionRow result %v, want %v", r, want)
+	}
+}
+
+// TestResize: a resized relation is empty over its new universe, and
+// shrinking then growing within the original capacity reuses the rows.
+func TestResize(t *testing.T) {
+	r := Full(6)
+	rows := &r.rows[0]
+	r.Resize(3)
+	if r.N() != 3 || !r.IsEmpty() {
+		t.Fatalf("Resize(3) = %v over %d atoms, want empty over 3", r, r.N())
+	}
+	r.Add(2, 1)
+	r.Resize(6)
+	if r.N() != 6 || !r.IsEmpty() {
+		t.Fatalf("Resize(6) = %v over %d atoms, want empty over 6", r, r.N())
+	}
+	if &r.rows[0] != rows {
+		t.Error("Resize within capacity reallocated the rows")
+	}
+	r.Resize(8)
+	if r.N() != 8 || !r.IsEmpty() {
+		t.Fatalf("Resize(8) = %v over %d atoms, want empty over 8", r, r.N())
+	}
+	var z Rel
+	z.Resize(4)
+	if !z.Equal(New(4)) {
+		t.Errorf("zero Rel resized to 4 = %v over %d atoms", z, z.N())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { r.Resize(5); r.Resize(8) }); allocs != 0 {
+		t.Errorf("Resize within capacity allocated %v times", allocs)
 	}
 }
 
