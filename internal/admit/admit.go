@@ -47,6 +47,19 @@
 // relaxation-application slot and rebinds in place per program
 // (DESIGN.md §10), so neither the contexts nor the graphs are rebuilt
 // from scratch for each program.
+//
+// Saturation is incremental. When a slot is rebound, the transitive
+// closure of each graph's static part is computed once and kept in the
+// slot. Each saturation copies that closed base and adds the rf edges
+// with a closed insert (relation.Rel.AddClosed: the source and every atom
+// reaching it gain the target and its successors, O(n) rows), and every
+// forced co or fr edge goes into all graphs' closures the same way, so a
+// fixpoint round only re-scans the forcing rules and an insert that
+// closes a cycle refutes at once. The rules are monotone and a cycle,
+// once present, stays, so any order of applying them reaches the same
+// least fixpoint as rebuilding and reclosing every graph each round: the
+// verdict and the forced edges Extends reads are the same
+// (TestIncrementalSaturationMatchesReference).
 package admit
 
 import (
@@ -61,12 +74,13 @@ import (
 )
 
 // graph is one acyclicity axiom of the model (memmodel.Graph) in one
-// relaxation application: its static base edges and the rf-inclusion rule.
-// Every such graph contains the full co and fr relations (the saturation
-// rules rely on co ⊆ graph and fr ⊆ graph to justify forced edges).
+// relaxation application: the transitive closure of its static base edges
+// and the rf-inclusion rule. Every such graph contains the full co and fr
+// relations (the saturation rules rely on co ⊆ graph and fr ⊆ graph to
+// justify forced edges).
 type graph struct {
-	base       relation.Rel
-	rfExternal bool // only the cross-thread rf edges (rfe) are in the graph
+	closed     relation.Rel // ^static, owned by the application's slot
+	rfExternal bool         // only the cross-thread rf edges (rfe) are in the graph
 }
 
 // Supports reports whether model m declares an acyclicity graph for fast
@@ -119,6 +133,7 @@ func Models() []Capability {
 type appCtx struct {
 	exec.StaticCtx
 	graphs  []graph
+	cyclic  bool   // some graph's static base is cyclic: every rf is refuted
 	program uint64 // the Bind the context was last rebound for
 }
 
@@ -148,10 +163,9 @@ type Checker struct {
 	program uint64    // counts Bind calls
 
 	// Saturation scratch, sized to the bound test's universe.
-	fco     relation.Rel // forced coherence edges of the current app
-	ffr     relation.Rel // forced from-reads edges of the current app
-	cl      relation.Rel // per-graph closure
-	unionCo relation.Rel // forced co edges across all apps of one Decide
+	fco     relation.Rel   // forced coherence edges of the current app
+	cls     []relation.Rel // cls[k]: closed lower bound on graph k of the current app
+	unionCo relation.Rel   // forced co edges across all apps of one Decide
 }
 
 // NewChecker returns a Checker for model m, or nil when the model declares
@@ -161,7 +175,7 @@ func NewChecker(m memmodel.Model) *Checker {
 	if len(decls) == 0 {
 		return nil
 	}
-	return &Checker{decls: decls}
+	return &Checker{decls: decls, cls: make([]relation.Rel, len(decls))}
 }
 
 // Bind points the checker at test t with the model's relaxation
@@ -182,21 +196,29 @@ func (c *Checker) Bind(t *litmus.Test, apps []exec.Perturb) {
 	}
 	if c.fco.N() != c.n {
 		c.fco.Resize(c.n)
-		c.ffr.Resize(c.n)
-		c.cl.Resize(c.n)
 		c.unionCo.Resize(c.n)
+		for k := range c.cls {
+			c.cls[k].Resize(c.n)
+		}
 	}
 }
 
-// appCtxFor returns application i's slot, rebinding its context on the
-// slot's first use in this program. Rebinding is lazy because the
-// fail-fast order usually refutes with the front application alone.
+// appCtxFor returns application i's slot, rebinding its context and
+// closing each graph's static base on the slot's first use in this
+// program. Rebinding is lazy because the fail-fast order usually refutes
+// with the front application alone.
 func (c *Checker) appCtxFor(i int) *appCtx {
 	a := c.slots[i]
 	if a.program != c.program {
 		a.Rebind(c.t, c.apps[i])
+		a.cyclic = false
 		for k, d := range c.decls {
-			a.graphs[k] = graph{base: d.Static(&a.StaticCtx), rfExternal: d.RFExternal()}
+			g := &a.graphs[k]
+			g.rfExternal = d.RFExternal()
+			g.closed.Resize(c.n)
+			g.closed.CopyFrom(d.Static(&a.StaticCtx))
+			g.closed.CloseIn()
+			a.cyclic = a.cyclic || !g.closed.Irreflexive()
 		}
 		a.program = c.program
 	}
@@ -254,45 +276,55 @@ func (c *Checker) Extends(co [][]int) bool {
 // whether it refutes the rf assignment (no coherence order satisfies the
 // application's acyclicity graphs). On a false return c.fco holds the
 // edges every satisfying order must contain.
+//
+// c.cls[k] is kept equal to the closure of graph k's lower bound — static
+// base, the rf edges the graph includes, and every co and fr edge forced
+// so far — by closed inserts (relation.Rel.AddClosed), so no graph is
+// rebuilt or reclosed inside the fixpoint, and an insert that closes a
+// cycle refutes at once.
 func (c *Checker) saturate(a *appCtx, rf []int) bool {
+	if a.cyclic {
+		return true
+	}
 	c.fco.Clear()
-	c.ffr.Clear()
 	reads, live, ext := a.Reads(), a.Live(), a.Ext()
+
+	for k := range a.graphs {
+		g, cl := &a.graphs[k], c.cls[k]
+		cl.CopyFrom(g.closed)
+		for m := reads; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros64(uint64(m))
+			src := rf[r]
+			if src < 0 || !live.Has(src) {
+				continue // initial or orphaned (source removed by RI)
+			}
+			if g.rfExternal && !ext.Has(src, r) {
+				continue
+			}
+			if cl.AddClosed(src, r) {
+				return true
+			}
+		}
+	}
 
 	// An initial (non-orphaned) read is from-reads-before every live write
 	// to its address, for every coherence order.
 	for m := reads; m != 0; m &= m - 1 {
 		r := bits.TrailingZeros64(uint64(m))
-		if rf[r] < 0 {
-			c.ffr.UnionRow(r, a.LiveWrites(c.t.Events[r].Addr))
+		if rf[r] >= 0 {
+			continue
+		}
+		for mw := a.LiveWrites(c.t.Events[r].Addr); mw != 0; mw &= mw - 1 {
+			if c.addForced(r, bits.TrailingZeros64(uint64(mw))) {
+				return true
+			}
 		}
 	}
 
 	for {
 		progress := false
-		for _, g := range a.graphs {
-			// Lower bound on the graph of any satisfying execution: static
-			// base, the rf edges the graph includes, and everything forced
-			// so far.
-			c.cl.CopyFrom(g.base)
-			for m := reads; m != 0; m &= m - 1 {
-				r := bits.TrailingZeros64(uint64(m))
-				src := rf[r]
-				if src < 0 || !live.Has(src) {
-					continue // initial or orphaned (source removed by RI)
-				}
-				if g.rfExternal && !ext.Has(src, r) {
-					continue
-				}
-				c.cl.Add(src, r)
-			}
-			c.cl.UnionWith(c.fco)
-			c.cl.UnionWith(c.ffr)
-			c.cl.CloseIn()
-			if !c.cl.Irreflexive() {
-				return true // forced edges already close a cycle
-			}
-
+		for k := range a.graphs {
+			g, cl := &a.graphs[k], c.cls[k]
 			// (ww) A path w1 →+ w2 between live same-address writes forces
 			// co(w1, w2): the opposite orientation would put the co edge
 			// w2→w1 on the path's cycle.
@@ -303,7 +335,7 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 				}
 				for m1 := ws; m1 != 0; m1 &= m1 - 1 {
 					w1 := bits.TrailingZeros64(uint64(m1))
-					reach := c.cl.Successors(w1).Intersect(ws).Remove(w1)
+					reach := cl.Successors(w1).Intersect(ws).Remove(w1)
 					for m2 := reach; m2 != 0; m2 &= m2 - 1 {
 						w2 := bits.TrailingZeros64(uint64(m2))
 						ok, p := c.force(a, rf, w1, w2)
@@ -326,7 +358,7 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 					w := bits.TrailingZeros64(uint64(mw))
 					// (wr) A path w →+ r forces co(w, src): co(src, w)
 					// would derive fr(r, w), closing the cycle w →+ r → w.
-					if c.cl.Has(w, r) {
+					if cl.Has(w, r) {
 						ok, p := c.force(a, rf, w, src)
 						if !ok {
 							return true
@@ -336,7 +368,7 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 					// (rw) A path r →+ w forces co(src, w) when the graph
 					// contains the rf edge src → r: co(w, src) would close
 					// the cycle r →+ w → src → r.
-					if rfInGraph && c.cl.Has(r, w) {
+					if rfInGraph && cl.Has(r, w) {
 						ok, p := c.force(a, rf, src, w)
 						if !ok {
 							return true
@@ -352,11 +384,11 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 	}
 }
 
-// force records the forced edge co(w1, w2), propagating the from-reads
-// edges it implies (every read of w1 is fr-before w2). It reports
-// (consistent, progress): consistent is false when the opposite
-// orientation was already forced — the contradiction that refutes the rf
-// assignment.
+// force records the forced edge co(w1, w2) and inserts it, with the
+// from-reads edges it implies (every read of w1 is fr-before w2), into
+// every graph's closure. It reports (consistent, progress): consistent is
+// false when the opposite orientation was already forced or an inserted
+// edge closes a cycle — the contradictions that refute the rf assignment.
 func (c *Checker) force(a *appCtx, rf []int, w1, w2 int) (bool, bool) {
 	if c.fco.Has(w1, w2) {
 		return true, false
@@ -365,11 +397,26 @@ func (c *Checker) force(a *appCtx, rf []int, w1, w2 int) (bool, bool) {
 		return false, false
 	}
 	c.fco.Add(w1, w2)
+	if c.addForced(w1, w2) {
+		return false, false
+	}
 	for m := a.Reads(); m != 0; m &= m - 1 {
 		r := bits.TrailingZeros64(uint64(m))
-		if rf[r] == w1 {
-			c.ffr.Add(r, w2)
+		if rf[r] == w1 && c.addForced(r, w2) {
+			return false, false
 		}
 	}
 	return true, true
+}
+
+// addForced inserts a forced co or fr edge into every graph's closure,
+// since every graph contains co and fr. It reports whether the edge
+// closes a cycle in any of them.
+func (c *Checker) addForced(i, j int) bool {
+	for _, cl := range c.cls {
+		if cl.AddClosed(i, j) {
+			return true
+		}
+	}
+	return false
 }

@@ -14,9 +14,14 @@ var SupportedBuiltins = supportedBuiltins
 // application i of the bound program: their static bases and whether each
 // includes only the cross-thread rf edges.
 func AppGraphs(c *Checker, i int) (bases []relation.Rel, rfExternal []bool) {
-	for _, g := range c.appCtxFor(i).graphs {
-		bases = append(bases, g.base)
-		rfExternal = append(rfExternal, g.rfExternal)
+	a := c.appCtxFor(i)
+	for k, d := range c.decls {
+		bases = append(bases, d.Static(&a.StaticCtx))
+		rfExternal = append(rfExternal, a.graphs[k].rfExternal)
 	}
 	return bases, rfExternal
 }
+
+// UnionCo returns the co edges c's last Decide forced across
+// applications, which Extends reads.
+func UnionCo(c *Checker) relation.Rel { return c.unionCo }

@@ -290,6 +290,27 @@ func (r Rel) CloseIn() {
 	}
 }
 
+// AddClosed inserts the pair (i, j) into a transitively closed relation
+// and keeps it closed: i and every atom that reaches i gain j and all of
+// j's successors, in O(n) row operations. It reports whether i now lies
+// on a cycle (for an acyclic r: whether i == j or j already reached i).
+// r must be transitively closed on entry; the result is then the closure
+// of r ∪ {(i, j)}.
+func (r Rel) AddClosed(i, j int) bool {
+	r.check(i, j)
+	ibit := uint64(1) << uint(i)
+	if r.rows[i]&(1<<uint(j)) == 0 { // else closed: row i already holds row j
+		add := r.rows[j] | 1<<uint(j)
+		r.rows[i] |= add
+		for k, row := range r.rows {
+			if row&ibit != 0 {
+				r.rows[k] |= add
+			}
+		}
+	}
+	return r.rows[i]&ibit != 0
+}
+
 // ReflexiveCloseIn replaces r with iden ∪ ^r in place.
 func (r Rel) ReflexiveCloseIn() {
 	r.CloseIn()

@@ -464,3 +464,83 @@ func TestSetOps(t *testing.T) {
 		t.Errorf("Members = %v", got)
 	}
 }
+
+// TestQuickAddClosedMatchesCloseIn: inserting pairs one at a time into a
+// closed relation with AddClosed must give, after every insert, the
+// closure CloseIn computes from scratch, and report a cycle exactly when
+// the new pair lies on one. Starting from an acyclic relation, the first
+// reported cycle is the first insert after which the closure is no longer
+// irreflexive. Universes range over 1–64 atoms.
+func TestQuickAddClosedMatchesCloseIn(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(MaxUniverse)
+		r := randomRel(rng, n, 1.5/float64(n))
+		if seed%2 == 0 {
+			// Keep only forward pairs: an acyclic start.
+			for i := 0; i < n; i++ {
+				r.rows[i] &^= uint64(UniverseSet(i + 1))
+			}
+		}
+		r.CloseIn()
+		for step := 0; step < 2*n; step++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			want := r.Clone()
+			want.Add(i, j)
+			want.CloseIn()
+			wasIrreflexive := r.Irreflexive()
+			cyclic := r.AddClosed(i, j)
+			if !r.Equal(want) {
+				t.Logf("n=%d: AddClosed(%d,%d) = %v, CloseIn = %v", n, i, j, r, want)
+				return false
+			}
+			if cyclic != want.Has(i, i) {
+				t.Logf("n=%d: AddClosed(%d,%d) reported cycle %v, closure has (i,i) %v", n, i, j, cyclic, want.Has(i, i))
+				return false
+			}
+			if wasIrreflexive && cyclic == want.Irreflexive() {
+				t.Logf("n=%d: AddClosed(%d,%d) reported cycle %v on an acyclic relation, closure irreflexive %v",
+					n, i, j, cyclic, want.Irreflexive())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestAddClosedEdgeCases(t *testing.T) {
+	// A self-loop is a cycle on its own.
+	r := New(3)
+	if !r.AddClosed(1, 1) || !r.Equal(FromPairs(3, [2]int{1, 1})) {
+		t.Errorf("self-loop: got %v", r)
+	}
+
+	// An edge already present leaves a closed relation unchanged.
+	chain := FromPairs(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}).Closure()
+	r = chain.Clone()
+	if r.AddClosed(0, 2) || !r.Equal(chain) {
+		t.Errorf("present edge: got %v, want %v", r, chain)
+	}
+
+	// A new edge joins every predecessor of its source to everything its
+	// target reaches.
+	r = FromPairs(5, [2]int{0, 1}, [2]int{2, 3}, [2]int{3, 4}).Closure()
+	if r.AddClosed(1, 2) {
+		t.Error("forward edge reported a cycle")
+	}
+	if want := FromPairs(5, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4}).Closure(); !r.Equal(want) {
+		t.Errorf("forward edge: got %v, want %v", r, want)
+	}
+
+	// An edge back to the head of a chain closes a cycle through it.
+	r = chain.Clone()
+	if !r.AddClosed(3, 0) {
+		t.Error("cycle-closing edge not reported")
+	}
+	if !r.Equal(Full(4)) {
+		t.Errorf("cycle-closing edge: got %v, want the full relation", r)
+	}
+}
