@@ -52,22 +52,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Benchmark snapshot: full synthesis + isolated explore-phase measurements
-# per model, written as machine-readable JSON (committed as BENCH_synth.json
-# so the perf trajectory is comparable across PRs), then the
-# fast-admissibility rows (admit off vs on, including the tso bound-8 case
-# plain enumeration cannot finish but the filtered enumeration must) merged
-# in as "admit_cases", and finally the native stress-execution throughput
-# rows merged in as "stress_cases". BENCH_SHORT=1 shrinks the bounds for
-# quick log-only CI runs; BENCH_OUT redirects the output.
-BENCH_OUT ?= BENCH_synth.json
+# The bench ledger, BENCH_synth.json (committed, so the perf trajectory
+# is comparable across changes): one command runs a fixed grid of plain Go
+# benchmarks (whole synthesis and explore-only runs per model, admit on
+# the single-address tso worst case, stress throughput, and the Decide and
+# ProgramKey micro rows), one package at a time, five runs each, and
+# records every metric's median and quartiles. Sections it does not own
+# (backend_cases) are carried over unchanged. CI runs `benchledger -short`.
 bench:
-	BENCH_JSON=$(abspath $(BENCH_OUT)) BENCH_SHORT=$(BENCH_SHORT) \
-		$(GO) test -count=1 -run '^TestBenchSnapshot$$' -v ./internal/synth
-	BENCH_JSON=$(abspath $(BENCH_OUT)) BENCH_SHORT=$(BENCH_SHORT) \
-		$(GO) test -count=1 -timeout 30m -run '^TestBenchAdmit$$' -v ./internal/admit
-	BENCH_JSON=$(abspath $(BENCH_OUT)) BENCH_SHORT=$(BENCH_SHORT) \
-		$(GO) test -count=1 -run '^TestBenchStress$$' -v ./internal/stress
+	$(GO) run ./cmd/benchledger
 
 # The original package-level micro-benchmarks (paper-facing API).
 bench-paper:

@@ -1,7 +1,10 @@
 package admit_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"memsynth/internal/admit"
 	"memsynth/internal/canon"
@@ -92,6 +95,49 @@ func BenchmarkDecide(b *testing.B) {
 				k++
 			}
 			b.ReportMetric(float64(calls), "corpus_calls")
+		})
+	}
+}
+
+// admitBenchTimeout is the timeout of the committed backend_cases rows,
+// so the admit rows compare directly with them.
+const admitBenchTimeout = 150 * time.Second
+
+// BenchmarkAdmitSynth times whole synthesis runs on the enumeration
+// engine's worst regime, single-address tso, whose factorially many
+// coherence orders admit prunes whenever saturation refutes the rf
+// assignment above them. Plain enumeration cannot finish tso@8/addrs=1
+// within the timeout (the enum row of backend_cases); with admit on it
+// must, and must prune.
+func BenchmarkAdmitSynth(b *testing.B) {
+	type admitCase struct {
+		bound int
+		admit string
+	}
+	cases := []admitCase{{7, "off"}, {7, "auto"}, {8, "auto"}}
+	if testing.Short() {
+		cases = []admitCase{{6, "off"}, {6, "auto"}}
+	}
+	for _, c := range cases {
+		b.Run(fmt.Sprintf("tso@%d/addrs=1/admit=%s", c.bound, c.admit), func(b *testing.B) {
+			var st synth.Stats
+			for i := 0; i < b.N; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), admitBenchTimeout)
+				res, err := synth.SynthesizeContext(ctx, memmodel.TSO(),
+					synth.Options{MaxEvents: c.bound, MaxAddrs: 1, Admit: c.admit})
+				cancel()
+				if err != nil {
+					b.Fatal(err)
+				}
+				switch st = res.Stats; {
+				case st.Interrupted:
+					b.Fatalf("hit the %v bench timeout", admitBenchTimeout)
+				case c.admit != "off" && st.ExecutionsFast == 0:
+					b.Fatal("admit pruned nothing")
+				}
+			}
+			b.ReportMetric(float64(st.Executions), "executions")
+			b.ReportMetric(float64(st.ExecutionsFast), "executions_fast")
 		})
 	}
 }

@@ -9,13 +9,23 @@ import (
 
 // TestEnumerateProgramsMatchesEngine: the exported enumerator must stream
 // exactly the program space the synthesis engine explores — same
-// generator, same pruning — so its count equals Stats.ProgramsRaw.
+// generator, same pruning — so its count equals Stats.ProgramsRaw. sc and
+// tso have no dependency types, so they prune isolated addresses unless
+// KeepIsolatedAddrs is set; power has dependencies and never prunes.
 func TestEnumerateProgramsMatchesEngine(t *testing.T) {
-	for _, m := range []memmodel.Model{memmodel.SC(), memmodel.TSO()} {
-		opts := Options{MaxEvents: 3}
-		res := Synthesize(m, opts)
+	for _, c := range []struct {
+		name string
+		m    memmodel.Model
+		opts Options
+	}{
+		{"sc@3", memmodel.SC(), Options{MaxEvents: 3}},
+		{"tso@3", memmodel.TSO(), Options{MaxEvents: 3}},
+		{"power@3", memmodel.Power(), Options{MaxEvents: 3}},
+		{"sc@3/keep", memmodel.SC(), Options{MaxEvents: 3, KeepTrivialFences: true, KeepIsolatedAddrs: true}},
+	} {
+		res := Synthesize(c.m, c.opts)
 		count := 0
-		err := EnumeratePrograms(m.Vocab(), opts, func(t *litmus.Test) bool {
+		err := EnumeratePrograms(c.m.Vocab(), c.opts, func(t *litmus.Test) bool {
 			count++
 			return true
 		})
@@ -24,7 +34,7 @@ func TestEnumerateProgramsMatchesEngine(t *testing.T) {
 		}
 		if count != res.Stats.ProgramsRaw {
 			t.Errorf("%s: enumerated %d programs, engine generated %d",
-				m.Name(), count, res.Stats.ProgramsRaw)
+				c.name, count, res.Stats.ProgramsRaw)
 		}
 	}
 }

@@ -19,6 +19,17 @@ type generator struct {
 	pruneIsolated bool
 }
 
+// newGenerator is the one place the pruning rule lives: isolated
+// addresses are pruned unless the options keep them, and only for
+// models without syntactic dependencies, where the pruning is sound.
+func newGenerator(vocab memmodel.Vocab, opts Options) *generator {
+	return &generator{
+		vocab:         vocab,
+		opts:          opts,
+		pruneIsolated: !opts.KeepIsolatedAddrs && len(vocab.DepTypes) == 0,
+	}
+}
+
 // slot is one instruction position while a program skeleton is being built.
 type slot struct {
 	op       litmus.Op

@@ -517,12 +517,7 @@ func (e *engine) generateAndDedupe(n int) []*litmus.Test {
 		}()
 	}
 
-	vocab := e.model.Vocab()
-	gen := &generator{
-		vocab:         vocab,
-		opts:          e.opts,
-		pruneIsolated: !e.opts.KeepIsolatedAddrs && len(vocab.DepTypes) == 0,
-	}
+	gen := newGenerator(e.model.Vocab(), e.opts)
 	// Generation time excludes the sends that block because the dedupe
 	// workers lag behind.
 	var blockedNS int64
