@@ -1,7 +1,8 @@
 // Command benchledger writes the bench ledger, BENCH_synth.json: one row
 // per benchmark of a fixed grid, each with its run count and the median
 // and quartiles of every metric `go test -bench` reports (ns/op, B/op,
-// allocs/op and every b.ReportMetric count).
+// allocs/op and every b.ReportMetric count), under a header naming the
+// host's CPU model and GOMAXPROCS as `go test` reported them.
 //
 //	go run ./cmd/benchledger [-short] [-o BENCH_synth.json]
 //
@@ -54,14 +55,21 @@ type row struct {
 	Metrics map[string]quartiles `json:"metrics"`
 }
 
+// host is what a transcript tells of the machine it ran on.
+type host struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPU        string `json:"cpu"`
+}
+
 // ledger is the part of the output file benchledger owns.
 type ledger struct {
 	EngineVersion string `json:"engine_version"`
 	GoVersion     string `json:"go_version"`
 	GOOS          string `json:"goos"`
 	GOARCH        string `json:"goarch"`
-	Short         bool   `json:"short"`
-	Rows          []row  `json:"rows"`
+	host
+	Short bool  `json:"short"`
+	Rows  []row `json:"rows"`
 }
 
 // goTest runs one package's grid benchmarks and returns the transcript.
@@ -96,10 +104,11 @@ func run(args []string, test goTest) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w\n%s", g.pkg, err, transcript)
 		}
-		rows, err := parse(transcript)
+		rows, h, err := parse(transcript)
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.pkg, err)
 		}
+		l.host = h
 		for _, b := range g.benches {
 			if !hasRow(rows, b) {
 				return fmt.Errorf("%s: %s produced no row", g.pkg, b)
@@ -132,16 +141,22 @@ func hasRow(rows []row, bench string) bool {
 
 // procSuffix is the -GOMAXPROCS suffix go test appends to benchmark names
 // (none at GOMAXPROCS=1, so no grid name may itself end in -digits).
-var procSuffix = regexp.MustCompile(`-\d+$`)
+var procSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // parse reads a `go test -bench` transcript into rows, in first-seen
-// order. A result line is a name, an iteration count and value/unit
+// order, and the host it ran on: the `cpu:` line, and GOMAXPROCS from the
+// name suffix. A result line is a name, an iteration count and value/unit
 // pairs; every other line, a `--- FAIL` one included, is skipped, since a
 // failed benchmark already makes `go test` exit non-zero.
-func parse(transcript []byte) ([]row, error) {
+func parse(transcript []byte) ([]row, host, error) {
 	var names []string
 	samples := make(map[string]map[string][]float64)
+	h := host{GOMAXPROCS: 1}
 	for _, line := range strings.Split(string(transcript), "\n") {
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
+			h.CPU = strings.TrimSpace(cpu)
+			continue
+		}
 		f := strings.Fields(line)
 		if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
@@ -149,7 +164,11 @@ func parse(transcript []byte) ([]row, error) {
 		if _, err := strconv.Atoi(f[1]); err != nil {
 			continue
 		}
-		name := procSuffix.ReplaceAllString(f[0], "")
+		name := f[0]
+		if m := procSuffix.FindStringSubmatchIndex(name); m != nil {
+			h.GOMAXPROCS, _ = strconv.Atoi(name[m[2]:m[3]])
+			name = name[:m[0]]
+		}
 		if samples[name] == nil {
 			names = append(names, name)
 			samples[name] = make(map[string][]float64)
@@ -157,7 +176,7 @@ func parse(transcript []byte) ([]row, error) {
 		for i := 2; i < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("bad value in %q: %w", line, err)
+				return nil, h, fmt.Errorf("bad value in %q: %w", line, err)
 			}
 			samples[name][f[i+1]] = append(samples[name][f[i+1]], v)
 		}
@@ -170,7 +189,7 @@ func parse(transcript []byte) ([]row, error) {
 			rows[i].Metrics[unit] = summarize(vs)
 		}
 	}
-	return rows, nil
+	return rows, h, nil
 }
 
 // summarize returns the median and quartiles of vs, interpolating

@@ -21,9 +21,12 @@ ok  	memsynth/internal/admit	12.345s
 `
 
 func TestParseTranscript(t *testing.T) {
-	rows, err := parse([]byte(transcript))
+	rows, h, err := parse([]byte(transcript))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if h != (host{GOMAXPROCS: 2, CPU: "Intel(R) Xeon(R)"}) {
+		t.Errorf("host %+v, want GOMAXPROCS 2 on Intel(R) Xeon(R)", h)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2: %+v", len(rows), rows)
@@ -52,8 +55,15 @@ func TestParseTranscript(t *testing.T) {
 
 	// A failed benchmark prints no result line, so it yields no row.
 	failed := transcript + "BenchmarkStress/sc@4-2   \t--- FAIL: BenchmarkStress/sc@4-2\n    bench_test.go:38: 3 iterations observed model-forbidden outcomes\n"
-	if rows, err := parse([]byte(failed)); err != nil || len(rows) != 2 || hasRow(rows, "BenchmarkStress") {
+	if rows, _, err := parse([]byte(failed)); err != nil || len(rows) != 2 || hasRow(rows, "BenchmarkStress") {
 		t.Errorf("transcript with a --- FAIL line parsed to %+v (err %v), want the 2 rows above", rows, err)
+	}
+
+	// go test appends no suffix at GOMAXPROCS=1.
+	single := "cpu: AMD EPYC\nBenchmarkDecide/tso7-a1 \t 1000\t 1680 ns/op\n"
+	if rows, h, err := parse([]byte(single)); err != nil || len(rows) != 1 || rows[0].Name != "BenchmarkDecide/tso7-a1" ||
+		h != (host{GOMAXPROCS: 1, CPU: "AMD EPYC"}) {
+		t.Errorf("unsuffixed transcript parsed to %+v on %+v (err %v)", rows, h, err)
 	}
 }
 
@@ -77,6 +87,7 @@ func TestSummarize(t *testing.T) {
 func fakeGoTest(fail error) goTest {
 	return func(pkg, pattern string, short bool) ([]byte, error) {
 		var b strings.Builder
+		b.WriteString("cpu: Test CPU @ 1.00GHz\n")
 		for _, g := range grid {
 			for _, name := range g.benches {
 				b.WriteString(name + "/x-2 \t 1\t 100 ns/op\t 8 B/op\t 1 allocs/op\n")
@@ -122,7 +133,12 @@ func TestCarryOverSections(t *testing.T) {
 			t.Errorf("section not carried byte for byte: %s\nin:\n%s", section, outs[0])
 		}
 	}
-	keys := []string{"backend_cases", "engine_version", "go_version", "goarch", "goos", "rows", "short", "zz_unknown"}
+	for _, header := range []string{`"cpu": "Test CPU @ 1.00GHz"`, `"gomaxprocs": 2`} {
+		if !bytes.Contains(outs[0], []byte(header)) {
+			t.Errorf("ledger header lacks %s:\n%s", header, outs[0])
+		}
+	}
+	keys := []string{"backend_cases", "cpu", "engine_version", "go_version", "goarch", "gomaxprocs", "goos", "rows", "short", "zz_unknown"}
 	last := -1
 	for _, k := range keys {
 		i := bytes.Index(outs[0], []byte("\n  \""+k+"\": "))

@@ -346,7 +346,7 @@ var builtins = map[string]value{
 	}),
 	// scord: the total order over live sc fences of sc-order models
 	// (exec.View.SCRel); empty for models without sc-order.
-	"scord": relValue(func(ev *env) relation.Rel { return ev.v.SCRel(false) }),
+	"scord": relValue(func(ev *env) relation.Rel { return ev.v.SCRel() }),
 	// scope-compat: pairs whose synchronization scopes mutually cover
 	// each other's thread (scoped models).
 	"scope-compat": relValue(func(ev *env) relation.Rel { return ev.v.ScopeCompatible() }),

@@ -53,9 +53,9 @@ func Diff(srcA, srcB string, opts Options) (*DiffResult, error) {
 // suite-comparison methodology as a lint).
 //
 // An outcome (an rf and co assignment) is allowed by a model iff the full
-// model holds under some total sc order: the sc order over FSC fences is
-// auxiliary, not observable, so it is quantified existentially exactly as
-// in the minimality criterion (internal/minimal).
+// model holds under some sc order of exec.SCOrders: the sc order over FSC
+// fences is auxiliary, not observable, so it is quantified existentially
+// exactly as in the minimality criterion (internal/minimal).
 func DiffModels(a, b memmodel.Model, opts Options) (*DiffResult, error) {
 	opts = opts.withDefaults()
 	vocab := mergeVocabs(a.Vocab(), b.Vocab())
@@ -72,50 +72,35 @@ func DiffModels(a, b memmodel.Model, opts Options) (*DiffResult, error) {
 	}
 	var found *DiffResult
 	err := synth.EnumeratePrograms(vocab, genOpts, func(t *litmus.Test) bool {
-		ctx := exec.NewStaticCtx(t, exec.Perturb{})
-		v := ctx.NewView()
-
-		// Executions arrive grouped by outcome: the sc-order enumeration
-		// is the innermost loop, so all sc choices of one (rf, co)
-		// assignment are consecutive. Fold the existential sc quantifier
-		// by or-ing validity across each group.
-		var curKey string
-		var curOutcome *exec.Execution
-		var allowedA, allowedB bool
-		flush := func() bool { // returns false when a difference is found
-			if curOutcome != nil && allowedA != allowedB {
-				found = &DiffResult{Test: t, Outcome: curOutcome}
-				if allowedA {
-					found.AllowedBy, found.ForbiddenBy = a.Name(), b.Name()
-				} else {
-					found.AllowedBy, found.ForbiddenBy = b.Name(), a.Name()
-				}
-				return false
-			}
-			curOutcome, allowedA, allowedB = nil, false, false
-			return true
+		v := exec.NewStaticCtx(t, exec.NoPerturb).NewView()
+		orders := [][]int{nil}
+		if all := exec.SCOrders(t); all != nil && vocab.UsesSC {
+			orders = all
 		}
-		exec.Enumerate(t, exec.EnumerateOptions{UseSC: vocab.UsesSC}, func(x *exec.Execution) bool {
-			key := outcomeKey(x)
-			if key != curKey {
-				if !flush() {
-					return false
+		exec.Enumerate(t, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+			var allowedA, allowedB bool
+			for _, sc := range orders {
+				x.SC = sc
+				v.Reset(x)
+				allowedA = allowedA || holdsAll(axiomsA, v)
+				allowedB = allowedB || holdsAll(axiomsB, v)
+				if allowedA && allowedB {
+					break
 				}
-				curKey = key
 			}
-			if curOutcome == nil {
-				curOutcome = x.Clone()
+			x.SC = nil
+			if allowedA == allowedB {
+				return true
 			}
-			v.Reset(x)
-			if !allowedA {
-				allowedA = holdsAll(axiomsA, v)
+			found = &DiffResult{Test: t, Outcome: x.Clone()}
+			if allowedA {
+				found.AllowedBy, found.ForbiddenBy = a.Name(), b.Name()
+			} else {
+				found.AllowedBy, found.ForbiddenBy = b.Name(), a.Name()
 			}
-			if !allowedB {
-				allowedB = holdsAll(axiomsB, v)
-			}
-			return true
+			return false
 		})
-		return flush()
+		return found == nil
 	})
 	if err != nil {
 		return nil, err
@@ -130,20 +115,6 @@ func holdsAll(axioms []memmodel.Axiom, v *exec.View) bool {
 		}
 	}
 	return true
-}
-
-// outcomeKey identifies an outcome — the observable part of an execution
-// (rf and co), excluding the auxiliary sc order.
-func outcomeKey(x *exec.Execution) string {
-	var b strings.Builder
-	for _, src := range x.RF {
-		fmt.Fprintf(&b, "%d,", src)
-	}
-	b.WriteByte('|')
-	for _, order := range x.CO {
-		fmt.Fprintf(&b, "%v;", order)
-	}
-	return b.String()
 }
 
 // mergeVocabs unions two synthesis vocabularies, preserving a's template

@@ -152,6 +152,30 @@ func forEachPermutation(items []int, visit func([]int) bool) {
 	rec(0)
 }
 
+// SCOrders returns the sc orders a model that consults one quantifies
+// over for test t: every total order of t's FSC fences when it has two or
+// more, else nil. The order is auxiliary (paper §6.3): an outcome is
+// allowed when the model holds under some order and forbidden when it
+// fails under every one. With fewer than two fences the order has no edge,
+// so there is nothing to quantify over.
+func SCOrders(t *litmus.Test) [][]int {
+	var fences []int
+	for _, e := range t.Events {
+		if e.Kind == litmus.KFence && e.Fence == litmus.FSC {
+			fences = append(fences, e.ID)
+		}
+	}
+	if len(fences) < 2 {
+		return nil
+	}
+	var orders [][]int
+	forEachPermutation(fences, func(perm []int) bool {
+		orders = append(orders, append([]int(nil), perm...))
+		return true
+	})
+	return orders
+}
+
 // CountExecutions returns the number of well-formed candidate executions of
 // t without visiting them.
 func CountExecutions(t *litmus.Test, opts EnumerateOptions) int {

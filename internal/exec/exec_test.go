@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"memsynth/internal/litmus"
@@ -77,6 +78,29 @@ func TestEnumerateSCOrders(t *testing.T) {
 		scSeen[x.OutcomeString()] = true
 		return true
 	})
+}
+
+// TestSCOrders: SCOrders lists the sc orders UseSC enumeration visits, in
+// the same order, and nothing for fewer than two FSC fences.
+func TestSCOrders(t *testing.T) {
+	m := sb()
+	var visited []string
+	Enumerate(m, EnumerateOptions{UseSC: true}, func(x *Execution) bool {
+		if len(visited) < 2 {
+			visited = append(visited, fmt.Sprint(x.SC))
+		}
+		return true
+	})
+	if got := fmt.Sprint(SCOrders(m)); got != "[[1 4] [4 1]]" || fmt.Sprint(visited) != "[[1 4] [4 1]]" {
+		t.Errorf("SCOrders = %s, UseSC visits %v, want both [[1 4] [4 1]]", got, visited)
+	}
+	one := litmus.New("one-fence", [][]litmus.Op{{litmus.W(0), litmus.F(litmus.FSC)}, {litmus.R(0)}})
+	if got := SCOrders(one); got != nil {
+		t.Errorf("SCOrders(one fence) = %v, want nil", got)
+	}
+	if got := SCOrders(mp()); got != nil {
+		t.Errorf("SCOrders(no fences) = %v, want nil", got)
+	}
 }
 
 func TestEnumerateEarlyStop(t *testing.T) {
@@ -390,24 +414,18 @@ func TestViewSCRel(t *testing.T) {
 		SC:   []int{1, 4},
 	}
 	v := NewView(x, NoPerturb)
-	if !v.SCRel(false).Has(1, 4) || v.SCRel(false).Has(4, 1) {
-		t.Errorf("SCRel = %v", v.SCRel(false))
-	}
-	if !v.SCRel(true).Has(4, 1) {
-		t.Errorf("SCRel reversed = %v", v.SCRel(true))
-	}
-	if v.SCEdgeCount() != 1 {
-		t.Errorf("SCEdgeCount = %d", v.SCEdgeCount())
+	if !v.SCRel().Has(1, 4) || v.SCRel().Has(4, 1) || v.SCRel().Size() != 1 {
+		t.Errorf("SCRel = %v", v.SCRel())
 	}
 	// A fence demoted out of FSC leaves the order.
 	v = NewView(x, Perturb{Kind: PDF, Event: 1, NewFence: litmus.FAcqRel})
-	if !v.SCRel(false).IsEmpty() {
-		t.Errorf("SCRel after DF = %v", v.SCRel(false))
+	if !v.SCRel().IsEmpty() {
+		t.Errorf("SCRel after DF = %v", v.SCRel())
 	}
 	// An RI'd fence leaves the order.
 	v = NewView(x, Perturb{Kind: PRI, Event: 4})
-	if !v.SCRel(false).IsEmpty() {
-		t.Errorf("SCRel after RI = %v", v.SCRel(false))
+	if !v.SCRel().IsEmpty() {
+		t.Errorf("SCRel after RI = %v", v.SCRel())
 	}
 }
 

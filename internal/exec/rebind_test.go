@@ -81,7 +81,7 @@ func TestRebindMatchesNew(t *testing.T) {
 					for name, r := range map[string][2]relation.Rel{
 						"rf": {v.RF(), w.RF()}, "co": {v.CO(), w.CO()}, "fr": {v.FR(), w.FR()},
 						"rfe": {v.RFE(), w.RFE()}, "com": {v.Com(), w.Com()},
-						"sc": {v.SCRel(false), w.SCRel(false)}, "sc reversed": {v.SCRel(true), w.SCRel(true)},
+						"sc": {v.SCRel(), w.SCRel()},
 					} {
 						if !r[0].Equal(r[1]) {
 							t.Fatalf("%s under %v, execution %s: %s = %v, want %v", tt.Name, p, x, name, r[0], r[1])
@@ -198,8 +198,7 @@ func TestRebindAllocs(t *testing.T) {
 			c.ScopeCompatible()
 			v.Reset(b.x)
 			v.Com()
-			v.SCRel(false)
-			v.SCRel(true)
+			v.SCRel()
 		}
 	}
 	run() // the largest program comes first: this pass sizes every buffer

@@ -474,8 +474,7 @@ const (
 	derFRE
 	derFRI
 	derCom
-	derSC    // SCRel(false)
-	derSCRev // SCRel(true)
+	derSC
 	derCount
 )
 
@@ -693,15 +692,10 @@ func (v *View) Com() relation.Rel {
 
 // SCRel returns the strict total order over live FSC fences induced by the
 // execution's SC permutation, honoring DF demotions (a demoted fence leaves
-// the order). If reversed is set, the order is reversed — used by the SCC
-// workaround of paper Fig. 19. Each orientation is computed once per
-// Reset into a pooled slot, like RFE; the caller must not mutate it.
-func (v *View) SCRel(reversed bool) relation.Rel {
-	k := uint8(derSC)
-	if reversed {
-		k = derSCRev
-	}
-	return v.derived(k, func(dst relation.Rel) {
+// the order). It is computed once per Reset into a pooled slot, like RFE;
+// the caller must not mutate it.
+func (v *View) SCRel() relation.Rel {
+	return v.derived(derSC, func(dst relation.Rel) {
 		dst.Clear()
 		sc := v.x.SC
 		for i := 0; i < len(sc); i++ {
@@ -709,12 +703,7 @@ func (v *View) SCRel(reversed bool) relation.Rel {
 				continue
 			}
 			for j := i + 1; j < len(sc); j++ {
-				if !v.inSCOrder(sc[j]) {
-					continue
-				}
-				if reversed {
-					dst.Add(sc[j], sc[i])
-				} else {
+				if v.inSCOrder(sc[j]) {
 					dst.Add(sc[i], sc[j])
 				}
 			}
@@ -726,11 +715,4 @@ func (v *View) SCRel(reversed bool) relation.Rel {
 // fence whose effective kind is FSC.
 func (v *View) inSCOrder(id int) bool {
 	return v.live.Has(id) && v.FenceOf(id) == litmus.FSC
-}
-
-// SCEdgeCount returns the number of edges in the (unperturbed) sc order —
-// used to decide whether the Fig. 19 workaround (which requires at most one
-// sc edge) applies.
-func (v *View) SCEdgeCount() int {
-	return v.SCRel(false).Size()
 }

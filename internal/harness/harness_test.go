@@ -52,29 +52,6 @@ func TestCorrectMachinePassesEverything(t *testing.T) {
 	}
 }
 
-func TestRunFaultyNoFaultEqualsRun(t *testing.T) {
-	mp := litmus.New("MP", [][]litmus.Op{
-		{litmus.W(0), litmus.W(1)},
-		{litmus.R(1), litmus.R(0)},
-	})
-	a, err := tsosim.Run(mp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tsosim.RunFaulty(mp, tsosim.FaultNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("outcome counts differ: %d vs %d", len(a), len(b))
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			t.Errorf("outcome %s missing from RunFaulty(FaultNone)", k)
-		}
-	}
-}
-
 // TestSynthesizedSuiteDetectsEveryFault is the paper's value proposition:
 // the comprehensive minimal suite exposes every seeded implementation bug.
 func TestSynthesizedSuiteDetectsEveryFault(t *testing.T) {

@@ -48,9 +48,9 @@ func warmAllocs(progs []*litmus.Test, useSC bool, eval func(v *exec.View)) float
 }
 
 // TestWarmDerivationAllocs: with its context rebound in place, a warm
-// view's power/armv7 derivation, scc/hsa causality check (the sc order in
-// both orientations, and its scoped intersection), and every axiom of
-// those models and tso allocate nothing per execution.
+// view's power/armv7/armv8 derivation, scc/hsa causality check (the sc
+// order and its scoped intersection), and every axiom of those models and
+// tso allocate nothing per execution.
 func TestWarmDerivationAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -70,6 +70,17 @@ func TestWarmDerivationAllocs(t *testing.T) {
 			{litmus.W(0)},
 		}, litmus.WithRMW(0, 0)),
 	}
+	armv8 := append([]*litmus.Test{
+		litmus.New("mp+stlr+ldar", [][]litmus.Op{
+			{litmus.W(0), litmus.Wrel(1)},
+			{litmus.Racq(1), litmus.R(0)},
+		}),
+		litmus.New("wrc+ldar+dmb", [][]litmus.Op{
+			{litmus.W(0)},
+			{litmus.Racq(0), litmus.W(1)},
+			{litmus.R(1), litmus.F(litmus.FSync), litmus.R(0)},
+		}),
+	}, power[2])
 	scc := []*litmus.Test{
 		litmus.New("sb+scfences", [][]litmus.Op{
 			{litmus.W(0), litmus.F(litmus.FSC).WithScope(litmus.ScopeWG), litmus.R(1)},
@@ -86,21 +97,19 @@ func TestWarmDerivationAllocs(t *testing.T) {
 		sc    bool
 		eval  func(v *exec.View)
 	}{
-		{"derivePower", power, false, func(v *exec.View) { derivePower(v, false) }},
-		{"derivePower/arm", power, false, func(v *exec.View) { derivePower(v, true) }},
-		{"sccCausality", scc, true, func(v *exec.View) {
-			sccCausalityHolds(v, false, false)
-			sccCausalityHolds(v, false, true)
-		}},
-		{"sccCausality/scoped", scc, true, func(v *exec.View) {
-			sccCausalityHolds(v, true, false)
-			sccCausalityHolds(v, true, true)
-		}},
+		{"derivePower", power, false, func(v *exec.View) { derivePower(v, variantPower) }},
+		{"derivePower/armv7", power, false, func(v *exec.View) { derivePower(v, variantARMv7) }},
+		{"derivePower/armv8", armv8, false, func(v *exec.View) { derivePower(v, variantARMv8) }},
+		{"sccCausality", scc, true, func(v *exec.View) { sccCausalityHolds(v, false) }},
+		{"sccCausality/scoped", scc, true, func(v *exec.View) { sccCausalityHolds(v, true) }},
 	}
-	for _, m := range []Model{TSO(), Power(), ARMv7(), SCC(), HSA()} {
+	for _, m := range []Model{TSO(), Power(), ARMv7(), ARMv8(), SCC(), HSA()} {
 		progs := power
-		if m.Vocab().UsesSC {
+		switch {
+		case m.Vocab().UsesSC:
 			progs = scc
+		case m.Name() == "armv8":
+			progs = armv8
 		}
 		cases = append(cases, struct {
 			name  string

@@ -1,10 +1,6 @@
 package memmodel
 
-import (
-	"memsynth/internal/exec"
-	"memsynth/internal/litmus"
-	"memsynth/internal/relation"
-)
+import "memsynth/internal/litmus"
 
 // ARMv8 returns an ARMv8-flavored memory model. The paper notes (§6.2)
 // that ARMv8 — which adds explicit load-acquire (LDAR) and store-release
@@ -26,7 +22,7 @@ import (
 func ARMv8() Model {
 	return &model{
 		name:   "armv8",
-		axioms: armv8Axioms(),
+		axioms: powerAxioms(variantARMv8),
 		vocab: Vocab{
 			Ops: []litmus.Op{
 				litmus.R(0), litmus.Racq(0),
@@ -50,66 +46,6 @@ func ARMv8() Model {
 			// footnote), so DF does not apply.
 			RD:   true,
 			DRMW: true,
-		},
-	}
-}
-
-// armv8Order computes the acquire/release ordering edges: an acquire load
-// is ordered before every po-later access; every po-earlier access is
-// ordered before a release store.
-func armv8Order(c *exec.StaticCtx) relation.Rel {
-	acq := c.Where(func(id int) bool {
-		return c.Reads().Has(id) && c.OrderOf(id) == litmus.OAcquire
-	})
-	rel := c.Where(func(id int) bool {
-		return c.Writes().Has(id) && c.OrderOf(id) == litmus.ORelease
-	})
-	return c.PO().RestrictDomain(acq).Union(c.PO().RestrictRange(rel))
-}
-
-// deriveARMv8 augments the ARMv7 (Power-skeleton) derivation with the
-// acquire/release edges folded into the fence relation, so they
-// participate in hb and propagation.
-func deriveARMv8(v *exec.View) *powerDerived {
-	return v.Memo("armv8", func() any {
-		base := &derivePower(v, true).d
-		ar := armv8Order(v.StaticCtx)
-		fences := base.fences.Union(ar)
-		hb := base.ppo.Union(fences).Union(v.RFE())
-		hbRT := hb.ReflexiveClosure()
-		n := v.N()
-		ww := relation.Cross(n, v.Writes(), v.Writes())
-		propBase := fences.Union(v.RFE().Join(fences)).Join(hbRT)
-		comRT := v.Com().ReflexiveClosure()
-		prop := ww.Intersect(propBase).
-			Union(comRT.Join(propBase.ReflexiveClosure()).Join(base.ffence).Join(hbRT))
-		return &powerDerived{ppo: base.ppo, fences: fences, ffence: base.ffence, hb: hb, prop: prop}
-	}).(*powerDerived)
-}
-
-func armv8Axioms() []Axiom {
-	return []Axiom{
-		scPerLoc(),
-		rmwAtomicity(true),
-		{
-			Name: "no_thin_air",
-			Holds: func(v *exec.View) bool {
-				return deriveARMv8(v).hb.Acyclic()
-			},
-		},
-		{
-			Name: "observation",
-			Holds: func(v *exec.View) bool {
-				d := deriveARMv8(v)
-				return v.FRE().Join(d.prop).Join(d.hb.ReflexiveClosure()).Irreflexive()
-			},
-		},
-		{
-			Name: "propagation",
-			Holds: func(v *exec.View) bool {
-				d := deriveARMv8(v)
-				return v.CO().Union(d.prop).Acyclic()
-			},
 		},
 	}
 }

@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"slices"
+
 	"memsynth/internal/exec"
 	"memsynth/internal/relation"
 )
@@ -12,7 +14,7 @@ import (
 func StaticBundle(m Model, c *exec.StaticCtx) (rels []relation.Rel, sets []relation.Set) {
 	switch m.Name() {
 	case "power", "armv7", "armv8":
-		s := powerStaticOf(c, m.Name() != "power")
+		s := powerStaticOf(c, powerVariant(slices.Index(powerKeys[:], m.Name())))
 		return []relation.Rel{s.rr, s.rw, s.ww, s.cc0, s.ii0s, s.ci0s, s.ffence, s.fences, s.d.fences, s.d.ffence}, nil
 	case "scc", "hsa":
 		s := sccStaticOf(c, m.Name() == "hsa")

@@ -6,8 +6,25 @@ import (
 	"memsynth/internal/relation"
 )
 
-// powerDerived bundles the expensive intermediate relations of the Power /
-// ARMv7 formulation (Alglave et al. 2014, as used by the paper's Fig. 15).
+// powerVariant selects one of the three models that share the Power
+// derivation (Alglave et al. 2014, as used by the paper's Fig. 15).
+type powerVariant uint8
+
+const (
+	variantPower powerVariant = iota
+	// variantARMv7 has dmb as its only fence and leaves po_loc out of cc0.
+	variantARMv7
+	// variantARMv8 is ARMv7 plus the acquire/release edges, which join
+	// the fence relation.
+	variantARMv8
+)
+
+// powerKeys names each variant's bundle, under one key in both the
+// StaticMemo of a context and the Memo of a view.
+var powerKeys = [...]string{"power", "armv7", "armv8"}
+
+// powerDerived bundles the expensive intermediate relations of the Power
+// formulation.
 type powerDerived struct {
 	ppo    relation.Rel
 	fences relation.Rel
@@ -40,23 +57,19 @@ type powerStatic struct {
 	d                  powerDerived
 }
 
-func powerStaticOf(c *exec.StaticCtx, arm bool) *powerStatic {
-	key := "power.static"
-	if arm {
-		key = "armv7.static"
-	}
-	return c.StaticMemo(key, func(prev any) any {
+func powerStaticOf(c *exec.StaticCtx, variant powerVariant) *powerStatic {
+	return c.StaticMemo(powerKeys[variant], func(prev any) any {
 		s, _ := prev.(*powerStatic)
 		if s == nil {
 			s = new(powerStatic)
 		}
-		s.refill(c, arm)
+		s.refill(c, variant)
 		return s
 	}).(*powerStatic)
 }
 
 // refill recomputes the static half for context c into s's buffers.
-func (s *powerStatic) refill(c *exec.StaticCtx, arm bool) {
+func (s *powerStatic) refill(c *exec.StaticCtx, variant powerVariant) {
 	for _, r := range [...]*relation.Rel{
 		&s.rr, &s.rw, &s.ww, &s.cc0, &s.ii0s, &s.ci0s, &s.ffence, &s.fences,
 		&s.ii0, &s.ci0, &s.ii, &s.ic, &s.ci, &s.cc,
@@ -83,18 +96,34 @@ func (s *powerStatic) refill(c *exec.StaticCtx, arm bool) {
 	s.cc0.UnionWith(c.Dep(litmus.DepCtrl))
 	c.Dep(litmus.DepAddr).JoinInto(c.PO(), s.tmp)
 	s.cc0.UnionWith(s.tmp)
-	if !arm {
+	if variant == variantPower {
 		s.cc0.UnionWith(c.POLoc())
 	}
 
-	// fences = ffence on ARM; lwfence ∪ ffence on Power, where lwsync
-	// does not order a write before a read.
+	// fences = lwfence ∪ ffence on Power, where lwsync does not order a
+	// write before a read; ffence on ARMv7; and on ARMv8 also the
+	// acquire/release edges: an acquire load before every po-later
+	// access, every po-earlier access before a release store.
 	s.ffence.CopyFrom(c.FenceRel(litmus.FSync))
-	if arm {
-		s.fences.CopyFrom(s.ffence)
-	} else {
+	switch variant {
+	case variantPower:
 		s.fences.CopyFrom(c.FenceRel(litmus.FLwSync))
 		s.fences.MinusCross(c.Writes(), c.Reads())
+		s.fences.UnionWith(s.ffence)
+	case variantARMv7:
+		s.fences.CopyFrom(s.ffence)
+	case variantARMv8:
+		acq := c.Where(func(id int) bool {
+			return c.Reads().Has(id) && c.OrderOf(id) == litmus.OAcquire
+		})
+		rel := c.Where(func(id int) bool {
+			return c.Writes().Has(id) && c.OrderOf(id) == litmus.ORelease
+		})
+		s.fences.CopyFrom(c.PO())
+		s.fences.RestrictIn(acq, c.Live())
+		s.tmp.CopyFrom(c.PO())
+		s.tmp.RestrictIn(c.Live(), rel)
+		s.fences.UnionWith(s.tmp)
 		s.fences.UnionWith(s.ffence)
 	}
 	s.d.fences, s.d.ffence = s.fences, s.ffence
@@ -102,19 +131,16 @@ func (s *powerStatic) refill(c *exec.StaticCtx, arm bool) {
 
 // derivePower computes preserved program order (the fixed point of the four
 // mutually recursive relations ii/ic/ci/cc), the fence relations, hb, and
-// prop. arm selects the ARMv7 variant: no lwsync, and cc0 without po_loc
-// (reflecting the ARMv7 subtleties the formalization leaves out). The
-// static half comes from powerStaticOf; the dynamic half is recomputed
-// into that bundle's pooled scratch, so a steady-state derivation does not
-// allocate. It returns the bundle, whose d holds the derived relations and
-// whose tmp and chain are free scratch until the next derivation.
-func derivePower(v *exec.View, arm bool) *powerStatic {
-	key := "power"
-	if arm {
-		key = "armv7"
-	}
-	return v.Memo(key, func() any {
-		s := powerStaticOf(v.StaticCtx, arm)
+// prop of one variant. The ARM variants have no lwsync, and cc0 without
+// po_loc (reflecting the ARMv7 subtleties the formalization leaves out);
+// the variants differ only in the static half. That half comes from
+// powerStaticOf; the dynamic half is recomputed into that bundle's pooled
+// scratch, so a steady-state derivation does not allocate. It returns the
+// bundle, whose d holds the derived relations and whose tmp and chain are
+// free scratch until the next derivation.
+func derivePower(v *exec.View, variant powerVariant) *powerStatic {
+	return v.Memo(powerKeys[variant], func() any {
+		s := powerStaticOf(v.StaticCtx, variant)
 
 		// ii0 = dp ∪ rdw ∪ rfi, with rdw = po_loc ∩ (fre;rfe).
 		s.ii0.CopyFrom(s.ii0s)
@@ -206,7 +232,7 @@ func derivePower(v *exec.View, arm bool) *powerStatic {
 	}).(*powerStatic)
 }
 
-func powerAxioms(arm bool) []Axiom {
+func powerAxioms(variant powerVariant) []Axiom {
 	return []Axiom{
 		scPerLoc(),
 		// Charted separately from the four axioms of paper Fig. 16, which
@@ -215,13 +241,13 @@ func powerAxioms(arm bool) []Axiom {
 		{
 			Name: "no_thin_air",
 			Holds: func(v *exec.View) bool {
-				return derivePower(v, arm).d.hb.Acyclic()
+				return derivePower(v, variant).d.hb.Acyclic()
 			},
 		},
 		{
 			Name: "observation",
 			Holds: func(v *exec.View) bool {
-				s := derivePower(v, arm)
+				s := derivePower(v, variant)
 				// irreflexive(fre ; prop ; hb*)
 				v.FRE().JoinInto(s.d.prop, s.tmp)
 				s.tmp.JoinInto(s.d.hbRT, s.chain)
@@ -231,7 +257,7 @@ func powerAxioms(arm bool) []Axiom {
 		{
 			Name: "propagation",
 			Holds: func(v *exec.View) bool {
-				s := derivePower(v, arm)
+				s := derivePower(v, variant)
 				// acyclic(co ∪ prop)
 				s.tmp.CopyFrom(v.CO())
 				s.tmp.UnionWith(s.d.prop)
@@ -248,7 +274,7 @@ func powerAxioms(arm bool) []Axiom {
 func Power() Model {
 	return &model{
 		name:   "power",
-		axioms: powerAxioms(false),
+		axioms: powerAxioms(variantPower),
 		vocab: Vocab{
 			Ops: []litmus.Op{
 				litmus.R(0), litmus.W(0),
@@ -282,7 +308,7 @@ func Power() Model {
 func ARMv7() Model {
 	return &model{
 		name:   "armv7",
-		axioms: powerAxioms(true),
+		axioms: powerAxioms(variantARMv7),
 		vocab: Vocab{
 			Ops: []litmus.Op{
 				litmus.R(0), litmus.W(0),

@@ -115,14 +115,13 @@ func sccSync(v *exec.View, scoped bool) relation.Rel {
 	}).(*relation.Rel)
 }
 
-// sccCause computes cause = *po.(sc + sync).*po, with the sc order possibly
-// reversed (the workaround of paper Fig. 19). For the scoped variant the sc
-// order is additionally restricted to scope-compatible fence pairs. The
+// sccCause computes cause = *po.(sc + sync).*po. For the scoped variant the
+// sc order is restricted to scope-compatible fence pairs. The
 // result lives in the static bundle's pooled cause buffer, valid until the
 // next sccCause call on the same context.
-func sccCause(v *exec.View, scoped, reverseSC bool) relation.Rel {
+func sccCause(v *exec.View, scoped bool) relation.Rel {
 	s := sccStaticOf(v.StaticCtx, scoped)
-	sc := v.SCRel(reverseSC)
+	sc := v.SCRel()
 	if scoped {
 		s.scopedSC.CopyFrom(sc)
 		s.scopedSC.IntersectWith(v.ScopeCompatible())
@@ -137,9 +136,9 @@ func sccCause(v *exec.View, scoped, reverseSC bool) relation.Rel {
 	return s.cause
 }
 
-func sccCausalityHolds(v *exec.View, scoped, reverseSC bool) bool {
+func sccCausalityHolds(v *exec.View, scoped bool) bool {
 	s := sccStaticOf(v.StaticCtx, scoped)
-	cause := sccCause(v, scoped, reverseSC)
+	cause := sccCause(v, scoped)
 	s.tmp.CopyFrom(cause)
 	s.tmp.CloseIn()
 	comRT := v.Com()
@@ -168,12 +167,12 @@ func sccAxioms(scoped bool) []Axiom {
 		},
 		rmwAtomicity(false), // no fr.co & rmw (Fig. 17)
 		{
-			// The sc order this axiom consults is auxiliary; package
-			// minimal quantifies over all sc orders (the general form of
-			// the paper's Fig. 19 lone-edge workaround).
+			// The sc order this axiom consults is auxiliary; callers
+			// quantify over exec.SCOrders (the general form of the
+			// paper's Fig. 19 lone-edge workaround).
 			Name: "causality",
 			Holds: func(v *exec.View) bool {
-				return sccCausalityHolds(v, scoped, false)
+				return sccCausalityHolds(v, scoped)
 			},
 		},
 	}

@@ -15,7 +15,7 @@
 // explicit enumerator, we implement the general solution directly:
 //
 //   - an outcome is forbidden for an axiom iff the axiom is violated under
-//     every total sc order, and
+//     every total sc order (exec.SCOrders), and
 //   - a relaxed outcome is observable iff the full perturbed model holds
 //     under some total sc order.
 //
@@ -23,7 +23,7 @@
 //
 // The evaluation-context machinery is amortized for the synthesis explore
 // hot path: a Checker binds to one program, computes the relaxation
-// applications and the sc-order permutations once, rebinds one pooled
+// applications and the sc orders (exec.SCOrders) once, rebinds one pooled
 // evaluation context (exec.StaticCtx plus an exec.View) per perturbation
 // in place, and then stamps every execution of the program through those
 // contexts. The contexts outlive the program: the next Bind rebinds them
@@ -62,54 +62,9 @@ func (v Verdict) MinimalFor() []int {
 	return v.ViolatedAxioms
 }
 
-// scFences returns the FSC fence event IDs of t in event order.
-func scFences(t *litmus.Test) []int {
-	var fences []int
-	for _, e := range t.Events {
-		if e.Kind == litmus.KFence && e.Fence == litmus.FSC {
-			fences = append(fences, e.ID)
-		}
-	}
-	return fences
-}
-
-// permutations returns every permutation of items (which is scrambled and
-// restored in place).
-func permutations(items []int) [][]int {
-	var perms [][]int
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(items) {
-			perms = append(perms, append([]int(nil), items...))
-			return
-		}
-		for i := k; i < len(items); i++ {
-			items[k], items[i] = items[i], items[k]
-			rec(k + 1)
-			items[k], items[i] = items[i], items[k]
-		}
-	}
-	rec(0)
-	return perms
-}
-
-// scOrders returns the sc orders to quantify over: every permutation of the
-// test's FSC fences when the model uses an sc order, or just the execution's
-// own (possibly nil) order otherwise.
-func scOrders(m memmodel.Model, x *exec.Execution) [][]int {
-	if !m.Vocab().UsesSC {
-		return [][]int{x.SC}
-	}
-	fences := scFences(x.Test)
-	if len(fences) < 2 {
-		return [][]int{x.SC}
-	}
-	return permutations(fences)
-}
-
 // Checker amortizes the static work of the minimality criterion across the
 // executions of one program. Bind computes the relaxation applications and
-// the sc-order permutations and rebinds the base view's context; the view
+// the sc orders (exec.SCOrders) and rebinds the base view's context; the view
 // of each relaxation-application slot is rebound lazily, on the slot's
 // first use in the program. The views and their contexts are kept across
 // Bind calls, so a warm Checker rebinds in place instead of allocating.
@@ -132,7 +87,7 @@ type Checker struct {
 	// per-program verdict streams independent of which worker processed
 	// which earlier program (suites stay identical for any worker count).
 	order    []int
-	scPerms  [][]int    // precomputed permutations (UsesSC models, ≥2 fences)
+	allSC    [][]int    // exec.SCOrders of the bound test (UsesSC models only)
 	oneOrder [1][]int   // scratch for the single-order case
 	base     *exec.View // pooled NoPerturb view
 	slots    []appSlot  // slots[i] serves apps[i]; grows to the most apps seen
@@ -167,11 +122,9 @@ func (c *Checker) bind(t *litmus.Test, apps []exec.Perturb) {
 	for i := range apps {
 		c.order = append(c.order, i)
 	}
-	c.scPerms = nil
+	c.allSC = nil
 	if c.usesSC {
-		if fences := scFences(t); len(fences) >= 2 {
-			c.scPerms = permutations(fences)
-		}
+		c.allSC = exec.SCOrders(t)
 	}
 	if c.base == nil {
 		c.base = new(exec.StaticCtx).NewView()
@@ -183,11 +136,12 @@ func (c *Checker) bind(t *litmus.Test, apps []exec.Perturb) {
 	}
 }
 
-// ordersFor returns the sc orders to quantify over for execution x,
-// mirroring scOrders but with the permutations hoisted to Bind.
+// ordersFor returns the sc orders to quantify over for execution x: the
+// bound test's sc orders, or just x's own (possibly nil) order when there
+// is nothing to quantify over.
 func (c *Checker) ordersFor(x *exec.Execution) [][]int {
-	if c.scPerms != nil {
-		return c.scPerms
+	if c.allSC != nil {
+		return c.allSC
 	}
 	c.oneOrder[0] = x.SC
 	return c.oneOrder[:]

@@ -300,43 +300,47 @@ func TestIsMinimalUnknownAxiom(t *testing.T) {
 	}
 }
 
-// TestSCOrdersPermutationCounts: with k >= 2 FSC fences, scOrders must
-// quantify over all k! total orders, each a distinct permutation of the
-// fence event IDs.
+// boundOrders returns the sc orders a Checker for m bound to lt quantifies
+// over for execution x — the orders Check sweeps.
+func boundOrders(m memmodel.Model, lt *Test, x *exec.Execution) [][]int {
+	c := NewChecker(m)
+	c.Bind(lt)
+	return c.ordersFor(x)
+}
+
+// TestSCOrdersPermutationCounts: with k >= 2 FSC fences, a bound Checker
+// must quantify over all k! total orders, each a distinct permutation of
+// the fence event IDs.
 func TestSCOrdersPermutationCounts(t *testing.T) {
 	scc := memmodel.SCC()
 	cases := []struct {
 		name    string
 		threads [][]Op
-		fences  int
+		fences  []int
 		want    int
 	}{
-		{"two", [][]Op{{W(0), F(FSC)}, {F(FSC), R(0)}}, 2, 2},
-		{"three", [][]Op{{W(0), F(FSC)}, {F(FSC), R(0)}, {F(FSC), R(1)}}, 3, 6},
-		{"four", [][]Op{{F(FSC), F(FSC)}, {F(FSC), F(FSC)}}, 4, 24},
+		{"two", [][]Op{{W(0), F(FSC)}, {F(FSC), R(0)}}, []int{1, 2}, 2},
+		{"three", [][]Op{{W(0), F(FSC)}, {F(FSC), R(0)}, {F(FSC), R(1)}}, []int{1, 2, 4}, 6},
+		{"four", [][]Op{{F(FSC), F(FSC)}, {F(FSC), F(FSC)}}, []int{0, 1, 2, 3}, 24},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			lt := New("perm-"+tc.name, tc.threads)
-			fences := scFences(lt)
-			if len(fences) != tc.fences {
-				t.Fatalf("scFences = %v, want %d fences", fences, tc.fences)
-			}
 			x := mustFind(t, lt, func(*exec.Execution) bool { return true })
-			orders := scOrders(scc, x)
+			orders := boundOrders(scc, lt, x)
 			if len(orders) != tc.want {
-				t.Fatalf("scOrders returned %d orders, want %d", len(orders), tc.want)
+				t.Fatalf("Checker quantifies over %d orders, want %d", len(orders), tc.want)
 			}
 			seen := make(map[string]bool)
 			for _, ord := range orders {
-				if len(ord) != tc.fences {
-					t.Fatalf("order %v has %d elements, want %d", ord, len(ord), tc.fences)
+				if len(ord) != len(tc.fences) {
+					t.Fatalf("order %v has %d elements, want %d", ord, len(ord), len(tc.fences))
 				}
 				members := make(map[int]bool)
 				for _, id := range ord {
 					members[id] = true
 				}
-				for _, f := range fences {
+				for _, f := range tc.fences {
 					if !members[f] {
 						t.Fatalf("order %v is missing fence %d", ord, f)
 					}
@@ -352,8 +356,8 @@ func TestSCOrdersPermutationCounts(t *testing.T) {
 }
 
 // TestSCOrdersDegenerate: with fewer than two FSC fences there is nothing
-// to quantify over — scOrders must return exactly the execution's own
-// (possibly nil) order, for sc-using and plain models alike.
+// to quantify over — a bound Checker must sweep exactly the execution's
+// own (possibly nil) order, for sc-using and plain models alike.
 func TestSCOrdersDegenerate(t *testing.T) {
 	scc := memmodel.SCC()
 	for _, tc := range []struct {
@@ -367,9 +371,9 @@ func TestSCOrdersDegenerate(t *testing.T) {
 			lt := New(tc.name, tc.threads)
 			x := mustFind(t, lt, func(*exec.Execution) bool { return true })
 			x.SC = nil
-			orders := scOrders(scc, x)
+			orders := boundOrders(scc, lt, x)
 			if len(orders) != 1 || orders[0] != nil {
-				t.Errorf("scOrders = %v, want the execution's own nil order", orders)
+				t.Errorf("Checker quantifies over %v, want the execution's own nil order", orders)
 			}
 		})
 	}
@@ -378,8 +382,13 @@ func TestSCOrdersDegenerate(t *testing.T) {
 	tso := memmodel.TSO()
 	lt := New("tso-mfences", [][]Op{{W(0), F(FMFence)}, {R(0), F(FMFence)}})
 	x := mustFind(t, lt, func(*exec.Execution) bool { return true })
-	if orders := scOrders(tso, x); len(orders) != 1 {
+	if orders := boundOrders(tso, lt, x); len(orders) != 1 {
 		t.Errorf("non-sc model: %d orders, want 1", len(orders))
+	}
+	sb := New("sb-scfences", [][]Op{{W(0), F(FSC), R(1)}, {W(1), F(FSC), R(0)}})
+	x = mustFind(t, sb, func(*exec.Execution) bool { return true })
+	if orders := boundOrders(tso, sb, x); len(orders) != 1 {
+		t.Errorf("non-sc model on sc fences: %d orders, want 1", len(orders))
 	}
 }
 

@@ -1,9 +1,11 @@
 package randgen
 
 import (
+	"fmt"
 	"testing"
 
 	"memsynth/internal/canon"
+	"memsynth/internal/exec"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/minimal"
 	"memsynth/internal/synth"
@@ -65,6 +67,57 @@ func TestForbiddenWitness(t *testing.T) {
 	}
 	if !foundAllowed {
 		t.Error("every random test had a forbidden outcome (suspicious)")
+	}
+}
+
+// TestForbiddenWitnessQuantifiesSCOrders: the sc order is auxiliary, so a
+// witness must be invalid under every sc order, not only under the one an
+// enumerated execution happens to carry. The pinned programs have two sc
+// fences each, and an outcome that fails under one order but holds under
+// the other: scc seed 80 is Ld.acq x; Ld.acq y; F.sc; F.sc; St y, where
+// r0=0 r1=0 [y]=1 holds under the program-order sc order.
+func TestForbiddenWitnessQuantifiesSCOrders(t *testing.T) {
+	for _, tc := range []struct {
+		m    memmodel.Model
+		seed int64
+	}{{memmodel.SCC(), 80}, {memmodel.HSA(), 161}} {
+		lt := New(tc.m, Options{MaxEvents: 6}, tc.seed).Test()
+		orders := exec.SCOrders(lt)
+		if len(orders) < 2 {
+			t.Fatalf("%s seed %d: %d sc orders, want a program with several\n%v", tc.m.Name(), tc.seed, len(orders), lt)
+		}
+		w := ForbiddenWitness(tc.m, lt)
+		if w == nil {
+			t.Fatalf("%s seed %d: no witness\n%v", tc.m.Name(), tc.seed, lt)
+		}
+		for _, sc := range orders {
+			x := w.Clone()
+			x.SC = sc
+			if memmodel.Valid(tc.m, exec.NewView(x, exec.NoPerturb)) {
+				t.Errorf("%s seed %d: witness %s is allowed under sc order %v\n%v",
+					tc.m.Name(), tc.seed, w.OutcomeString(), sc, lt)
+			}
+		}
+	}
+
+	// Models without an sc order keep their witness: the first execution
+	// the model rejects.
+	tso := memmodel.TSO()
+	g := New(tso, Options{}, 3)
+	for i := 0; i < 100; i++ {
+		lt := g.Test()
+		var first *exec.Execution
+		exec.Enumerate(lt, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+			if !memmodel.Valid(tso, exec.NewView(x, exec.NoPerturb)) {
+				first = x.Clone()
+				return false
+			}
+			return true
+		})
+		w := ForbiddenWitness(tso, lt)
+		if fmt.Sprint(w) != fmt.Sprint(first) || (w != nil && fmt.Sprint(w.RF, w.CO, w.SC) != fmt.Sprint(first.RF, first.CO, first.SC)) {
+			t.Fatalf("tso witness %v, want the first rejected execution %v\n%v", w, first, lt)
+		}
 	}
 }
 

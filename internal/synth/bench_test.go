@@ -9,10 +9,8 @@ import (
 	"fmt"
 	"testing"
 
-	"memsynth/internal/admit"
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
-	"memsynth/internal/minimal"
 )
 
 type benchCase struct {
@@ -47,8 +45,9 @@ func BenchmarkSynth(b *testing.B) {
 }
 
 // BenchmarkExplore pre-generates the distinct programs of every size and
-// times only the explore hot path: execution enumeration, admit and the
-// minimality criterion.
+// times only the explore phase, with the engine's worker fan-out:
+// execution enumeration, admit and the minimality criterion. A row is
+// one phase of the matching BenchmarkSynth row.
 func BenchmarkExplore(b *testing.B) {
 	for _, c := range benchGrid() {
 		b.Run(c.String(), func(b *testing.B) {
@@ -58,17 +57,10 @@ func BenchmarkExplore(b *testing.B) {
 			for n := opts.MinEvents; n <= c.bound; n++ {
 				perSize = append(perSize, e.generateAndDedupe(n))
 			}
-			checker := minimal.NewChecker(c.model)
-			var adm *admit.Checker
-			if e.admitOn {
-				adm = admit.NewChecker(c.model)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, winners := range perSize {
-					for _, w := range winners {
-						e.processProgram(checker, adm, w)
-					}
+					e.explore(winners, ShardSpec{Index: 0, Stride: 1})
 				}
 			}
 		})

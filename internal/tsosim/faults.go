@@ -65,8 +65,8 @@ func AllFaults() []Fault {
 }
 
 // RunFaulty explores all interleavings of t on a machine with the given
-// seeded fault and returns its outcome set. RunFaulty(t, FaultNone) is
-// equivalent to Run(t).
+// seeded fault and returns its outcome set; FaultNone is the correct
+// machine, Run.
 func RunFaulty(t *litmus.Test, fault Fault) (map[string]Outcome, error) {
 	for _, e := range t.Events {
 		switch e.Kind {

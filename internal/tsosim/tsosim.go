@@ -5,9 +5,13 @@
 //
 // The simulator exhaustively explores every interleaving of instruction
 // steps and buffer drains and returns the set of observable outcomes. It
-// exists to cross-validate the axiomatic TSO model of package memmodel:
-// for any test over TSO's vocabulary the two must agree exactly — the
-// equivalence result the x86-TSO paper proves, checked here by testing.
+// exists to cross-validate the axiomatic TSO model of package memmodel
+// (paper Fig. 4), checked here by testing: for any test over TSO's
+// vocabulary every machine outcome is allowed by the model, and the two
+// agree exactly unless a thread loads after an RMW. The locked RMW
+// drains the buffer and writes straight to memory, as x86 does, so it
+// orders its write before every later load; Fig. 4's ppo (po minus
+// write→read pairs) does not, so the model allows more there.
 package tsosim
 
 import (
@@ -105,129 +109,8 @@ func (s *state) key() string {
 // Run explores all interleavings of t on the x86-TSO machine and returns
 // the set of observable outcomes keyed by Outcome.Key. t may use plain
 // reads and writes, mfence, and adjacent RMW pairs; other vocabulary
-// returns an error.
-func Run(t *litmus.Test) (map[string]Outcome, error) {
-	for _, e := range t.Events {
-		switch e.Kind {
-		case litmus.KRead, litmus.KWrite:
-			if e.Order != litmus.OPlain {
-				return nil, fmt.Errorf("tsosim: event %d has non-TSO order %v", e.ID, e.Order)
-			}
-		case litmus.KFence:
-			if e.Fence != litmus.FMFence {
-				return nil, fmt.Errorf("tsosim: event %d has non-TSO fence %v", e.ID, e.Fence)
-			}
-		}
-	}
-
-	numThreads := t.NumThreads()
-	threads := make([][]int, numThreads)
-	for th := 0; th < numThreads; th++ {
-		threads[th] = t.Thread(th)
-	}
-	isRMWRead := make([]bool, len(t.Events))
-	for _, p := range t.RMW {
-		isRMWRead[p[0]] = true
-	}
-
-	init := &state{
-		pc:      make([]int, numThreads),
-		buffers: make([][]bufferEntry, numThreads),
-		memory:  make([]int, t.NumAddrs()),
-		reads:   make([]int, len(t.Events)),
-	}
-	for i := range init.memory {
-		init.memory[i] = -1
-	}
-	for i := range init.reads {
-		init.reads[i] = -1
-	}
-
-	outcomes := make(map[string]Outcome)
-	visited := make(map[string]bool)
-
-	var explore func(s *state)
-	explore = func(s *state) {
-		k := s.key()
-		if visited[k] {
-			return
-		}
-		visited[k] = true
-
-		done := true
-		for th := 0; th < numThreads; th++ {
-			if s.pc[th] < len(threads[th]) || len(s.buffers[th]) > 0 {
-				done = false
-			}
-		}
-		if done {
-			o := Outcome{
-				ReadsFrom:  append([]int(nil), s.reads...),
-				FinalWrite: append([]int(nil), s.memory...),
-			}
-			outcomes[o.Key()] = o
-			return
-		}
-
-		for th := 0; th < numThreads; th++ {
-			// Drain the oldest buffered store to memory.
-			if len(s.buffers[th]) > 0 {
-				n := s.clone()
-				e := n.buffers[th][0]
-				n.buffers[th] = append([]bufferEntry(nil), n.buffers[th][1:]...)
-				n.memory[e.addr] = e.writeID
-				explore(n)
-			}
-			// Execute the next instruction.
-			if s.pc[th] >= len(threads[th]) {
-				continue
-			}
-			id := threads[th][s.pc[th]]
-			ev := t.Events[id]
-			switch {
-			case ev.Kind == litmus.KFence:
-				// mfence: only executable with an empty buffer.
-				if len(s.buffers[th]) == 0 {
-					n := s.clone()
-					n.pc[th]++
-					explore(n)
-				}
-			case isRMWRead[id]:
-				// Locked RMW: buffer must be empty; read and write hit
-				// memory atomically.
-				if len(s.buffers[th]) == 0 {
-					partner, _ := t.RMWPartner(id)
-					n := s.clone()
-					n.reads[id] = n.memory[ev.Addr]
-					n.memory[ev.Addr] = partner
-					n.pc[th] += 2
-					explore(n)
-				}
-			case ev.Kind == litmus.KRead:
-				n := s.clone()
-				// Store-to-load forwarding: newest buffered store to the
-				// address wins; otherwise memory.
-				src := n.memory[ev.Addr]
-				for i := len(n.buffers[th]) - 1; i >= 0; i-- {
-					if n.buffers[th][i].addr == ev.Addr {
-						src = n.buffers[th][i].writeID
-						break
-					}
-				}
-				n.reads[id] = src
-				n.pc[th]++
-				explore(n)
-			case ev.Kind == litmus.KWrite:
-				n := s.clone()
-				n.buffers[th] = append(n.buffers[th], bufferEntry{addr: ev.Addr, writeID: id})
-				n.pc[th]++
-				explore(n)
-			}
-		}
-	}
-	explore(init)
-	return outcomes, nil
-}
+// returns an error. It is the machine without a seeded fault.
+func Run(t *litmus.Test) (map[string]Outcome, error) { return RunFaulty(t, FaultNone) }
 
 // Keys returns the sorted outcome keys — convenient for set comparison.
 func Keys(outcomes map[string]Outcome) []string {

@@ -235,12 +235,7 @@ type Outcome struct {
 // Outcomes enumerates every candidate execution of t and classifies it
 // under m — the herd-style litmus checking workflow.
 func Outcomes(m Model, t *Test) []Outcome {
-	var out []Outcome
-	exec.Enumerate(t, exec.EnumerateOptions{UseSC: m.Vocab().UsesSC}, func(x *Execution) bool {
-		v := exec.NewView(x, exec.NoPerturb)
-		out = append(out, Outcome{Exec: x.Clone(), Valid: memmodel.Valid(m, v)})
-		return true
-	})
+	out, _ := OutcomesContext(context.Background(), m, t)
 	return out
 }
 
@@ -264,14 +259,7 @@ func OutcomesContext(ctx context.Context, m Model, t *Test) ([]Outcome, error) {
 // OutcomeAllowed reports whether some valid execution of t under m
 // satisfies pred.
 func OutcomeAllowed(m Model, t *Test, pred func(*Execution) bool) bool {
-	allowed := false
-	exec.Enumerate(t, exec.EnumerateOptions{UseSC: m.Vocab().UsesSC}, func(x *Execution) bool {
-		if pred(x) && memmodel.Valid(m, exec.NewView(x, exec.NoPerturb)) {
-			allowed = true
-			return false
-		}
-		return true
-	})
+	allowed, _ := OutcomeAllowedContext(context.Background(), m, t, pred)
 	return allowed
 }
 
