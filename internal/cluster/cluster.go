@@ -1,20 +1,22 @@
 // Package cluster turns memsynthd into a horizontally-scaled,
 // cache-sharing synthesis service: a coordinator partitions cold
-// synthesize requests along the engine's deduped program stream
-// (synth.SynthesizeShard's (index, stride) axis), dispatches shard jobs
-// to registered workers over the /v1/cluster/* HTTP API, and merges the
+// synthesize requests by symmetry class (synth.SynthesizeShard's
+// (index, stride) axis: a shard generates and explores only the classes
+// whose hash is congruent to its index), dispatches shard jobs to
+// registered workers over the /v1/cluster/* HTTP API, and merges the
 // per-shard partial suites deterministically (synth.MergeShards) so the
 // merged suite and store digest are byte-identical to a single-node run
 // for any shard count.
 //
 // The protocol is pull-based: workers register with their engine
-// version, then long-poll the coordinator for shard jobs, running one at
-// a time; queued shards are dispatched in submission order. Every shard
-// job is identified by a shard digest — a content address over (request
-// digest, index, stride, engine version) — which makes dispatch, retry,
-// reassignment, and result upload idempotent: a shard reassigned after a
-// worker death and later completed by both the "dead" worker and its
-// replacement is merged exactly once, whichever upload lands first.
+// version and partition scheme, then long-poll the coordinator for
+// shard jobs, running one at a time; queued shards are dispatched in
+// submission order. Every shard job is identified by a shard digest — a
+// content address over (request digest, index, stride, engine version) —
+// which makes dispatch, retry, reassignment, and result upload
+// idempotent: a shard reassigned after a worker death and later completed
+// by both the "dead" worker and its replacement is merged exactly once,
+// whichever upload lands first.
 //
 // The coordinator does not coalesce requests: its one caller, the
 // daemon's single-flight layer (internal/server), already runs each
@@ -67,23 +69,30 @@ func (e *SaturatedError) Is(target error) bool { return target == ErrSaturated }
 // ShardDigest is the idempotency key of one shard job: a content address
 // over the request digest, the shard coordinates, and the engine
 // version. Reassignments reuse the digest, so duplicate result uploads
-// (a slow worker racing its replacement) collapse onto one merge.
+// (a slow worker racing its replacement) collapse onto one merge. The
+// preamble names the digest's generation: v2 shards partition the
+// program stream by symmetry class (synth.PartitionScheme), v1 shards
+// split the deduped winner list.
 func ShardDigest(requestDigest string, index, stride int, engineVersion string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "memsynth-shard-v1\nreq=%s\nindex=%d\nstride=%d\nengine=%s\n",
+	fmt.Fprintf(h, "memsynth-shard-v2\nreq=%s\nindex=%d\nstride=%d\nengine=%s\n",
 		requestDigest, index, stride, engineVersion)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ShardJob is one unit of dispatched work: synthesize the (Index, Stride)
-// shard of the deduped program stream for the given model and options.
+// shard of the program stream — the symmetry classes whose hash is
+// congruent to Index modulo Stride — for the given model and options.
 // The model definition travels with the job (cat models ship their
 // normalized source), so workers need no shared registry.
 type ShardJob struct {
 	ShardDigest   string `json:"shard_digest"`
 	RequestDigest string `json:"request_digest"`
 	EngineVersion string `json:"engine_version"`
-	Model         string `json:"model"`
+	// PartitionScheme is the coordinator's synth.PartitionScheme; a
+	// worker that partitions otherwise releases the job.
+	PartitionScheme string `json:"partition_scheme"`
+	Model           string `json:"model"`
 	// ModelSource is "builtin" or the definition language ("cat").
 	ModelSource string `json:"model_source"`
 	// ModelDigest is the definition digest ("" for builtins); workers
@@ -101,10 +110,13 @@ type ShardJob struct {
 }
 
 // RegisterRequest announces a worker. The coordinator admits only
-// workers of its own engine version.
+// workers of its own engine version and partition scheme: a worker that
+// splits the program stream otherwise would explore other classes than
+// its shard's.
 type RegisterRequest struct {
-	Name          string `json:"name"`
-	EngineVersion string `json:"engine_version"`
+	Name            string `json:"name"`
+	EngineVersion   string `json:"engine_version"`
+	PartitionScheme string `json:"partition_scheme"`
 }
 
 // RegisterResponse assigns the worker its identity and cadence.

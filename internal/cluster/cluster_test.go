@@ -122,7 +122,7 @@ type ghost struct {
 func newGhost(t *testing.T, url string) *ghost {
 	t.Helper()
 	g := &ghost{t: t, url: url}
-	body, _ := json.Marshal(RegisterRequest{Name: "ghost", EngineVersion: synth.EngineVersion})
+	body, _ := json.Marshal(RegisterRequest{Name: "ghost", EngineVersion: synth.EngineVersion, PartitionScheme: synth.PartitionScheme})
 	resp, err := http.Post(url+"/v1/cluster/workers", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -275,6 +275,75 @@ func TestCodecRoundTrip(t *testing.T) {
 	wire.EngineVersion = "bogus"
 	if _, err := DecodeShardResult(wire); err == nil {
 		t.Error("engine-version-skewed result decoded")
+	}
+}
+
+// TestCoordinatorRefusesForeignPartitionScheme: a worker that splits the
+// program stream by another rule (or names none, as workers from before
+// the class partition do) would explore other classes than its shard's,
+// so registration answers 409 as for an engine-version skew.
+func TestCoordinatorRefusesForeignPartitionScheme(t *testing.T) {
+	c := New(fastConfig())
+	defer c.Close()
+	ts := httptest.NewServer(c)
+	defer ts.Close()
+	for _, tc := range []struct {
+		req  RegisterRequest
+		want int
+	}{
+		{RegisterRequest{Name: "old", EngineVersion: synth.EngineVersion}, http.StatusConflict},
+		{RegisterRequest{Name: "foreign", EngineVersion: synth.EngineVersion, PartitionScheme: "winner-index"}, http.StatusConflict},
+		{RegisterRequest{Name: "skewed", EngineVersion: "0", PartitionScheme: synth.PartitionScheme}, http.StatusConflict},
+		{RegisterRequest{Name: "current", EngineVersion: synth.EngineVersion, PartitionScheme: synth.PartitionScheme}, http.StatusOK},
+	} {
+		body, _ := json.Marshal(tc.req)
+		resp, err := http.Post(ts.URL+"/v1/cluster/workers", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("register %s (scheme %q): status %d, want %d", tc.req.Name, tc.req.PartitionScheme, resp.StatusCode, tc.want)
+		}
+	}
+	if got := c.LiveWorkers(); got != 1 {
+		t.Errorf("%d live workers, want only the current one", got)
+	}
+}
+
+// TestWorkerReleasesForeignPartitionScheme: a job cut under another
+// partition scheme names other classes than this worker's engine would
+// explore, so the worker hands it back without running it.
+func TestWorkerReleasesForeignPartitionScheme(t *testing.T) {
+	released := make(chan string, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var body struct {
+			Reason string `json:"reason"`
+		}
+		json.NewDecoder(r.Body).Decode(&body)
+		if strings.HasSuffix(r.URL.Path, "/release") {
+			released <- r.URL.Path + ": " + body.Reason
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer ts.Close()
+	wk := NewWorker(WorkerConfig{CoordinatorURL: ts.URL, Name: "w"})
+	wk.synthFn = func(context.Context, memmodel.Model, synth.Options, synth.ShardSpec) (*synth.ShardResult, error) {
+		t.Error("worker ran a job of a foreign partition scheme")
+		return nil, errors.New("unreachable")
+	}
+	wk.runJob(context.Background(), ShardJob{
+		ShardDigest: "d", EngineVersion: synth.EngineVersion, PartitionScheme: "winner-index",
+		Model: "sc", ModelSource: "builtin", Options: store.FromSynthOptions(synth.Options{MaxEvents: 2}),
+		Index: 0, Stride: 2,
+	})
+	select {
+	case got := <-released:
+		if !strings.HasPrefix(got, "/v1/cluster/shards/d/release: partition scheme mismatch") {
+			t.Errorf("release %q, want one of shard d naming the scheme mismatch", got)
+		}
+	default:
+		t.Error("worker did not release the job")
 	}
 }
 

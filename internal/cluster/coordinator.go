@@ -336,17 +336,18 @@ func (c *Coordinator) Synthesize(ctx context.Context, m memmodel.Model, opts syn
 		c.seq++
 		ss := &shardState{
 			job: ShardJob{
-				ShardDigest:   ShardDigest(digest, i, stride, synth.EngineVersion),
-				RequestDigest: digest,
-				EngineVersion: synth.EngineVersion,
-				Model:         m.Name(),
-				ModelSource:   source,
-				ModelDigest:   modelDigest,
-				ModelDef:      def,
-				Options:       ro,
-				Admit:         opts.Admit,
-				Index:         i,
-				Stride:        stride,
+				ShardDigest:     ShardDigest(digest, i, stride, synth.EngineVersion),
+				RequestDigest:   digest,
+				EngineVersion:   synth.EngineVersion,
+				PartitionScheme: synth.PartitionScheme,
+				Model:           m.Name(),
+				ModelSource:     source,
+				ModelDigest:     modelDigest,
+				ModelDef:        def,
+				Options:         ro,
+				Admit:           opts.Admit,
+				Index:           i,
+				Stride:          stride,
 			},
 			fl:  fl,
 			seq: c.seq,
@@ -528,11 +529,17 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, http.StatusBadRequest, "bad register body: %v", err)
 		return
 	}
-	// A version-skewed worker would compute different winner partitions;
-	// refuse it at the door rather than corrupt a merge later.
+	// A version-skewed worker, or one that partitions the program stream
+	// otherwise, would explore other classes than its shard's; refuse it
+	// at the door rather than corrupt a merge later.
 	if req.EngineVersion != synth.EngineVersion {
 		clusterError(w, http.StatusConflict,
 			"engine version %q incompatible with coordinator %q", req.EngineVersion, synth.EngineVersion)
+		return
+	}
+	if req.PartitionScheme != synth.PartitionScheme {
+		clusterError(w, http.StatusConflict,
+			"partition scheme %q incompatible with coordinator %q", req.PartitionScheme, synth.PartitionScheme)
 		return
 	}
 	if req.Name == "" {

@@ -315,7 +315,7 @@ func TestClusterPeerReadThroughHTTP(t *testing.T) {
 // request has joined the flight, and one real worker then runs the shard.
 func TestClusterCoalescesOnceHTTP(t *testing.T) {
 	coord := newCoordinatorNode(t, func(c *cluster.Config) { c.ShardsPerRequest = 1 })
-	body, _ := json.Marshal(cluster.RegisterRequest{Name: "placeholder", EngineVersion: synth.EngineVersion})
+	body, _ := json.Marshal(cluster.RegisterRequest{Name: "placeholder", EngineVersion: synth.EngineVersion, PartitionScheme: synth.PartitionScheme})
 	resp, err := http.Post(coord.ts.URL+"/v1/cluster/workers", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestClusterSaturated429(t *testing.T) {
 	})
 	// A live worker that never polls: the fleet is non-empty, so the
 	// request is distributable, but nothing drains the queue.
-	body, _ := json.Marshal(cluster.RegisterRequest{Name: "idle", EngineVersion: synth.EngineVersion})
+	body, _ := json.Marshal(cluster.RegisterRequest{Name: "idle", EngineVersion: synth.EngineVersion, PartitionScheme: synth.PartitionScheme})
 	resp, err := http.Post(coord.ts.URL+"/v1/cluster/workers", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +517,7 @@ func TestClusterCorruptUploadHTTP(t *testing.T) {
 		}
 		return resp
 	}
-	resp := post("/v1/cluster/workers", cluster.RegisterRequest{Name: "raw", EngineVersion: synth.EngineVersion})
+	resp := post("/v1/cluster/workers", cluster.RegisterRequest{Name: "raw", EngineVersion: synth.EngineVersion, PartitionScheme: synth.PartitionScheme})
 	var reg cluster.RegisterResponse
 	json.NewDecoder(resp.Body).Decode(&reg)
 	resp.Body.Close()

@@ -118,7 +118,7 @@ func (w *Worker) doJSON(ctx context.Context, method, path string, in, out any) (
 
 // register announces the worker and adopts the coordinator's cadence.
 func (w *Worker) register(ctx context.Context) error {
-	req := RegisterRequest{Name: w.cfg.Name, EngineVersion: synth.EngineVersion}
+	req := RegisterRequest{Name: w.cfg.Name, EngineVersion: synth.EngineVersion, PartitionScheme: synth.PartitionScheme}
 	var resp RegisterResponse
 	code, err := w.doJSON(ctx, http.MethodPost, "/v1/cluster/workers", req, &resp)
 	if err != nil {
@@ -273,6 +273,10 @@ func (w *Worker) buildModel(job ShardJob) (memmodel.Model, error) {
 func (w *Worker) runJob(ctx context.Context, job ShardJob) {
 	if job.EngineVersion != synth.EngineVersion {
 		w.release(job, fmt.Sprintf("engine version mismatch: job %q, worker %q", job.EngineVersion, synth.EngineVersion))
+		return
+	}
+	if job.PartitionScheme != synth.PartitionScheme {
+		w.release(job, fmt.Sprintf("partition scheme mismatch: job %q, worker %q", job.PartitionScheme, synth.PartitionScheme))
 		return
 	}
 	m, err := w.buildModel(job)

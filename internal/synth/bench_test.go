@@ -3,9 +3,10 @@ package synth
 // Macro rows of the bench ledger (`make bench`, cmd/benchledger): whole
 // synthesis runs and the explore phase alone, at the largest bounds
 // TestPaperCounts pins for tso, power and scc, or smaller ones under
-// -short.
+// -short, and a cluster request's shard round trip.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -55,14 +56,46 @@ func BenchmarkExplore(b *testing.B) {
 			e := newEngine(c.model, opts)
 			var perSize [][]*litmus.Test
 			for n := opts.MinEvents; n <= c.bound; n++ {
-				perSize = append(perSize, e.generateAndDedupe(n))
+				perSize = append(perSize, e.generateAndDedupe(n, ShardSpec{Index: 0, Stride: 1}))
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, winners := range perSize {
-					e.explore(winners, ShardSpec{Index: 0, Stride: 1})
+					e.explore(winners)
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkShard times the engine work of a two-shard cluster request
+// without the wire: both shards of stride 2, each at one engine worker as
+// a cluster worker with one CPU runs it, one after the other, and their
+// merge. The counts equal the matching BenchmarkSynth row's.
+func BenchmarkShard(b *testing.B) {
+	c := benchCase{memmodel.Power(), 4}
+	if testing.Short() {
+		c.bound = 3
+	}
+	const stride = 2
+	b.Run(fmt.Sprintf("%s/stride=%d", c, stride), func(b *testing.B) {
+		opts := Options{MaxEvents: c.bound, Workers: 1}
+		var res *Result
+		for i := 0; i < b.N; i++ {
+			shards := make([]*ShardResult, stride)
+			for j := range shards {
+				sr, err := SynthesizeShard(context.Background(), c.model, opts, ShardSpec{Index: j, Stride: stride})
+				if err != nil {
+					b.Fatal(err)
+				}
+				shards[j] = sr
+			}
+			var err error
+			if res, err = MergeShards(c.model, opts, shards); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(res.Stats.Programs), "programs")
+		b.ReportMetric(float64(res.Stats.Executions), "executions")
+	})
 }

@@ -17,7 +17,7 @@ func EnumeratePrograms(vocab memmodel.Vocab, opts Options, emit func(*litmus.Tes
 		return err
 	}
 	opts = opts.withDefaults()
-	g := newGenerator(vocab, opts)
+	g := newGenerator(vocab, opts, ShardSpec{Index: 0, Stride: 1})
 	for n := opts.MinEvents; n <= opts.MaxEvents; n++ {
 		if !g.run(n, emit) {
 			return nil

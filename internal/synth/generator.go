@@ -13,20 +13,27 @@ import (
 //
 // The emit callback returns false to abort enumeration (cancellation);
 // every recursive stage propagates the abort outward immediately.
+//
+// A generator bound to a shard of stride > 1 emits only the programs the
+// shard owns: those whose classHash is congruent to the shard's index
+// modulo its stride. The skipped programs are never built.
 type generator struct {
 	vocab         memmodel.Vocab
 	opts          Options
 	pruneIsolated bool
+	shard         ShardSpec
+	local         []int // classHash's per-thread address names
 }
 
 // newGenerator is the one place the pruning rule lives: isolated
 // addresses are pruned unless the options keep them, and only for
 // models without syntactic dependencies, where the pruning is sound.
-func newGenerator(vocab memmodel.Vocab, opts Options) *generator {
+func newGenerator(vocab memmodel.Vocab, opts Options, shard ShardSpec) *generator {
 	return &generator{
 		vocab:         vocab,
 		opts:          opts,
 		pruneIsolated: !opts.KeepIsolatedAddrs && len(vocab.DepTypes) == 0,
+		shard:         shard,
 	}
 }
 
@@ -275,8 +282,13 @@ func depTypeAllowed(dt litmus.DepType, to litmus.Op) bool {
 }
 
 // assignGroups enumerates thread-to-group assignments (restricted growth)
-// for scoped models, then builds and emits the test.
+// for scoped models, then builds and emits the test. Groups do not enter
+// the class hash, so a skeleton the shard does not own is dropped here,
+// with every group assignment of it.
 func (g *generator) assignGroups(sizes []int, slots []slot, addrs []int, deps []depCandidate, emit func(*litmus.Test) bool) bool {
+	if g.shard.Stride > 1 && g.classHash(slots, addrs, deps)%uint64(g.shard.Stride) != uint64(g.shard.Index) {
+		return true
+	}
 	if len(g.vocab.Scopes) == 0 {
 		return g.build(sizes, slots, addrs, deps, nil, emit)
 	}
@@ -325,4 +337,62 @@ func (g *generator) build(sizes []int, slots []slot, addrs []int, deps []depCand
 		opts = append(opts, litmus.WithGroups(append([]int(nil), groups...)...))
 	}
 	return emit(litmus.New("synth", threads, opts...))
+}
+
+// classHash is an invariant of the program's symmetry class
+// (canon.ProgramKey): a multiset hash over its threads. A thread's hash
+// covers its op sequence (kind, order, fence kind, scope and the RMW-read
+// mark), its addresses renamed in first-use order within the thread, and
+// its own dependency edges by position. Nothing canon renames enters it —
+// no thread index, global address number or group — so every thread
+// permutation and address or group renaming of a program hashes alike.
+// The mixing is fixed integer arithmetic, so every host agrees on it.
+func (g *generator) classHash(slots []slot, addrs []int, deps []depCandidate) uint64 {
+	var sum uint64
+	for lo := 0; lo < len(slots); {
+		th := slots[lo].thread
+		g.local = g.local[:0]
+		var h uint64
+		hi := lo
+		for ; hi < len(slots) && slots[hi].thread == th; hi++ {
+			s := slots[hi]
+			name := 0 // fences
+			if s.addrSlot >= 0 {
+				a := addrs[s.addrSlot]
+				for name < len(g.local) && g.local[name] != a {
+					name++
+				}
+				if name == len(g.local) {
+					g.local = append(g.local, a)
+				}
+				name++
+			}
+			w := uint64(s.op.Kind()) | uint64(s.op.Order())<<8 | uint64(s.op.FenceKind())<<16 |
+				uint64(s.op.Scope())<<24 | uint64(name)<<32
+			if s.rmwRead {
+				w |= 1 << 48
+			}
+			h = splitmix64(h ^ w)
+		}
+		for _, d := range deps {
+			if slots[d.fromSlot].thread == th {
+				h += splitmix64(uint64(slots[d.fromSlot].index) | uint64(slots[d.toSlot].index)<<16 |
+					uint64(d.typ)<<32)
+			}
+		}
+		sum += splitmix64(h)
+		lo = hi
+	}
+	// Equal threads add equal terms, so the sum alone would put every
+	// program of two equal threads in an even shard.
+	return splitmix64(sum)
+}
+
+// splitmix64 is the output function of Steele, Lea and Flood's SplitMix64
+// generator: a fixed bijective mix of 64-bit words.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

@@ -9,21 +9,32 @@ import (
 
 // This file is the engine's shard-bounded entry point, the primitive the
 // cluster subsystem (internal/cluster) distributes over. A shard is an
-// (index, stride) partition of the *deduped program stream*: every shard
-// regenerates and dedupes the full skeleton stream (generation is cheap
-// and deterministic — the exponential cost lives in the explore phase)
-// so all shards agree on the identical per-size winner list, then each
-// shard explores only the winners whose per-size index is congruent to
-// Index modulo Stride. The union of the shards' explored programs is
-// therefore exactly the single-node winner set, partitioned. A canonical
-// key embeds its program's encoding, so the shards' findings are disjoint
-// sets of keys, and MergeShards unions them in any order: the suites'
-// final (Size, Key) sort reproduces the single-node suites byte for byte,
-// for any stride.
+// (index, stride) partition of the program stream by symmetry class: the
+// generator hashes each skeleton with a class invariant (classHash: a
+// multiset hash over threads that no thread permutation or address or
+// group renaming changes) before building it, and a shard builds, keys
+// and explores only the programs whose hash is congruent to Index modulo
+// Stride. Every program of a class hashes alike, so a shard's substream
+// holds whole classes in generation order, and its first-wins dedupe
+// keeps exactly the single-node representatives of those classes. The
+// shards' winners therefore partition the single-node winners, and their
+// counters add up to the single-node run's. A canonical key embeds its
+// program's encoding, so the shards' findings are disjoint sets of keys,
+// and MergeShards unions them in any order: the suites' final
+// (Size, Key) sort reproduces the single-node suites byte for byte, for
+// any stride.
 
-// ShardSpec selects one (index, stride) partition of the deduped program
-// stream. Stride 1 / index 0 is the whole stream (equivalent to a plain
-// SynthesizeContext run on the enumeration engine).
+// PartitionScheme names the rule that assigns programs to shards. Two
+// nodes that share an EngineVersion but not this scheme would explore
+// overlapping or missing classes, so the cluster protocol carries it and
+// refuses a mismatch. Changing classHash or an op enum it reads changes
+// the partition (TestShardPartitionCounts fails) and needs a new scheme.
+const PartitionScheme = "class-hash-v1"
+
+// ShardSpec selects one (index, stride) partition of the program stream:
+// the programs whose class hash is congruent to Index modulo Stride.
+// Stride 1 / index 0 is the whole stream and computes no hash (it is a
+// plain SynthesizeContext run).
 type ShardSpec struct {
 	Index  int `json:"index"`
 	Stride int `json:"stride"`
@@ -59,21 +70,18 @@ type ShardResult struct {
 	Options Options
 	Shard   ShardSpec
 	Entries []ShardEntry
-	// Stats carries the shard's own explore counters (Executions,
-	// Entries, ForbiddenOutcomes, stage times) but full-stream generation
-	// counters (ProgramsRaw, Programs) — every shard regenerates the
-	// whole stream, so those are identical across shards.
+	// Stats counts the shard's own work: the programs it generated and
+	// kept (ProgramsRaw, Programs), its explore counters and its stage
+	// times. The shards' counts add up to the single-node run's.
 	Stats Stats
 }
 
 // SynthesizeShard runs the synthesis pipeline for exactly one shard of
-// the deduped program stream: generation and dedupe run in full (their
-// output is deterministic, so every shard computes the identical winner
-// list), and only winners with per-size index ≡ shard.Index (mod
-// shard.Stride) are explored. Cancellation returns a partial result with
-// Stats.Interrupted set, which MergeShards rejects — an interrupted shard
-// must be retried, never merged. A model that panics fails the shard with
-// an error.
+// the program stream: it generates, dedupes and explores only the
+// symmetry classes the shard owns. Cancellation returns a partial result
+// with Stats.Interrupted set, which MergeShards rejects — an interrupted
+// shard must be retried, never merged. A model that panics fails the
+// shard with an error.
 func SynthesizeShard(ctx context.Context, m memmodel.Model, opts Options, shard ShardSpec) (*ShardResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -120,10 +128,10 @@ func sameOutputOptions(a, b Options) bool {
 // single-node run uses. A key that two shards both carry means they
 // explored one class, and the merge fails instead of keeping either.
 //
-// Stats are folded by MergeStats. The shards' Entries and
-// ForbiddenOutcomes add up exactly: a canonical key embeds its program's
-// encoding, so the shards, which explore disjoint program classes, never
-// count one key twice.
+// Stats are folded by MergeStats, and every count adds up exactly: the
+// shards generate disjoint sets of programs, and a canonical key embeds
+// its program's encoding, so the shards, which explore disjoint program
+// classes, never count one key twice.
 func MergeShards(m memmodel.Model, opts Options, shards []*ShardResult) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -95,23 +95,23 @@ func TestShardMergeMatchesSingleNode(t *testing.T) {
 	}
 }
 
-// TestMergeStats pins the one fold of shard counters: explore counters
-// and worker stage times add, the full-stream generation counters and
-// Elapsed count once, and MaxStats never reads below either input.
+// TestMergeStats pins the one fold of shard counters: shards do disjoint
+// work, so every count and stage time adds, Elapsed is the slowest
+// shard's, and MaxStats never reads below either input.
 func TestMergeStats(t *testing.T) {
 	a := Stats{ProgramsRaw: 10, Programs: 8, Executions: 5, ExecutionsFast: 2, ForbiddenOutcomes: 1, Entries: 1,
 		Elapsed: 7, Stages: Stages{Generation: 3, Dedupe: 1, Execution: 2, Minimality: 3}}
-	b := Stats{ProgramsRaw: 10, Programs: 8, Executions: 4, ExecutionsFast: 3, ForbiddenOutcomes: 2, Entries: 2,
+	b := Stats{ProgramsRaw: 12, Programs: 6, Executions: 4, ExecutionsFast: 3, ForbiddenOutcomes: 2, Entries: 2,
 		Elapsed: 9, Stages: Stages{Generation: 4, Dedupe: 2, Execution: 3, Minimality: 4}, Interrupted: true}
-	merged := Stats{ProgramsRaw: 10, Programs: 8, Executions: 9, ExecutionsFast: 5, ForbiddenOutcomes: 3, Entries: 3,
-		Elapsed: 9, Stages: Stages{Generation: 4, Dedupe: 3, Execution: 5, Minimality: 7}, Interrupted: true}
+	merged := Stats{ProgramsRaw: 22, Programs: 14, Executions: 9, ExecutionsFast: 5, ForbiddenOutcomes: 3, Entries: 3,
+		Elapsed: 9, Stages: Stages{Generation: 7, Dedupe: 3, Execution: 5, Minimality: 7}, Interrupted: true}
 	if got := MergeStats(a, b); got != merged {
 		t.Errorf("MergeStats = %+v, want %+v", got, merged)
 	}
 	if got := MergeStats(a); got != a {
 		t.Errorf("MergeStats of one shard = %+v, want it unchanged %+v", got, a)
 	}
-	most := Stats{ProgramsRaw: 10, Programs: 8, Executions: 5, ExecutionsFast: 3, ForbiddenOutcomes: 2, Entries: 2,
+	most := Stats{ProgramsRaw: 12, Programs: 8, Executions: 5, ExecutionsFast: 3, ForbiddenOutcomes: 2, Entries: 2,
 		Elapsed: 9, Stages: Stages{Generation: 4, Dedupe: 2, Execution: 3, Minimality: 4}, Interrupted: true}
 	if got := MaxStats(a, b); got != most {
 		t.Errorf("MaxStats = %+v, want %+v", got, most)

@@ -105,7 +105,8 @@ func (s *Suite) CountUpTo(bound int) int {
 // they are CPU time and can exceed Stats.Elapsed on parallel runs.
 // Generation is the wall-clock time of the skeleton enumerator, excluding
 // the time it spends blocked handing programs to dedupe workers that lag
-// behind (backpressure).
+// behind (backpressure). A record merged from shards sums every stage
+// over the shards.
 type Stages struct {
 	// Generation is skeleton enumeration (thread shapes, instruction
 	// assignments, addresses, deps, scopes).
@@ -165,11 +166,11 @@ type Stats struct {
 }
 
 // MergeStats folds the Stats of the shards of one run into the run's
-// record. Explore counters and worker stage times cover disjoint work, so
-// they add. Every shard regenerates the full program stream, so the
-// generation counters (ProgramsRaw, Programs, Stages.Generation) count
-// once: the furthest shard's. Elapsed is the slowest shard's, and the run
-// is interrupted if any shard was.
+// record. Each shard generates, dedupes and explores only its own
+// symmetry classes, so the shards' work is disjoint and every count and
+// stage time adds: the merged counters equal a single-node run's.
+// Elapsed is the slowest shard's, and the run is interrupted if any
+// shard was.
 func MergeStats(parts ...Stats) Stats {
 	var s Stats
 	for _, p := range parts {
@@ -184,22 +185,22 @@ func MaxStats(a, b Stats) Stats {
 	return foldStats(a, b, func(x, y int64) int64 { return max(x, y) })
 }
 
-// foldStats is the one field list behind MergeStats and MaxStats: the
-// explore counters and worker stage times combine through add, the
-// full-stream generation counters and Elapsed through max.
+// foldStats is the one field list behind MergeStats and MaxStats: every
+// count and stage time combines through add, Elapsed through max, and
+// Interrupted through or.
 func foldStats(a, b Stats, add func(x, y int64) int64) Stats {
 	n := func(x, y int) int { return int(add(int64(x), int64(y))) }
 	d := func(x, y time.Duration) time.Duration { return time.Duration(add(int64(x), int64(y))) }
 	return Stats{
-		ProgramsRaw:       max(a.ProgramsRaw, b.ProgramsRaw),
-		Programs:          max(a.Programs, b.Programs),
+		ProgramsRaw:       n(a.ProgramsRaw, b.ProgramsRaw),
+		Programs:          n(a.Programs, b.Programs),
 		Executions:        n(a.Executions, b.Executions),
 		ExecutionsFast:    n(a.ExecutionsFast, b.ExecutionsFast),
 		ForbiddenOutcomes: n(a.ForbiddenOutcomes, b.ForbiddenOutcomes),
 		Entries:           n(a.Entries, b.Entries),
 		Elapsed:           max(a.Elapsed, b.Elapsed),
 		Stages: Stages{
-			Generation: max(a.Generation, b.Generation),
+			Generation: d(a.Generation, b.Generation),
 			Dedupe:     d(a.Dedupe, b.Dedupe),
 			Execution:  d(a.Execution, b.Execution),
 			Minimality: d(a.Minimality, b.Minimality),
@@ -388,10 +389,9 @@ func newEngine(m memmodel.Model, opts Options) *engine {
 }
 
 // run is the engine's one size loop, shared by SynthesizeContext and
-// SynthesizeShard. Every size is generated and deduped in full; then
-// only the winners whose per-size index is congruent to shard.Index
-// modulo shard.Stride are explored. It returns their findings, one per
-// class key. A cancelled run stops promptly and reports
+// SynthesizeShard. Each size generates and dedupes the shard's programs
+// (the whole stream at stride 1) and explores every winner. It returns
+// their findings, one per class key. A cancelled run stops promptly and reports
 // Stats.Interrupted; a run whose model panicked stops and returns the
 // panic as an error.
 func (e *engine) run(ctx context.Context, shard ShardSpec) ([]ShardEntry, Stats, error) {
@@ -425,12 +425,12 @@ func (e *engine) run(ctx context.Context, shard ShardSpec) ([]ShardEntry, Stats,
 		}
 		e.size.Store(int32(n))
 		e.prog.emit(PhaseGenerate, e.snapshot())
-		winners := e.generateAndDedupe(n)
+		winners := e.generateAndDedupe(n, shard)
 		if e.stopped.Load() {
 			break
 		}
 		e.prog.emit(PhaseExplore, e.snapshot())
-		for _, fs := range e.explore(winners, shard) {
+		for _, fs := range e.explore(winners) {
 			found = append(found, fs...)
 		}
 	}
@@ -486,14 +486,16 @@ type keyedProgram struct {
 // workers per channel send.
 const dedupeBatch = 64
 
-// generateAndDedupe enumerates all size-n program skeletons and fans their
-// canonical-key computation out over the workers, in batches of
-// dedupeBatch programs that the workers key in place. The generator keeps
-// the batches in generation order, so one sequential pass over them then
-// keeps the generation-order-first program of every symmetry class —
-// whatever the worker count or scheduling. It returns those
-// representatives in generation order, or nil for an interrupted size.
-func (e *engine) generateAndDedupe(n int) []*litmus.Test {
+// generateAndDedupe enumerates the shard's size-n program skeletons and
+// fans their canonical-key computation out over the workers, in batches
+// of dedupeBatch programs that the workers key in place. The generator
+// keeps the batches in generation order, so one sequential pass over them
+// then keeps the generation-order-first program of every symmetry class —
+// whatever the worker count or scheduling. The shard owns whole classes
+// (the generator's classHash is a class invariant), so its winners are
+// exactly the single-node winners of those classes. It returns them in
+// generation order, or nil for an interrupted size.
+func (e *engine) generateAndDedupe(n int, shard ShardSpec) []*litmus.Test {
 	// One queued batch per worker lets every worker start its next batch
 	// while the generator fills another.
 	ch := make(chan []keyedProgram, e.opts.Workers)
@@ -517,7 +519,7 @@ func (e *engine) generateAndDedupe(n int) []*litmus.Test {
 		}()
 	}
 
-	gen := newGenerator(e.model.Vocab(), e.opts)
+	gen := newGenerator(e.model.Vocab(), e.opts, shard)
 	// Generation time excludes the sends that block because the dedupe
 	// workers lag behind.
 	var blockedNS int64
@@ -574,21 +576,16 @@ func (e *engine) generateAndDedupe(n int) []*litmus.Test {
 	return winners
 }
 
-// explore fans the execution exploration of the shard's programs — the
-// winners at indices ≡ shard.Index (mod shard.Stride) — out over the
+// explore fans the execution exploration of the winners out over the
 // workers (work-stealing by index) and returns their findings: results[i]
-// belongs to winners[shard.Index+i*shard.Stride]. Each worker holds one
+// belongs to winners[i]. Each worker holds one
 // minimal.Checker, so the static evaluation contexts and scratch buffers
 // are pooled per worker and amortized across every execution of every
 // program the worker claims. A panic in the model's code (an axiom or its
 // relaxation spec) fails the run rather than the process: the worker
 // recovers and records it with the model, size and program.
-func (e *engine) explore(winners []*litmus.Test, shard ShardSpec) [][]ShardEntry {
-	n := 0
-	if len(winners) > shard.Index {
-		n = (len(winners) - shard.Index + shard.Stride - 1) / shard.Stride
-	}
-	results := make([][]ShardEntry, n)
+func (e *engine) explore(winners []*litmus.Test) [][]ShardEntry {
+	results := make([][]ShardEntry, len(winners))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < e.opts.Workers; w++ {
@@ -609,10 +606,10 @@ func (e *engine) explore(winners []*litmus.Test, shard ShardSpec) [][]ShardEntry
 			}
 			for {
 				i := int(next.Add(1) - 1)
-				if i >= n || e.stopped.Load() {
+				if i >= len(winners) || e.stopped.Load() {
 					return
 				}
-				t = winners[shard.Index+i*shard.Stride]
+				t = winners[i]
 				results[i] = e.processProgram(checker, adm, t)
 			}
 		}()

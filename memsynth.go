@@ -241,19 +241,45 @@ func Outcomes(m Model, t *Test) []Outcome {
 
 // OutcomesContext is Outcomes with cancellation: it stops early when ctx
 // is done and returns the outcomes classified so far along with ctx.Err().
+// Each (rf, co) execution is listed once. The sc order is auxiliary: an
+// outcome is valid when the model holds under some order of
+// exec.SCOrders, and its execution then carries the first such order.
 func OutcomesContext(ctx context.Context, m Model, t *Test) ([]Outcome, error) {
 	var out []Outcome
 	n := 0
-	exec.Enumerate(t, exec.EnumerateOptions{UseSC: m.Vocab().UsesSC}, func(x *Execution) bool {
+	valid := validUnderSomeSC(m, t)
+	exec.Enumerate(t, exec.EnumerateOptions{}, func(x *Execution) bool {
 		if n&63 == 0 && ctx.Err() != nil {
 			return false
 		}
 		n++
-		v := exec.NewView(x, exec.NoPerturb)
-		out = append(out, Outcome{Exec: x.Clone(), Valid: memmodel.Valid(m, v)})
+		out = append(out, Outcome{Exec: x.Clone(), Valid: valid(x)})
 		return true
 	})
 	return out, ctx.Err()
+}
+
+// validUnderSomeSC returns the validity check of t's executions under m:
+// it sets x.SC to each order of exec.SCOrders in turn (when m consults
+// one) and reports whether the model holds under some order, leaving x.SC
+// at that order, or at the first order when none admits x.
+func validUnderSomeSC(m Model, t *Test) func(x *Execution) bool {
+	orders := [][]int{nil}
+	if all := exec.SCOrders(t); all != nil && m.Vocab().UsesSC {
+		orders = all
+	}
+	v := exec.NewStaticCtx(t, exec.NoPerturb).NewView()
+	return func(x *Execution) bool {
+		for _, sc := range orders {
+			x.SC = sc
+			v.Reset(x)
+			if memmodel.Valid(m, v) {
+				return true
+			}
+		}
+		x.SC = orders[0]
+		return false
+	}
 }
 
 // OutcomeAllowed reports whether some valid execution of t under m
@@ -265,16 +291,19 @@ func OutcomeAllowed(m Model, t *Test, pred func(*Execution) bool) bool {
 
 // OutcomeAllowedContext is OutcomeAllowed with cancellation: it stops
 // early when ctx is done and returns ctx.Err() (the bool is then the
-// verdict over the executions checked so far).
+// verdict over the executions checked so far). Like OutcomesContext it
+// quantifies over the sc orders: an execution is valid when some order
+// admits it.
 func OutcomeAllowedContext(ctx context.Context, m Model, t *Test, pred func(*Execution) bool) (bool, error) {
 	allowed := false
 	n := 0
-	exec.Enumerate(t, exec.EnumerateOptions{UseSC: m.Vocab().UsesSC}, func(x *Execution) bool {
+	valid := validUnderSomeSC(m, t)
+	exec.Enumerate(t, exec.EnumerateOptions{}, func(x *Execution) bool {
 		if n&63 == 0 && ctx.Err() != nil {
 			return false
 		}
 		n++
-		if pred(x) && memmodel.Valid(m, exec.NewView(x, exec.NoPerturb)) {
+		if pred(x) && valid(x) {
 			allowed = true
 			return false
 		}

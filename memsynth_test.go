@@ -190,3 +190,40 @@ func TestRelaxationsFacade(t *testing.T) {
 		t.Errorf("RelaxationTags = %v", tags)
 	}
 }
+
+// TestOutcomesQuantifySCOrders: the sc order is auxiliary, so Outcomes
+// lists each (rf, co) execution once and calls it valid when some sc
+// order admits it. On SB with an sc fence in each thread, scc forbids only
+// the outcome where both loads read the initial values; each outcome
+// where one load sees the other thread's store holds under one sc order
+// and fails under the other, and must read as allowed, once.
+func TestOutcomesQuantifySCOrders(t *testing.T) {
+	spec, err := memsynth.ParseTest(strings.NewReader(`
+name: SB+sc
+T0: St x; F.sc; Ld y
+T1: St y; F.sc; Ld x
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scc, _ := memsynth.ModelByName("scc")
+	want := map[string]bool{
+		"r2=0 r5=0 [x]=1 [y]=1": false,
+		"r2=0 r5=1 [x]=1 [y]=1": true,
+		"r2=1 r5=0 [x]=1 [y]=1": true,
+		"r2=1 r5=1 [x]=1 [y]=1": true,
+	}
+	outcomes := memsynth.Outcomes(scc, spec.Test)
+	if len(outcomes) != len(want) {
+		t.Errorf("%d outcomes, want one per (rf, co): %d", len(outcomes), len(want))
+	}
+	for _, o := range outcomes {
+		key := o.Exec.OutcomeString()
+		if valid, ok := want[key]; !ok || valid != o.Valid {
+			t.Errorf("outcome %s valid=%v, want %v", key, o.Valid, valid)
+		}
+		if o.Valid && !memsynth.OutcomeAllowed(scc, spec.Test, func(x *memsynth.Execution) bool { return x.OutcomeString() == key }) {
+			t.Errorf("OutcomeAllowed denies the allowed outcome %s", key)
+		}
+	}
+}
