@@ -54,8 +54,9 @@ race:
 
 # The bench ledger, BENCH_synth.json (committed, so the perf trajectory
 # is comparable across changes): one command runs a fixed grid of plain Go
-# benchmarks (whole synthesis and explore-only runs per model, a two-shard
-# round trip, admit on the single-address tso worst case, stress
+# benchmarks (whole synthesis and explore-only runs per model, one size's
+# generate/dedupe phase, a two-shard round trip, admit on the
+# single-address tso worst case, stress
 # throughput, and the Decide and ProgramKey micro rows), one package at a
 # time, five runs each, and
 # records every metric's median and quartiles. Sections it does not own

@@ -36,7 +36,7 @@ var grid = []struct {
 	pkg     string
 	benches []string
 }{
-	{"./internal/synth", []string{"BenchmarkSynth", "BenchmarkExplore", "BenchmarkShard"}},
+	{"./internal/synth", []string{"BenchmarkSynth", "BenchmarkExplore", "BenchmarkGenerate", "BenchmarkShard"}},
 	{"./internal/admit", []string{"BenchmarkAdmitSynth", "BenchmarkDecide"}},
 	{"./internal/canon", []string{"BenchmarkProgramKey"}},
 	{"./internal/stress", []string{"BenchmarkStress"}},

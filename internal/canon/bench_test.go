@@ -41,3 +41,22 @@ func BenchmarkProgramKey(b *testing.B) {
 		keySink = canon.ProgramKey(programs[i%len(programs)])
 	}
 }
+
+// TestProgramKeyAllocs: a warm ProgramKey allocates only the key string it
+// returns (the encoder's buffers come from the pool).
+func TestProgramKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled encoders at random")
+	}
+	programs := []*litmus.Test{
+		litmus.New("MP", [][]litmus.Op{{litmus.W(0), litmus.W(1)}, {litmus.R(1), litmus.R(0)}}),
+		litmus.New("IRIW", [][]litmus.Op{{litmus.W(0)}, {litmus.W(1)}, {litmus.R(0), litmus.R(1)}, {litmus.R(1), litmus.R(0)}},
+			litmus.WithDep(2, 0, 1, litmus.DepAddr), litmus.WithGroups(0, 0, 1, 1)),
+	}
+	for _, p := range programs {
+		keySink = canon.ProgramKey(p)
+		if allocs := testing.AllocsPerRun(100, func() { keySink = canon.ProgramKey(p) }); allocs > 1 {
+			t.Errorf("ProgramKey(%s) allocates %.1f times per call, want at most 1", p.Name, allocs)
+		}
+	}
+}

@@ -21,6 +21,7 @@ package canon
 import (
 	"bytes"
 	"strconv"
+	"sync"
 
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
@@ -81,20 +82,48 @@ type encoder struct {
 	triples   [][3]int
 	pairs     [][2]int
 	buf, best []byte
+
+	// The backing stores of the slices above, kept across calls: slab
+	// holds every int slice but triples and pairs, raw holds pre, buf and
+	// best.
+	slab []int
+	raw  []byte
 }
 
+// encoders pools encoders, so a warm key computation reuses the int slab,
+// byte buffer and tail scratch of an earlier one and allocates only the
+// key string it returns.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
 func leastEncoding(t *litmus.Test, x *exec.Execution) string {
-	var e encoder
+	e := encoders.Get().(*encoder)
+	key := e.key(t, x)
+	encoders.Put(e)
+	return key
+}
+
+// key returns the least encoding of (t, x). It drops its references to t
+// and x before returning, so a pooled encoder keeps no test alive.
+func (e *encoder) key(t *litmus.Test, x *exec.Execution) string {
 	e.init(t, x)
 	e.search(0, true)
+	e.t, e.x = nil, nil
 	return string(e.best)
 }
 
+// init points the encoder at (t, x), carving its per-call state out of
+// the buffers an earlier call left behind and growing them only when t
+// needs more.
 func (e *encoder) init(t *litmus.Test, x *exec.Execution) {
 	n, ne := t.NumThreads(), len(t.Events)
 	e.t, e.x, e.n = t, x, n
 
-	slab := make([]int, 7*(n+ne)+2)
+	need := 7*(n+ne) + 2
+	if cap(e.slab) < need {
+		e.slab = make([]int, need)
+	}
+	slab := e.slab[:need]
+	clear(slab)
 	take := func(k int) []int {
 		s := slab[:k:k]
 		slab = slab[k:]
@@ -126,7 +155,10 @@ func (e *encoder) init(t *litmus.Test, x *exec.Execution) {
 	if x != nil {
 		size += 4 * ne
 	}
-	raw := make([]byte, preCap+2*size)
+	if cap(e.raw) < preCap+2*size {
+		e.raw = make([]byte, preCap+2*size)
+	}
+	raw := e.raw[:preCap+2*size]
 	e.pre = raw[:0:preCap]
 	e.buf = raw[preCap : preCap : preCap+size]
 	e.best = raw[preCap+size : preCap+size : preCap+2*size]
@@ -163,8 +195,17 @@ func (e *encoder) init(t *litmus.Test, x *exec.Execution) {
 		e.groupNew[i] = -1
 	}
 
-	e.triples = make([][3]int, len(t.Deps))
-	e.pairs = make([][2]int, len(t.RMW))
+	e.triples = resize(e.triples, len(t.Deps))
+	e.pairs = resize(e.pairs, len(t.RMW))
+}
+
+// resize returns s with length k, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, k int) []T {
+	if cap(s) < k {
+		return make([]T, k)
+	}
+	return s[:k]
 }
 
 // denseIndex returns v's position in *vals, appending it when absent.

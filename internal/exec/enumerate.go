@@ -27,108 +27,153 @@ type EnumerateOptions struct {
 // per-address total coherence order, and (optionally) every total order of
 // SC fences. The *Execution passed to visit is reused between calls; clone
 // it to retain it. Enumeration stops early when visit returns false.
-// Enumerate returns the number of executions visited.
+// Enumerate returns the number of executions visited. It runs on a fresh
+// Enumerator; callers enumerating many programs should hold one.
 func Enumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) bool) int {
-	numAddrs := t.NumAddrs()
-	x := &Execution{
-		Test: t,
-		RF:   make([]int, len(t.Events)),
-		CO:   make([][]int, numAddrs),
-	}
-	for i := range x.RF {
-		x.RF[i] = -1
-	}
+	var en Enumerator
+	return en.Enumerate(t, opts, visit)
+}
 
-	var reads []int
-	writesByAddr := make([][]int, numAddrs)
-	var scFences []int
+// Enumerator enumerates candidate executions into buffers it keeps from
+// one call to the next: the Execution, its RF and CO slices, the read and
+// per-address write lists, and the coherence permutation buffers. A warm
+// Enumerator allocates only when a test needs more room than an earlier
+// one did, or to permute sc fences under UseSC.
+// The Execution passed to visit, with its RF, CO and SC slices, is the
+// enumerator's own and is overwritten as enumeration proceeds: clone it
+// to keep it past the visit. An Enumerator is not safe for concurrent
+// use.
+type Enumerator struct {
+	x        Execution
+	opts     EnumerateOptions
+	visit    func(*Execution) bool
+	count    int
+	reads    []int
+	writes   [][]int // writes[a]: the writes to address a, in event order
+	coPerm   [][]int // coPerm[a]: the co permutation buffer of address a
+	scFences []int
+}
+
+// Enumerate is exec.Enumerate over the enumerator's buffers: the same
+// executions in the same order, with the same options and count.
+func (en *Enumerator) Enumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) bool) int {
+	numAddrs := t.NumAddrs()
+	en.x.Test, en.x.SC = t, nil
+	en.x.RF = resizeInts(en.x.RF, len(t.Events))
+	for i := range en.x.RF {
+		en.x.RF[i] = -1
+	}
+	if cap(en.x.CO) < numAddrs {
+		en.x.CO = make([][]int, numAddrs)
+	}
+	en.x.CO = en.x.CO[:numAddrs]
+	for len(en.writes) < numAddrs {
+		en.writes = append(en.writes, nil)
+		en.coPerm = append(en.coPerm, nil)
+	}
+	for a := 0; a < numAddrs; a++ {
+		en.writes[a] = en.writes[a][:0]
+	}
+	en.reads, en.scFences = en.reads[:0], en.scFences[:0]
 	for _, e := range t.Events {
 		switch {
 		case e.Kind == litmus.KRead:
-			reads = append(reads, e.ID)
+			en.reads = append(en.reads, e.ID)
 		case e.Kind == litmus.KWrite:
-			writesByAddr[e.Addr] = append(writesByAddr[e.Addr], e.ID)
+			en.writes[e.Addr] = append(en.writes[e.Addr], e.ID)
 		case e.Kind == litmus.KFence && e.Fence == litmus.FSC:
-			scFences = append(scFences, e.ID)
+			en.scFences = append(en.scFences, e.ID)
 		}
 	}
+	en.opts, en.visit, en.count = opts, visit, 0
+	en.rf(0)
+	en.opts, en.visit = EnumerateOptions{}, nil
+	return en.count
+}
 
-	count := 0
-
-	var enumSC func() bool
-	if opts.UseSC && len(scFences) > 0 {
-		enumSC = func() bool {
-			ok := true
-			forEachPermutation(scFences, func(perm []int) bool {
-				x.SC = perm
-				count++
-				if !visit(x) {
-					ok = false
-				}
-				return ok
-			})
-			return ok
-		}
-	} else {
-		enumSC = func() bool {
-			x.SC = nil
-			count++
-			return visit(x)
-		}
-	}
-
-	// Enumerate coherence orders address by address, innermost the sc
-	// orders.
-	var enumCO func(addr int) bool
-	enumCO = func(addr int) bool {
-		if addr == numAddrs {
-			return enumSC()
-		}
-		if len(writesByAddr[addr]) == 0 {
-			x.CO[addr] = nil
-			return enumCO(addr + 1)
-		}
-		ok := true
-		forEachPermutation(writesByAddr[addr], func(perm []int) bool {
-			x.CO[addr] = perm
-			if !enumCO(addr + 1) {
-				ok = false
-			}
-			return ok
-		})
-		return ok
-	}
-
-	// Outermost: rf choices per read.
-	var enumRF func(i int) bool
-	enumRF = func(i int) bool {
-		if i == len(reads) {
-			if opts.Stop != nil && opts.Stop() {
-				return false
-			}
-			if opts.RFFilter != nil && !opts.RFFilter(x.RF) {
-				return true
-			}
-			return enumCO(0)
-		}
-		r := reads[i]
-		addr := t.Events[r].Addr
-		x.RF[r] = -1
-		if !enumRF(i + 1) {
+// rf chooses the source of read i and onward (outermost level), then
+// enumerates the coherence orders of each complete assignment.
+func (en *Enumerator) rf(i int) bool {
+	if i == len(en.reads) {
+		if en.opts.Stop != nil && en.opts.Stop() {
 			return false
 		}
-		for _, w := range writesByAddr[addr] {
-			x.RF[r] = w
-			if !enumRF(i + 1) {
-				return false
-			}
+		if en.opts.RFFilter != nil && !en.opts.RFFilter(en.x.RF) {
+			return true
 		}
-		x.RF[r] = -1
-		return true
+		return en.co(0)
 	}
+	r := en.reads[i]
+	en.x.RF[r] = -1
+	if !en.rf(i + 1) {
+		return false
+	}
+	for _, w := range en.writes[en.x.Test.Events[r].Addr] {
+		en.x.RF[r] = w
+		if !en.rf(i + 1) {
+			return false
+		}
+	}
+	en.x.RF[r] = -1
+	return true
+}
 
-	enumRF(0)
-	return count
+// co enumerates the coherence orders of address addr and onward, address
+// by address, innermost the sc orders.
+func (en *Enumerator) co(addr int) bool {
+	if addr == len(en.x.CO) {
+		return en.sc()
+	}
+	if len(en.writes[addr]) == 0 {
+		en.x.CO[addr] = nil
+		return en.co(addr + 1)
+	}
+	en.coPerm[addr] = append(en.coPerm[addr][:0], en.writes[addr]...)
+	en.x.CO[addr] = en.coPerm[addr]
+	return en.permuteCO(addr, 0)
+}
+
+// permuteCO places every remaining write of address addr at position k of
+// its coherence order, in forEachPermutation's order.
+func (en *Enumerator) permuteCO(addr, k int) bool {
+	perm := en.coPerm[addr]
+	if k == len(perm) {
+		return en.co(addr + 1)
+	}
+	for i := k; i < len(perm); i++ {
+		perm[k], perm[i] = perm[i], perm[k]
+		if !en.permuteCO(addr, k+1) {
+			return false
+		}
+		perm[k], perm[i] = perm[i], perm[k]
+	}
+	return true
+}
+
+// sc visits the execution once, or once per sc order under UseSC.
+func (en *Enumerator) sc() bool {
+	if !en.opts.UseSC || len(en.scFences) == 0 {
+		en.x.SC = nil
+		en.count++
+		return en.visit(&en.x)
+	}
+	ok := true
+	forEachPermutation(en.scFences, func(perm []int) bool {
+		en.x.SC = perm
+		en.count++
+		ok = en.visit(&en.x)
+		return ok
+	})
+	return ok
+}
+
+// resizeInts returns s with length n, reusing its backing array when it
+// is large enough.
+func resizeInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }
 
 // forEachPermutation visits every permutation of items. The slice passed to
@@ -179,28 +224,7 @@ func SCOrders(t *litmus.Test) [][]int {
 // CountExecutions returns the number of well-formed candidate executions of
 // t without visiting them.
 func CountExecutions(t *litmus.Test, opts EnumerateOptions) int {
-	total := 1
-	writesPerAddr := make([]int, t.NumAddrs())
-	scFences := 0
-	for _, e := range t.Events {
-		switch {
-		case e.Kind == litmus.KWrite:
-			writesPerAddr[e.Addr]++
-		case e.Kind == litmus.KFence && e.Fence == litmus.FSC:
-			scFences++
-		}
-	}
-	for _, e := range t.Events {
-		if e.Kind == litmus.KRead {
-			total *= writesPerAddr[e.Addr] + 1
-		}
-	}
-	for _, w := range writesPerAddr {
-		total *= factorial(w)
-	}
-	if opts.UseSC && scFences > 0 {
-		total *= factorial(scFences)
-	}
+	total, _ := counts(t, opts)
 	return total
 }
 
@@ -209,24 +233,44 @@ func CountExecutions(t *litmus.Test, opts EnumerateOptions) int {
 // coherence permutations (times the sc-fence permutations under UseSC).
 // It is what one RFFilter rejection skips.
 func ExtensionsPerRF(t *litmus.Test, opts EnumerateOptions) int {
-	total := 1
-	writesPerAddr := make([]int, t.NumAddrs())
+	_, perRF := counts(t, opts)
+	return perRF
+}
+
+// counts returns the number of candidate executions of t and the number
+// sharing one reads-from assignment. It counts each address's writes and
+// reads by a scan of the events rather than into a slice, so it
+// allocates nothing.
+func counts(t *litmus.Test, opts EnumerateOptions) (total, perRF int) {
+	total, perRF = 1, 1
 	scFences := 0
+	for a := t.NumAddrs() - 1; a >= 0; a-- {
+		writes, reads := 0, 0
+		for _, e := range t.Events {
+			if e.Addr != a {
+				continue
+			}
+			switch e.Kind {
+			case litmus.KWrite:
+				writes++
+			case litmus.KRead:
+				reads++
+			}
+		}
+		perRF *= factorial(writes)
+		for ; reads > 0; reads-- {
+			total *= writes + 1
+		}
+	}
 	for _, e := range t.Events {
-		switch {
-		case e.Kind == litmus.KWrite:
-			writesPerAddr[e.Addr]++
-		case e.Kind == litmus.KFence && e.Fence == litmus.FSC:
+		if e.Kind == litmus.KFence && e.Fence == litmus.FSC {
 			scFences++
 		}
 	}
-	for _, w := range writesPerAddr {
-		total *= factorial(w)
-	}
 	if opts.UseSC && scFences > 0 {
-		total *= factorial(scFences)
+		perRF *= factorial(scFences)
 	}
-	return total
+	return total * perRF, perRF
 }
 
 func factorial(n int) int {

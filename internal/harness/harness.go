@@ -42,11 +42,14 @@ func (v Violation) String() string {
 }
 
 // allowedKeys projects the model-valid executions of t onto the machine
-// outcome space (reads-from per read, final write per address).
+// outcome space (reads-from per read, final write per address). An
+// execution is valid when the model holds under some sc order; the order
+// is not part of the outcome.
 func allowedKeys(m memmodel.Model, t *litmus.Test) map[string]bool {
 	allowed := make(map[string]bool)
-	exec.Enumerate(t, exec.EnumerateOptions{UseSC: m.Vocab().UsesSC}, func(x *exec.Execution) bool {
-		if !memmodel.Valid(m, exec.NewView(x, exec.NoPerturb)) {
+	valid := memmodel.ValidUnderSomeSC(m, t)
+	exec.Enumerate(t, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+		if !valid(x) {
 			return true
 		}
 		o := tsosim.Outcome{

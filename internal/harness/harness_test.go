@@ -2,8 +2,10 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/suites"
@@ -215,5 +217,36 @@ func TestDetectionMatrixContextCancellation(t *testing.T) {
 	}
 	if len(rows) != 0 {
 		t.Errorf("cancelled matrix returned %d rows", len(rows))
+	}
+}
+
+// TestAllowedKeysQuantifySCOrders: on scc's SB with sc fences,
+// allowedKeys (one enumeration without sc orders, each execution valid
+// under some order of exec.SCOrders) must return exactly the union of
+// allowed outcomes that enumerating every sc order as part of the
+// execution (UseSC) gives.
+func TestAllowedKeysQuantifySCOrders(t *testing.T) {
+	scc := memmodel.SCC()
+	lt := litmus.New("SB+scfences", [][]litmus.Op{
+		{litmus.W(0), litmus.F(litmus.FSC), litmus.R(1)},
+		{litmus.W(1), litmus.F(litmus.FSC), litmus.R(0)},
+	})
+	want := make(map[string]bool)
+	exec.Enumerate(lt, exec.EnumerateOptions{UseSC: true}, func(x *exec.Execution) bool {
+		if memmodel.Valid(scc, exec.NewView(x, exec.NoPerturb)) {
+			o := tsosim.Outcome{ReadsFrom: append([]int(nil), x.RF...), FinalWrite: make([]int, lt.NumAddrs())}
+			for a := range o.FinalWrite {
+				o.FinalWrite[a] = x.CO[a][len(x.CO[a])-1]
+			}
+			want[o.Key()] = true
+		}
+		return true
+	})
+	got := allowedKeys(scc, lt)
+	if len(want) == 0 || len(want) == exec.CountExecutions(lt, exec.EnumerateOptions{}) {
+		t.Fatalf("the UseSC union allows %d outcomes: the program does not separate allowed from forbidden", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("allowedKeys = %v, want the UseSC union %v", got, want)
 	}
 }

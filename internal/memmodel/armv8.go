@@ -38,7 +38,7 @@ func ARMv8() Model {
 			DemoteOrder: func(e litmus.Event) []litmus.Order {
 				switch e.Order {
 				case litmus.OAcquire, litmus.ORelease:
-					return []litmus.Order{litmus.OPlain}
+					return toPlain
 				}
 				return nil
 			},

@@ -141,16 +141,16 @@ func c11DemoteOrder(e litmus.Event) []litmus.Order {
 	case litmus.KRead:
 		switch e.Order {
 		case litmus.OSC:
-			return []litmus.Order{litmus.OAcquire}
+			return toAcquire
 		case litmus.OAcquire:
-			return []litmus.Order{litmus.OPlain}
+			return toPlain
 		}
 	case litmus.KWrite:
 		switch e.Order {
 		case litmus.OSC:
-			return []litmus.Order{litmus.ORelease}
+			return toRelease
 		case litmus.ORelease:
-			return []litmus.Order{litmus.OPlain}
+			return toPlain
 		}
 	}
 	return nil
@@ -159,9 +159,9 @@ func c11DemoteOrder(e litmus.Event) []litmus.Order {
 func c11DemoteFence(e litmus.Event) []litmus.FenceKind {
 	switch e.Fence {
 	case litmus.FSC:
-		return []litmus.FenceKind{litmus.FAcqRel}
+		return toAcqRelFence
 	case litmus.FAcqRel:
-		return []litmus.FenceKind{litmus.FAcq, litmus.FRel}
+		return toAcqOrRelFence
 	}
 	return nil
 }

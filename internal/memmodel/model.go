@@ -208,6 +208,32 @@ func Valid(m Model, v *exec.View) bool {
 	return true
 }
 
+// ValidUnderSomeSC returns the validity check of t's executions under m,
+// with the sc order auxiliary (paper §6.3): it binds one unperturbed view
+// to t, and the check sets x.SC to each order of exec.SCOrders in turn
+// (when m consults one) and reports whether m holds under some order,
+// leaving x.SC at that order, or at the first order when none admits x.
+// Callers enumerate without UseSC, since the check supplies the orders.
+// The check is not safe for concurrent use.
+func ValidUnderSomeSC(m Model, t *litmus.Test) func(x *exec.Execution) bool {
+	orders := [][]int{nil}
+	if all := exec.SCOrders(t); all != nil && m.Vocab().UsesSC {
+		orders = all
+	}
+	v := exec.NewStaticCtx(t, exec.NoPerturb).NewView()
+	return func(x *exec.Execution) bool {
+		for _, sc := range orders {
+			x.SC = sc
+			v.Reset(x)
+			if Valid(m, v) {
+				return true
+			}
+		}
+		x.SC = orders[0]
+		return false
+	}
+}
+
 // AxiomByName returns the named axiom of m.
 func AxiomByName(m Model, name string) (Axiom, error) {
 	for _, a := range m.Axioms() {
@@ -218,51 +244,78 @@ func AxiomByName(m Model, name string) (Axiom, error) {
 	return Axiom{}, fmt.Errorf("memmodel: model %s has no axiom %q", m.Name(), name)
 }
 
+// The one-step demotion targets the builtin RelaxSpecs return. They are
+// shared, not rebuilt per event, because AppendApplications only reads
+// them.
+var (
+	toPlain         = []litmus.Order{litmus.OPlain}
+	toAcquire       = []litmus.Order{litmus.OAcquire}
+	toRelease       = []litmus.Order{litmus.ORelease}
+	toLwSync        = []litmus.FenceKind{litmus.FLwSync}
+	toAcqRelFence   = []litmus.FenceKind{litmus.FAcqRel}
+	toAcqOrRelFence = []litmus.FenceKind{litmus.FAcq, litmus.FRel}
+	toWG            = []litmus.Scope{litmus.ScopeWG}
+)
+
 // Applications enumerates every instruction-relaxation application to t
-// that m admits: the domain the minimality criterion quantifies over.
+// that m admits: the domain the minimality criterion quantifies over. It
+// returns a fresh slice; AppendApplications fills a caller's.
 func Applications(m Model, t *litmus.Test) []exec.Perturb {
+	return AppendApplications(nil, m, t)
+}
+
+// AppendApplications appends the relaxation applications of m to t to dst,
+// in Applications' order, and returns the extended slice. It allocates
+// only when dst lacks the capacity.
+func AppendApplications(dst []exec.Perturb, m Model, t *litmus.Test) []exec.Perturb {
 	spec := m.Relax()
-	var apps []exec.Perturb
-
-	hasOutgoingDep := make([]bool, len(t.Events))
-	for _, d := range t.Deps {
-		hasOutgoingDep[d.From] = true
-	}
-	for _, p := range t.RMW {
-		hasOutgoingDep[p[0]] = true // implicit data dependency of the pair
-	}
-
 	for _, e := range t.Events {
-		apps = append(apps, exec.Perturb{Kind: exec.PRI, Event: e.ID})
+		dst = append(dst, exec.Perturb{Kind: exec.PRI, Event: e.ID})
 		switch e.Kind {
 		case litmus.KRead, litmus.KWrite:
 			if spec.DemoteOrder != nil {
 				for _, o := range spec.DemoteOrder(e) {
-					apps = append(apps, exec.Perturb{Kind: exec.PDMO, Event: e.ID, NewOrder: o})
+					dst = append(dst, exec.Perturb{Kind: exec.PDMO, Event: e.ID, NewOrder: o})
 				}
 			}
 		case litmus.KFence:
 			if spec.DemoteFence != nil {
 				for _, f := range spec.DemoteFence(e) {
-					apps = append(apps, exec.Perturb{Kind: exec.PDF, Event: e.ID, NewFence: f})
+					dst = append(dst, exec.Perturb{Kind: exec.PDF, Event: e.ID, NewFence: f})
 				}
 			}
 		}
 		if spec.DemoteScope != nil {
 			for _, s := range spec.DemoteScope(e) {
-				apps = append(apps, exec.Perturb{Kind: exec.PDS, Event: e.ID, NewScope: s})
+				dst = append(dst, exec.Perturb{Kind: exec.PDS, Event: e.ID, NewScope: s})
 			}
 		}
-		if spec.RD && hasOutgoingDep[e.ID] {
-			apps = append(apps, exec.Perturb{Kind: exec.PRD, Event: e.ID})
+		if spec.RD && hasOutgoingDep(t, e.ID) {
+			dst = append(dst, exec.Perturb{Kind: exec.PRD, Event: e.ID})
 		}
 	}
 	if spec.DRMW {
 		for _, p := range t.RMW {
-			apps = append(apps, exec.Perturb{Kind: exec.PDRMW, Event: p[0]})
+			dst = append(dst, exec.Perturb{Kind: exec.PDRMW, Event: p[0]})
 		}
 	}
-	return apps
+	return dst
+}
+
+// hasOutgoingDep reports whether event id of t is the source of a
+// dependency, explicit or the implicit data dependency of an RMW pair.
+func hasOutgoingDep(t *litmus.Test, id int) bool {
+	for _, d := range t.Deps {
+		if d.From == id {
+			return true
+		}
+	}
+	for _, p := range t.RMW {
+		if p[0] == id {
+			return true
+		}
+	}
+	return false
 }
 
 // RelaxationTags returns the names of the relaxations applicable to model m

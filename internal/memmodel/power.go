@@ -289,7 +289,7 @@ func Power() Model {
 		relax: RelaxSpec{
 			DemoteFence: func(e litmus.Event) []litmus.FenceKind {
 				if e.Fence == litmus.FSync {
-					return []litmus.FenceKind{litmus.FLwSync}
+					return toLwSync
 				}
 				// lwsync's weaker sibling (eieio) is not axiomatically
 				// formalized (paper §3.3); removal is covered by RI.

@@ -211,14 +211,14 @@ func SCC() Model {
 func sccDemoteOrder(e litmus.Event) []litmus.Order {
 	switch e.Order {
 	case litmus.OAcquire, litmus.ORelease:
-		return []litmus.Order{litmus.OPlain}
+		return toPlain
 	}
 	return nil
 }
 
 func sccDemoteFence(e litmus.Event) []litmus.FenceKind {
 	if e.Fence == litmus.FSC {
-		return []litmus.FenceKind{litmus.FAcqRel}
+		return toAcqRelFence
 	}
 	return nil
 }
@@ -253,7 +253,7 @@ func HSA() Model {
 			DemoteFence: sccDemoteFence,
 			DemoteScope: func(e litmus.Event) []litmus.Scope {
 				if e.Scope == sys {
-					return []litmus.Scope{wg}
+					return toWG
 				}
 				return nil
 			},

@@ -93,6 +93,8 @@ type Checker struct {
 	slots    []appSlot  // slots[i] serves apps[i]; grows to the most apps seen
 	program  uint64     // counts bind calls
 	violated []bool     // scratch for the per-axiom forbidden sweep
+	appsBuf  []exec.Perturb
+	verdict  []int // backs the ViolatedAxioms of Check's verdicts
 }
 
 // appSlot is one relaxation application's pooled view.
@@ -107,12 +109,16 @@ func NewChecker(m memmodel.Model) *Checker {
 }
 
 // Bind points the checker at test t, computing the relaxation applications
-// of m to t and resetting all per-program state.
+// of m to t into a slice the checker owns and resetting all per-program
+// state.
 func (c *Checker) Bind(t *litmus.Test) {
-	c.bind(t, memmodel.Applications(c.m, t))
+	c.appsBuf = memmodel.AppendApplications(c.appsBuf[:0], c.m, t)
+	c.bind(t, c.appsBuf)
 }
 
-// Apps returns the relaxation applications of the bound test.
+// Apps returns the relaxation applications of the bound test. The slice
+// belongs to the checker: it is valid until the next Bind, which refills
+// it in place, and callers must not modify it.
 func (c *Checker) Apps() []exec.Perturb { return c.apps }
 
 func (c *Checker) bind(t *litmus.Test, apps []exec.Perturb) {
@@ -162,7 +168,10 @@ func (c *Checker) appView(i int) *exec.View {
 
 // Check evaluates the minimality criterion for execution x of the bound
 // test. x.SC is treated as existentially quantified for models that use an
-// sc order; x is restored before Check returns.
+// sc order; x is restored before Check returns. The verdict's
+// ViolatedAxioms (and so MinimalFor) lives in a buffer the checker owns:
+// it is valid until the next Check, so a caller that keeps it must copy
+// it first.
 func (c *Checker) Check(x *exec.Execution) Verdict {
 	var verdict Verdict
 	orders := c.ordersFor(x)
@@ -192,11 +201,13 @@ func (c *Checker) Check(x *exec.Execution) Verdict {
 			return verdict
 		}
 	}
+	c.verdict = c.verdict[:0]
 	for i, bad := range violated {
 		if bad {
-			verdict.ViolatedAxioms = append(verdict.ViolatedAxioms, i)
+			c.verdict = append(c.verdict, i)
 		}
 	}
+	verdict.ViolatedAxioms = c.verdict
 
 	// Observable under relaxation: the whole perturbed model holds for
 	// some sc order. This requirement does not depend on which axiom is

@@ -3,7 +3,8 @@ package synth
 // Macro rows of the bench ledger (`make bench`, cmd/benchledger): whole
 // synthesis runs and the explore phase alone, at the largest bounds
 // TestPaperCounts pins for tso, power and scc, or smaller ones under
-// -short, and a cluster request's shard round trip.
+// -short, the generate/dedupe phase of one size, and a cluster request's
+// shard round trip.
 
 import (
 	"context"
@@ -66,6 +67,24 @@ func BenchmarkExplore(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkGenerate times the generate/dedupe phase of one size, power's
+// largest at its ledger bound, on one worker: skeleton enumeration, direct
+// program construction, canonical program keys and the first-wins pass.
+func BenchmarkGenerate(b *testing.B) {
+	c := benchCase{memmodel.Power(), 4}
+	if testing.Short() {
+		c.bound = 3
+	}
+	b.Run(c.String(), func(b *testing.B) {
+		e := newEngine(c.model, Options{MaxEvents: c.bound, Workers: 1}.withDefaults())
+		var winners []*litmus.Test
+		for i := 0; i < b.N; i++ {
+			winners = e.generateAndDedupe(c.bound, ShardSpec{Index: 0, Stride: 1})
+		}
+		b.ReportMetric(float64(len(winners)), "programs")
+	})
 }
 
 // BenchmarkShard times the engine work of a two-shard cluster request

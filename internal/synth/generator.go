@@ -290,13 +290,13 @@ func (g *generator) assignGroups(sizes []int, slots []slot, addrs []int, deps []
 		return true
 	}
 	if len(g.vocab.Scopes) == 0 {
-		return g.build(sizes, slots, addrs, deps, nil, emit)
+		return g.build(slots, addrs, deps, nil, emit)
 	}
 	groups := make([]int, len(sizes))
 	var rec func(th, maxUsed int) bool
 	rec = func(th, maxUsed int) bool {
 		if th == len(sizes) {
-			return g.build(sizes, slots, addrs, deps, groups, emit)
+			return g.build(slots, addrs, deps, groups, emit)
 		}
 		for grp := 0; grp <= maxUsed+1; grp++ {
 			groups[th] = grp
@@ -313,30 +313,52 @@ func (g *generator) assignGroups(sizes []int, slots []slot, addrs []int, deps []
 	return rec(0, -1)
 }
 
-// build materializes the skeleton into a litmus.Test and emits it.
-func (g *generator) build(sizes []int, slots []slot, addrs []int, deps []depCandidate, groups []int, emit func(*litmus.Test) bool) bool {
-	threads := make([][]litmus.Op, len(sizes))
-	for _, s := range slots {
-		op := s.op
+// build materializes the skeleton into a litmus.Test and emits it. The
+// slots are in thread and program order, so slot i is event i, and the
+// test is filled in directly: one Test, an Events slice of exact length,
+// and Deps, RMW and Groups only when the program has them, each in the
+// order litmus.New would produce from the same skeleton
+// (TestBuildMatchesNew).
+func (g *generator) build(slots []slot, addrs []int, deps []depCandidate, groups []int, emit func(*litmus.Test) bool) bool {
+	t := &litmus.Test{Name: "synth", Events: make([]litmus.Event, len(slots))}
+	rmws := 0
+	for i, s := range slots {
+		addr := -1
 		if s.addrSlot >= 0 {
-			op = op.WithAddr(addrs[s.addrSlot])
+			addr = addrs[s.addrSlot]
 		}
-		threads[s.thread] = append(threads[s.thread], op)
-	}
-	var opts []litmus.Option
-	for _, d := range deps {
-		from, to := slots[d.fromSlot], slots[d.toSlot]
-		opts = append(opts, litmus.WithDep(from.thread, from.index, to.index, d.typ))
-	}
-	for _, s := range slots {
+		t.Events[i] = litmus.Event{
+			ID:     i,
+			Thread: s.thread,
+			Index:  s.index,
+			Kind:   s.op.Kind(),
+			Order:  s.op.Order(),
+			Fence:  s.op.FenceKind(),
+			Scope:  s.op.Scope(),
+			Addr:   addr,
+		}
 		if s.rmwRead {
-			opts = append(opts, litmus.WithRMW(s.thread, s.index))
+			rmws++
+		}
+	}
+	if len(deps) > 0 {
+		t.Deps = make([]litmus.Dep, len(deps))
+		for i, d := range deps {
+			t.Deps[i] = litmus.Dep{From: d.fromSlot, To: d.toSlot, Type: d.typ}
+		}
+	}
+	if rmws > 0 {
+		t.RMW = make([][2]int, 0, rmws)
+		for i, s := range slots {
+			if s.rmwRead {
+				t.RMW = append(t.RMW, [2]int{i, i + 1})
+			}
 		}
 	}
 	if groups != nil {
-		opts = append(opts, litmus.WithGroups(append([]int(nil), groups...)...))
+		t.Groups = append([]int(nil), groups...)
 	}
-	return emit(litmus.New("synth", threads, opts...))
+	return emit(t)
 }
 
 // classHash is an invariant of the program's symmetry class

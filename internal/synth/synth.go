@@ -578,17 +578,16 @@ func (e *engine) generateAndDedupe(n int, shard ShardSpec) []*litmus.Test {
 
 // explore fans the execution exploration of the winners out over the
 // workers (work-stealing by index) and returns their findings: results[i]
-// belongs to winners[i]. Each worker holds one
-// minimal.Checker, so the static evaluation contexts and scratch buffers
-// are pooled per worker and amortized across every execution of every
-// program the worker claims. A panic in the model's code (an axiom or its
-// relaxation spec) fails the run rather than the process: the worker
-// recovers and records it with the model, size and program.
+// belongs to winners[i]. Each worker owns one explorer, so its pooled
+// contexts and buffers are amortized across the size's programs. A panic
+// in the model's code (an axiom or its relaxation spec) fails the run
+// rather than the process: the worker recovers and records it with the
+// model, size and program.
 func (e *engine) explore(winners []*litmus.Test) [][]ShardEntry {
 	results := make([][]ShardEntry, len(winners))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < e.opts.Workers; w++ {
+	for range e.opts.Workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -599,18 +598,14 @@ func (e *engine) explore(winners []*litmus.Test) [][]ShardEntry {
 						e.model.Name(), e.size.Load(), t, r))
 				}
 			}()
-			checker := minimal.NewChecker(e.model)
-			var adm *admit.Checker
-			if e.admitOn {
-				adm = admit.NewChecker(e.model)
-			}
+			w := e.newExplorer()
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= len(winners) || e.stopped.Load() {
 					return
 				}
 				t = winners[i]
-				results[i] = e.processProgram(checker, adm, t)
+				results[i] = w.process(t)
 			}
 		}()
 	}
@@ -618,15 +613,55 @@ func (e *engine) explore(winners []*litmus.Test) [][]ShardEntry {
 	return results
 }
 
-// processProgram explores the executions of t and applies the minimality
-// criterion through the caller's pooled checker; each goroutine must pass
-// its own. exec.Enumerate visits every candidate execution. A non-nil adm
-// filters reads-from assignments before their coherence orders are
-// enumerated: a refuted assignment's extensions are counted as
-// fast-decided instead of visited. An admitted assignment's extensions are
-// all visited and counted, but one whose coherence order breaks an edge
-// Decide forced skips the minimality check: it cannot be minimal (both
-// filters are sound, so every finding an unfiltered run makes survives).
+// explorer is one explore worker's state, kept from one program to the
+// next: its minimal and admit checkers (with their pooled contexts), its
+// execution enumerator, the per-program key sets, and the enumeration
+// callbacks, bound once as method values. A warm explorer processes a
+// program with no finding without allocating. An explorer is not safe
+// for concurrent use; each worker owns one.
+type explorer struct {
+	e     *engine
+	c     *minimal.Checker
+	adm   *admit.Checker // nil when admit is off
+	en    exec.Enumerator
+	visit func(*exec.Execution) bool
+	eopts exec.EnumerateOptions // RFFilter and Stop when admit is on
+
+	// The program being processed and its counts, reset by process.
+	t                        *litmus.Test
+	found                    []ShardEntry
+	entryKeys, forbiddenKeys map[string]struct{}
+	execs, fastExecs         int64
+	minNS, dedupeNS          int64
+	perRF, rfPolls           int64
+	completed                bool
+}
+
+func (e *engine) newExplorer() *explorer {
+	w := &explorer{
+		e:             e,
+		c:             minimal.NewChecker(e.model),
+		entryKeys:     make(map[string]struct{}),
+		forbiddenKeys: make(map[string]struct{}),
+	}
+	w.visit = w.check
+	if e.admitOn {
+		w.adm = admit.NewChecker(e.model)
+		w.eopts.Stop = w.stop
+		w.eopts.RFFilter = w.filter
+	}
+	return w
+}
+
+// process explores the executions of t and applies the minimality
+// criterion through the explorer's pooled checker. The enumerator visits
+// every candidate execution. With admit on, adm filters reads-from
+// assignments before their coherence orders are enumerated: a refuted
+// assignment's extensions are counted as fast-decided instead of visited.
+// An admitted assignment's extensions are all visited and counted, but
+// one whose coherence order breaks an edge Decide forced skips the
+// minimality check: it cannot be minimal (both filters are sound, so
+// every finding an unfiltered run makes survives).
 //
 // The findings carry their axiom names, one finding per distinct entry
 // key: a repeat of a key within the program is a symmetric image of an
@@ -638,102 +673,107 @@ func (e *engine) explore(winners []*litmus.Test) [][]ShardEntry {
 // up to the run's. On cancellation mid-program the partial findings are
 // discarded, and so is their entry count (the other counters keep what
 // was actually checked).
-func (e *engine) processProgram(c *minimal.Checker, adm *admit.Checker, t *litmus.Test) []ShardEntry {
-	var found []ShardEntry
-	var entryKeys, forbiddenKeys map[string]struct{}
-	var execs, fastExecs, minNS, dedupeNS int64
-	completed := true
-	visit := func(x *exec.Execution) bool {
-		if execs&0xFF == 0xFF && e.stopped.Load() {
-			completed = false
-			return false
-		}
-		execs++
-		if adm != nil && !adm.Extends(x.CO) {
-			return true
-		}
-		m0 := time.Now()
-		verdict := c.Check(x)
-		minNS += int64(time.Since(m0))
-		if len(verdict.ViolatedAxioms) == 0 {
-			return true
-		}
-		var key string
-		if e.opts.CountForbidden {
-			d0 := time.Now()
-			key = canon.Key(x)
-			if forbiddenKeys == nil {
-				forbiddenKeys = make(map[string]struct{})
-			}
-			forbiddenKeys[key] = struct{}{}
-			dedupeNS += int64(time.Since(d0))
-		}
-		mins := verdict.MinimalFor()
-		if len(mins) == 0 {
-			return true
-		}
-		d0 := time.Now()
-		if key == "" {
-			key = canon.Key(x)
-		}
-		if entryKeys == nil {
-			entryKeys = make(map[string]struct{})
-		}
-		_, repeat := entryKeys[key]
-		entryKeys[key] = struct{}{}
-		dedupeNS += int64(time.Since(d0))
-		if repeat {
-			return true
-		}
-		names := make([]string, len(mins))
-		for k, ai := range mins {
-			names[k] = e.axioms[ai].Name
-		}
-		found = append(found, ShardEntry{
-			Axioms: names,
-			Entry:  Entry{Test: t, Exec: x.Clone(), Key: key, Size: len(t.Events)},
-		})
-		return true
+func (w *explorer) process(t *litmus.Test) []ShardEntry {
+	e := w.e
+	w.t, w.found, w.completed = t, nil, true
+	w.execs, w.fastExecs, w.minNS, w.dedupeNS, w.rfPolls = 0, 0, 0, 0, 0
+	if len(w.entryKeys) > 0 {
+		clear(w.entryKeys)
+	}
+	if len(w.forbiddenKeys) > 0 {
+		clear(w.forbiddenKeys)
 	}
 
-	c.Bind(t)
+	w.c.Bind(t)
 	t0 := time.Now()
 	// sc orders are quantified inside the checker (they are auxiliary, not
 	// part of the outcome), so enumeration here covers rf and co only.
-	eopts := exec.EnumerateOptions{}
-	if adm != nil {
-		adm.Bind(t, c.Apps())
-		perRF := int64(exec.ExtensionsPerRF(t, eopts))
-		var rfPolls int64
-		// The visit callback polls for cancellation too, but a heavily
-		// filtered program may visit almost nothing, so poll at the rf
-		// level as well.
-		eopts.Stop = func() bool {
-			rfPolls++
-			if rfPolls&0x3F == 0x3F && e.stopped.Load() {
-				completed = false
-				return true
-			}
-			return false
-		}
-		eopts.RFFilter = func(rf []int) bool {
-			if adm.Decide(rf) {
-				return true
-			}
-			fastExecs += perRF
-			return false
-		}
+	if w.adm != nil {
+		w.adm.Bind(t, w.c.Apps())
+		w.perRF = int64(exec.ExtensionsPerRF(t, w.eopts))
 	}
-	exec.Enumerate(t, eopts, visit)
-	e.execNS.Add(int64(time.Since(t0)) - minNS - dedupeNS)
-	e.minNS.Add(minNS)
-	e.dedupeNS.Add(dedupeNS)
-	e.executions.Add(execs)
-	e.executionsFast.Add(fastExecs)
-	e.forbidden.Add(int64(len(forbiddenKeys)))
-	if !completed {
+	w.en.Enumerate(t, w.eopts, w.visit)
+	e.execNS.Add(int64(time.Since(t0)) - w.minNS - w.dedupeNS)
+	e.minNS.Add(w.minNS)
+	e.dedupeNS.Add(w.dedupeNS)
+	e.executions.Add(w.execs)
+	e.executionsFast.Add(w.fastExecs)
+	e.forbidden.Add(int64(len(w.forbiddenKeys)))
+	w.t = nil
+	if !w.completed {
 		return nil
 	}
-	e.entries.Add(int64(len(entryKeys)))
-	return found
+	e.entries.Add(int64(len(w.entryKeys)))
+	return w.found
+}
+
+// stop polls for cancellation at the rf level. The visit callback polls
+// too, but a heavily filtered program may visit almost nothing.
+func (w *explorer) stop() bool {
+	w.rfPolls++
+	if w.rfPolls&0x3F == 0x3F && w.e.stopped.Load() {
+		w.completed = false
+		return true
+	}
+	return false
+}
+
+// filter is the RF filter: admit's Decide, counting a refuted
+// assignment's extensions as fast-decided.
+func (w *explorer) filter(rf []int) bool {
+	if w.adm.Decide(rf) {
+		return true
+	}
+	w.fastExecs += w.perRF
+	return false
+}
+
+// check is the visit callback: it applies the minimality criterion to x
+// and records a new finding.
+func (w *explorer) check(x *exec.Execution) bool {
+	e := w.e
+	if w.execs&0xFF == 0xFF && e.stopped.Load() {
+		w.completed = false
+		return false
+	}
+	w.execs++
+	if w.adm != nil && !w.adm.Extends(x.CO) {
+		return true
+	}
+	m0 := time.Now()
+	verdict := w.c.Check(x)
+	w.minNS += int64(time.Since(m0))
+	if len(verdict.ViolatedAxioms) == 0 {
+		return true
+	}
+	var key string
+	if e.opts.CountForbidden {
+		d0 := time.Now()
+		key = canon.Key(x)
+		w.forbiddenKeys[key] = struct{}{}
+		w.dedupeNS += int64(time.Since(d0))
+	}
+	mins := verdict.MinimalFor()
+	if len(mins) == 0 {
+		return true
+	}
+	d0 := time.Now()
+	if key == "" {
+		key = canon.Key(x)
+	}
+	_, repeat := w.entryKeys[key]
+	w.entryKeys[key] = struct{}{}
+	w.dedupeNS += int64(time.Since(d0))
+	if repeat {
+		return true
+	}
+	names := make([]string, len(mins))
+	for k, ai := range mins {
+		names[k] = e.axioms[ai].Name
+	}
+	w.found = append(w.found, ShardEntry{
+		Axioms: names,
+		Entry:  Entry{Test: w.t, Exec: x.Clone(), Key: key, Size: len(w.t.Events)},
+	})
+	return true
 }

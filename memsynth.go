@@ -247,7 +247,7 @@ func Outcomes(m Model, t *Test) []Outcome {
 func OutcomesContext(ctx context.Context, m Model, t *Test) ([]Outcome, error) {
 	var out []Outcome
 	n := 0
-	valid := validUnderSomeSC(m, t)
+	valid := memmodel.ValidUnderSomeSC(m, t)
 	exec.Enumerate(t, exec.EnumerateOptions{}, func(x *Execution) bool {
 		if n&63 == 0 && ctx.Err() != nil {
 			return false
@@ -257,29 +257,6 @@ func OutcomesContext(ctx context.Context, m Model, t *Test) ([]Outcome, error) {
 		return true
 	})
 	return out, ctx.Err()
-}
-
-// validUnderSomeSC returns the validity check of t's executions under m:
-// it sets x.SC to each order of exec.SCOrders in turn (when m consults
-// one) and reports whether the model holds under some order, leaving x.SC
-// at that order, or at the first order when none admits x.
-func validUnderSomeSC(m Model, t *Test) func(x *Execution) bool {
-	orders := [][]int{nil}
-	if all := exec.SCOrders(t); all != nil && m.Vocab().UsesSC {
-		orders = all
-	}
-	v := exec.NewStaticCtx(t, exec.NoPerturb).NewView()
-	return func(x *Execution) bool {
-		for _, sc := range orders {
-			x.SC = sc
-			v.Reset(x)
-			if memmodel.Valid(m, v) {
-				return true
-			}
-		}
-		x.SC = orders[0]
-		return false
-	}
 }
 
 // OutcomeAllowed reports whether some valid execution of t under m
@@ -297,7 +274,7 @@ func OutcomeAllowed(m Model, t *Test, pred func(*Execution) bool) bool {
 func OutcomeAllowedContext(ctx context.Context, m Model, t *Test, pred func(*Execution) bool) (bool, error) {
 	allowed := false
 	n := 0
-	valid := validUnderSomeSC(m, t)
+	valid := memmodel.ValidUnderSomeSC(m, t)
 	exec.Enumerate(t, exec.EnumerateOptions{}, func(x *Execution) bool {
 		if n&63 == 0 && ctx.Err() != nil {
 			return false
