@@ -227,6 +227,18 @@ func TestKeyMatchesReference(t *testing.T) {
 	}
 }
 
+// scOrders returns the sc orders checkStream keys each execution of lt
+// under: every order of its sc fences for c11 and scc, whose programs
+// carry several, else only the nil order.
+func scOrders(m memmodel.Model, lt *litmus.Test) [][]int {
+	if m.Name() == "c11" || m.Name() == "scc" {
+		if orders := exec.SCOrders(lt); orders != nil {
+			return orders
+		}
+	}
+	return [][]int{nil}
+}
+
 // checkStream compares both keys with the reference over the model's
 // program stream up to bound, keying the executions of about sampled
 // programs.
@@ -241,7 +253,6 @@ func checkStream(t *testing.T, m memmodel.Model, bound, sampled int) {
 	if raceEnabled {
 		keyEvery = max(1, total/20000)
 	}
-	eopts := exec.EnumerateOptions{UseSC: m.Name() == "c11" || m.Name() == "scc"}
 	programs, executions, failures := 0, 0, 0
 	fail := func(format string, args ...any) bool {
 		t.Errorf(format, args...)
@@ -261,11 +272,15 @@ func checkStream(t *testing.T, m memmodel.Model, bound, sampled int) {
 			return true
 		}
 		ok := true
-		exec.Enumerate(lt, eopts, func(x *exec.Execution) bool {
-			executions++
-			if got, want := canon.Key(x), minimalEncoding(lt, x); got != want {
-				ok = fail("Key(%s, %s):\n got %s\nwant %s", litmus.Format(lt), x.OutcomeString(), got, want)
-				return false
+		orders := scOrders(m, lt)
+		exec.Enumerate(lt, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+			for _, sc := range orders {
+				x.SC = sc
+				executions++
+				if got, want := canon.Key(x), minimalEncoding(lt, x); got != want {
+					ok = fail("Key(%s, %s, sc %v):\n got %s\nwant %s", litmus.Format(lt), x.OutcomeString(), x.SC, got, want)
+					return false
+				}
 			}
 			return true
 		})

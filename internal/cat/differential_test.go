@@ -85,16 +85,20 @@ func diffModels(t *testing.T, goModel memmodel.Model, catModel *cat.Model) {
 		}
 		perturbs := append([]exec.Perturb{exec.NoPerturb}, goApps...)
 		execs := 0
-		exec.Enumerate(lt, exec.EnumerateOptions{UseSC: goModel.Vocab().UsesSC}, func(x *exec.Execution) bool {
+		orders := goModel.Vocab().SCOrders(lt)
+		exec.Enumerate(lt, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
 			execs++
-			for _, p := range perturbs {
-				gv, cv := exec.NewView(x, p), exec.NewView(x, p)
-				for i := range goAx {
-					g, c := goAx[i].Holds(gv), catAx[i].Holds(cv)
-					if g != c {
-						t.Errorf("%s perturb %v axiom %s: go=%t cat=%t (exec rf=%v co=%v)",
-							lt.Name, p, goAx[i].Name, g, c, x.RF, x.CO)
-						return false
+			for _, sc := range orders {
+				x.SC = sc
+				for _, p := range perturbs {
+					gv, cv := exec.NewView(x, p), exec.NewView(x, p)
+					for i := range goAx {
+						g, c := goAx[i].Holds(gv), catAx[i].Holds(cv)
+						if g != c {
+							t.Errorf("%s perturb %v axiom %s: go=%t cat=%t (exec rf=%v co=%v sc=%v)",
+								lt.Name, p, goAx[i].Name, g, c, x.RF, x.CO, x.SC)
+							return false
+						}
 					}
 				}
 			}

@@ -27,6 +27,7 @@ func TestFixtures(t *testing.T) {
 		"cyclic_demote.cat":   {{CodeCyclicDemote, "7:1"}},
 		"unreachable_rmw.cat": {{CodeUnreachableRMW, "7:5"}},
 		"self_cancel.cat":     {{CodeSelfCancelling, "4:18"}},
+		"sc_vacuous.cat":      {{CodeVacuousAxiom, "4:1"}},
 	}
 	for name, want := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -72,6 +73,37 @@ func TestExamplesClean(t *testing.T) {
 		}
 		if !report.Tier2 {
 			t.Errorf("%s: tier 2 did not run", path)
+		}
+	}
+}
+
+// TestBuiltinTier2Verdicts pins the tier-2 verdicts of every builtin at
+// the default bound: power and armv7 report observation and propagation
+// redundant, and the others are clean. The sweep in `make lint` fails
+// only on errors, so this test is what blocks a changed verdict.
+func TestBuiltinTier2Verdicts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the builtin sweep is too slow under the race detector")
+	}
+	redundant := []string{"redundant observation", "redundant propagation"}
+	want := map[string][]string{"power": redundant, "armv7": redundant}
+	for _, m := range memmodel.All() {
+		report := LintModel(m, Options{})
+		if !report.Tier2 {
+			t.Errorf("%s: tier 2 did not run", m.Name())
+		}
+		var verdicts []string
+		for _, c := range report.Axioms {
+			switch {
+			case c.Vacuous:
+				verdicts = append(verdicts, "vacuous "+c.Name)
+			case c.Redundant:
+				verdicts = append(verdicts, "redundant "+c.Name)
+			}
+		}
+		if fmt.Sprint(verdicts) != fmt.Sprint(want[m.Name()]) || len(report.Findings) != len(verdicts) {
+			t.Errorf("%s: verdicts %v and %d findings, want %v and one finding each",
+				m.Name(), verdicts, len(report.Findings), want[m.Name()])
 		}
 	}
 }

@@ -53,7 +53,7 @@ func Diff(srcA, srcB string, opts Options) (*DiffResult, error) {
 // suite-comparison methodology as a lint).
 //
 // An outcome (an rf and co assignment) is allowed by a model iff the full
-// model holds under some sc order of exec.SCOrders: the sc order over FSC
+// model holds under some sc order of vocab.SCOrders: the sc order over FSC
 // fences is auxiliary, not observable, so it is quantified existentially
 // exactly as in the minimality criterion (internal/minimal).
 func DiffModels(a, b memmodel.Model, opts Options) (*DiffResult, error) {
@@ -73,10 +73,7 @@ func DiffModels(a, b memmodel.Model, opts Options) (*DiffResult, error) {
 	var found *DiffResult
 	err := synth.EnumeratePrograms(vocab, genOpts, func(t *litmus.Test) bool {
 		v := exec.NewStaticCtx(t, exec.NoPerturb).NewView()
-		orders := [][]int{nil}
-		if all := exec.SCOrders(t); all != nil && vocab.UsesSC {
-			orders = all
-		}
+		orders := vocab.SCOrders(t)
 		exec.Enumerate(t, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
 			var allowedA, allowedB bool
 			for _, sc := range orders {

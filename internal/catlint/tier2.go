@@ -26,6 +26,10 @@ import (
 //     implies it. A witness execution that the axiom rejects alone is the
 //     independence proof recorded in the report.
 //
+// An execution is an (rf, co) candidate, and the sc order is auxiliary
+// (paper §6.3): an axiom rejects an execution only when it fails under
+// every order of vocab.SCOrders, as in the minimality criterion.
+//
 // Both are bounded verdicts: "clean up to bound N" does not entail clean
 // at N+1, and a reported redundancy may disappear at a larger bound.
 func runTier2(r *Report, m memmodel.Model, posOf map[string]cat.Pos, opts Options) {
@@ -71,11 +75,18 @@ func runTier2(r *Report, m memmodel.Model, posOf map[string]cat.Pos, opts Option
 		// answers, not just speed.
 		ctx := exec.NewStaticCtx(t, exec.Perturb{})
 		v := ctx.NewView()
-		exec.Enumerate(t, exec.EnumerateOptions{UseSC: vocab.UsesSC}, func(x *exec.Execution) bool {
-			v.Reset(x)
+		orders := vocab.SCOrders(t)
+		exec.Enumerate(t, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+			clear(holds)
+			for _, sc := range orders {
+				x.SC = sc
+				v.Reset(x)
+				for i := range axioms {
+					holds[i] = holds[i] || axioms[i].Holds(v)
+				}
+			}
 			fails, failIdx := 0, -1
 			for i := range axioms {
-				holds[i] = axioms[i].Holds(v)
 				if !holds[i] {
 					fails++
 					failIdx = i

@@ -4,12 +4,8 @@ import "memsynth/internal/litmus"
 
 // EnumerateOptions controls execution enumeration.
 type EnumerateOptions struct {
-	// UseSC enumerates all total orders over FSC fences (needed by models,
-	// such as SCC, whose axioms consult an sc order). When false, SC is
-	// left nil.
-	UseSC bool
 	// RFFilter, when non-nil, is consulted once per complete reads-from
-	// assignment before the coherence (and sc) orders extending it are
+	// assignment before the coherence orders extending it are
 	// enumerated. Returning false skips every execution of that
 	// assignment — none is visited or counted — and enumeration continues
 	// with the next assignment. The slice is indexed by event ID (-1 =
@@ -23,12 +19,15 @@ type EnumerateOptions struct {
 }
 
 // Enumerate visits every well-formed candidate execution of t: every
-// assignment of reads to same-address writes or the initial value, every
-// per-address total coherence order, and (optionally) every total order of
-// SC fences. The *Execution passed to visit is reused between calls; clone
-// it to retain it. Enumeration stops early when visit returns false.
-// Enumerate returns the number of executions visited. It runs on a fresh
-// Enumerator; callers enumerating many programs should hold one.
+// assignment of reads to same-address writes or the initial value, and
+// every per-address total coherence order. The sc order over FSC fences
+// is not part of a candidate execution: it is auxiliary (paper §6.3), so
+// each visited execution has a nil SC, and a model that consults one
+// quantifies over memmodel.Vocab.SCOrders itself. The *Execution passed
+// to visit is reused between calls; clone it to retain it. Enumeration
+// stops early when visit returns false. Enumerate returns the number of
+// executions visited. It runs on a fresh Enumerator; callers enumerating
+// many programs should hold one.
 func Enumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) bool) int {
 	var en Enumerator
 	return en.Enumerate(t, opts, visit)
@@ -38,27 +37,25 @@ func Enumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) boo
 // one call to the next: the Execution, its RF and CO slices, the read and
 // per-address write lists, and the coherence permutation buffers. A warm
 // Enumerator allocates only when a test needs more room than an earlier
-// one did, or to permute sc fences under UseSC.
-// The Execution passed to visit, with its RF, CO and SC slices, is the
-// enumerator's own and is overwritten as enumeration proceeds: clone it
-// to keep it past the visit. An Enumerator is not safe for concurrent
+// one did. The Execution passed to visit, with its RF and CO slices, is
+// the enumerator's own and is overwritten as enumeration proceeds: clone
+// it to keep it past the visit. An Enumerator is not safe for concurrent
 // use.
 type Enumerator struct {
-	x        Execution
-	opts     EnumerateOptions
-	visit    func(*Execution) bool
-	count    int
-	reads    []int
-	writes   [][]int // writes[a]: the writes to address a, in event order
-	coPerm   [][]int // coPerm[a]: the co permutation buffer of address a
-	scFences []int
+	x      Execution
+	opts   EnumerateOptions
+	visit  func(*Execution) bool
+	count  int
+	reads  []int
+	writes [][]int // writes[a]: the writes to address a, in event order
+	coPerm [][]int // coPerm[a]: the co permutation buffer of address a
 }
 
 // Enumerate is exec.Enumerate over the enumerator's buffers: the same
 // executions in the same order, with the same options and count.
 func (en *Enumerator) Enumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) bool) int {
 	numAddrs := t.NumAddrs()
-	en.x.Test, en.x.SC = t, nil
+	en.x.Test = t
 	en.x.RF = resizeInts(en.x.RF, len(t.Events))
 	for i := range en.x.RF {
 		en.x.RF[i] = -1
@@ -74,15 +71,13 @@ func (en *Enumerator) Enumerate(t *litmus.Test, opts EnumerateOptions, visit fun
 	for a := 0; a < numAddrs; a++ {
 		en.writes[a] = en.writes[a][:0]
 	}
-	en.reads, en.scFences = en.reads[:0], en.scFences[:0]
+	en.reads = en.reads[:0]
 	for _, e := range t.Events {
-		switch {
-		case e.Kind == litmus.KRead:
+		switch e.Kind {
+		case litmus.KRead:
 			en.reads = append(en.reads, e.ID)
-		case e.Kind == litmus.KWrite:
+		case litmus.KWrite:
 			en.writes[e.Addr] = append(en.writes[e.Addr], e.ID)
-		case e.Kind == litmus.KFence && e.Fence == litmus.FSC:
-			en.scFences = append(en.scFences, e.ID)
 		}
 	}
 	en.opts, en.visit, en.count = opts, visit, 0
@@ -119,10 +114,13 @@ func (en *Enumerator) rf(i int) bool {
 }
 
 // co enumerates the coherence orders of address addr and onward, address
-// by address, innermost the sc orders.
+// by address, and visits each complete execution. A visit may have set
+// x.SC to quantify over sc orders, so it is cleared before each one.
 func (en *Enumerator) co(addr int) bool {
 	if addr == len(en.x.CO) {
-		return en.sc()
+		en.x.SC = nil
+		en.count++
+		return en.visit(&en.x)
 	}
 	if len(en.writes[addr]) == 0 {
 		en.x.CO[addr] = nil
@@ -148,23 +146,6 @@ func (en *Enumerator) permuteCO(addr, k int) bool {
 		perm[k], perm[i] = perm[i], perm[k]
 	}
 	return true
-}
-
-// sc visits the execution once, or once per sc order under UseSC.
-func (en *Enumerator) sc() bool {
-	if !en.opts.UseSC || len(en.scFences) == 0 {
-		en.x.SC = nil
-		en.count++
-		return en.visit(&en.x)
-	}
-	ok := true
-	forEachPermutation(en.scFences, func(perm []int) bool {
-		en.x.SC = perm
-		en.count++
-		ok = en.visit(&en.x)
-		return ok
-	})
-	return ok
 }
 
 // resizeInts returns s with length n, reusing its backing array when it
@@ -197,12 +178,10 @@ func forEachPermutation(items []int, visit func([]int) bool) {
 	rec(0)
 }
 
-// SCOrders returns the sc orders a model that consults one quantifies
-// over for test t: every total order of t's FSC fences when it has two or
-// more, else nil. The order is auxiliary (paper §6.3): an outcome is
-// allowed when the model holds under some order and forbidden when it
-// fails under every one. With fewer than two fences the order has no edge,
-// so there is nothing to quantify over.
+// SCOrders returns every total order of t's FSC fences when it has two or
+// more, else nil: with fewer than two fences the order has no edge, so
+// there is nothing to quantify over. memmodel.Vocab.SCOrders decides
+// which models quantify over these orders.
 func SCOrders(t *litmus.Test) [][]int {
 	var fences []int
 	for _, e := range t.Events {
@@ -223,17 +202,17 @@ func SCOrders(t *litmus.Test) [][]int {
 
 // CountExecutions returns the number of well-formed candidate executions of
 // t without visiting them.
-func CountExecutions(t *litmus.Test, opts EnumerateOptions) int {
-	total, _ := counts(t, opts)
+func CountExecutions(t *litmus.Test) int {
+	total, _ := counts(t)
 	return total
 }
 
 // ExtensionsPerRF returns the number of candidate executions sharing any
 // one reads-from assignment of t: the product of the per-address
-// coherence permutations (times the sc-fence permutations under UseSC).
-// It is what one RFFilter rejection skips.
-func ExtensionsPerRF(t *litmus.Test, opts EnumerateOptions) int {
-	_, perRF := counts(t, opts)
+// coherence permutations. It is what one RFFilter rejection skips. The
+// options do not change the count.
+func ExtensionsPerRF(t *litmus.Test, _ EnumerateOptions) int {
+	_, perRF := counts(t)
 	return perRF
 }
 
@@ -241,9 +220,8 @@ func ExtensionsPerRF(t *litmus.Test, opts EnumerateOptions) int {
 // sharing one reads-from assignment. It counts each address's writes and
 // reads by a scan of the events rather than into a slice, so it
 // allocates nothing.
-func counts(t *litmus.Test, opts EnumerateOptions) (total, perRF int) {
+func counts(t *litmus.Test) (total, perRF int) {
 	total, perRF = 1, 1
-	scFences := 0
 	for a := t.NumAddrs() - 1; a >= 0; a-- {
 		writes, reads := 0, 0
 		for _, e := range t.Events {
@@ -261,14 +239,6 @@ func counts(t *litmus.Test, opts EnumerateOptions) (total, perRF int) {
 		for ; reads > 0; reads-- {
 			total *= writes + 1
 		}
-	}
-	for _, e := range t.Events {
-		if e.Kind == litmus.KFence && e.Fence == litmus.FSC {
-			scFences++
-		}
-	}
-	if opts.UseSC && scFences > 0 {
-		perRF *= factorial(scFences)
 	}
 	return total * perRF, perRF
 }

@@ -9,45 +9,29 @@ import (
 
 // referenceEnumerate is the closure-based enumeration the Enumerator
 // replaced, kept as the reference for its order: rf outermost, then co
-// address by address, then sc orders.
+// address by address.
 func referenceEnumerate(t *litmus.Test, opts EnumerateOptions, visit func(*Execution) bool) int {
 	numAddrs := t.NumAddrs()
 	x := &Execution{Test: t, RF: make([]int, len(t.Events)), CO: make([][]int, numAddrs)}
 	for i := range x.RF {
 		x.RF[i] = -1
 	}
-	var reads, scFences []int
+	var reads []int
 	writesByAddr := make([][]int, numAddrs)
 	for _, e := range t.Events {
-		switch {
-		case e.Kind == litmus.KRead:
+		switch e.Kind {
+		case litmus.KRead:
 			reads = append(reads, e.ID)
-		case e.Kind == litmus.KWrite:
+		case litmus.KWrite:
 			writesByAddr[e.Addr] = append(writesByAddr[e.Addr], e.ID)
-		case e.Kind == litmus.KFence && e.Fence == litmus.FSC:
-			scFences = append(scFences, e.ID)
 		}
 	}
 	count := 0
-	enumSC := func() bool {
-		if !opts.UseSC || len(scFences) == 0 {
-			x.SC = nil
-			count++
-			return visit(x)
-		}
-		ok := true
-		forEachPermutation(scFences, func(perm []int) bool {
-			x.SC = perm
-			count++
-			ok = visit(x)
-			return ok
-		})
-		return ok
-	}
 	var enumCO func(addr int) bool
 	enumCO = func(addr int) bool {
 		if addr == numAddrs {
-			return enumSC()
+			count++
+			return visit(x)
 		}
 		if len(writesByAddr[addr]) == 0 {
 			x.CO[addr] = nil
@@ -121,7 +105,7 @@ func trace(enumerate func(*litmus.Test, EnumerateOptions, func(*Execution) bool)
 }
 
 // TestEnumeratorMatchesReference: one Enumerator reused across the corpus,
-// with and without sc orders, an RF filter, a stop poll and early exit,
+// with and without an RF filter, a stop poll and early exit,
 // visits exactly the reference's executions in the reference's order.
 func TestEnumeratorMatchesReference(t *testing.T) {
 	var en Enumerator
@@ -130,7 +114,6 @@ func TestEnumeratorMatchesReference(t *testing.T) {
 			polls := 0
 			for _, opts := range []EnumerateOptions{
 				{},
-				{UseSC: true},
 				{RFFilter: func(rf []int) bool { return rf[len(rf)-1] < 0 }},
 				{Stop: func() bool { polls++; return polls%5 == 0 }},
 			} {
@@ -140,7 +123,7 @@ func TestEnumeratorMatchesReference(t *testing.T) {
 					want := trace(referenceEnumerate, lt, opts, stopAfter)
 					polls = 0
 					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("%s (sc=%v, stop after %d):\n got %v\nwant %v", lt.Name, opts.UseSC, stopAfter, got, want)
+						t.Fatalf("%s (stop after %d):\n got %v\nwant %v", lt.Name, stopAfter, got, want)
 					}
 				}
 			}
@@ -149,8 +132,7 @@ func TestEnumeratorMatchesReference(t *testing.T) {
 }
 
 // TestEnumeratorAllocs: a warm Enumerator enumerates a test it has room
-// for without allocating. Sc orders (UseSC) are outside the contract; the
-// engine never asks for them.
+// for without allocating.
 func TestEnumeratorAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -172,17 +154,14 @@ func TestEnumeratorAllocs(t *testing.T) {
 // visits, and ExtensionsPerRF what one reads-from assignment extends to.
 func TestCountsMatchEnumeration(t *testing.T) {
 	for _, lt := range enumeratorCorpus() {
-		for _, opts := range []EnumerateOptions{{}, {UseSC: true}} {
-			rfs := 0
-			opts.RFFilter = func([]int) bool { rfs++; return true }
-			n := Enumerate(lt, opts, func(*Execution) bool { return true })
-			if got := CountExecutions(lt, opts); got != n {
-				t.Errorf("%s (sc=%v): CountExecutions = %d, Enumerate visits %d", lt.Name, opts.UseSC, got, n)
-			}
-			if got := ExtensionsPerRF(lt, opts); got*rfs != n {
-				t.Errorf("%s (sc=%v): ExtensionsPerRF = %d over %d assignments, Enumerate visits %d",
-					lt.Name, opts.UseSC, got, rfs, n)
-			}
+		rfs := 0
+		opts := EnumerateOptions{RFFilter: func([]int) bool { rfs++; return true }}
+		n := Enumerate(lt, opts, func(*Execution) bool { return true })
+		if got := CountExecutions(lt); got != n {
+			t.Errorf("%s: CountExecutions = %d, Enumerate visits %d", lt.Name, got, n)
+		}
+		if got := ExtensionsPerRF(lt, opts); got*rfs != n {
+			t.Errorf("%s: ExtensionsPerRF = %d over %d assignments, Enumerate visits %d", lt.Name, got, rfs, n)
 		}
 	}
 }

@@ -26,12 +26,25 @@ func sb() *litmus.Test {
 	})
 }
 
+// forEachSCOrder calls visit on x under each of SCOrders(x.Test), or once
+// under a nil order when there are fewer than two sc fences.
+func forEachSCOrder(x *Execution, visit func(*Execution)) {
+	orders := SCOrders(x.Test)
+	if orders == nil {
+		orders = [][]int{nil}
+	}
+	for _, sc := range orders {
+		x.SC = sc
+		visit(x)
+	}
+}
+
 func TestEnumerateCountMP(t *testing.T) {
 	// MP: two reads, each with one same-address write: choices 2*2 = 4.
 	// One write per address: 1 coherence order each.
 	m := mp()
 	want := 4
-	if got := CountExecutions(m, EnumerateOptions{}); got != want {
+	if got := CountExecutions(m); got != want {
 		t.Errorf("CountExecutions = %d, want %d", got, want)
 	}
 	visited := 0
@@ -52,7 +65,7 @@ func TestEnumerateCountWithCO(t *testing.T) {
 		{litmus.W(0)},
 		{litmus.R(0)},
 	})
-	if got := CountExecutions(m, EnumerateOptions{}); got != 6 {
+	if got := CountExecutions(m); got != 6 {
 		t.Errorf("CountExecutions = %d, want 6", got)
 	}
 	n := Enumerate(m, EnumerateOptions{}, func(*Execution) bool { return true })
@@ -61,38 +74,11 @@ func TestEnumerateCountWithCO(t *testing.T) {
 	}
 }
 
-func TestEnumerateSCOrders(t *testing.T) {
-	m := sb()
-	// Reads: 2 choices each (initial or the one write) = 4; SC fences: 2! = 2.
-	if got := CountExecutions(m, EnumerateOptions{UseSC: true}); got != 8 {
-		t.Errorf("CountExecutions(UseSC) = %d, want 8", got)
-	}
-	if got := CountExecutions(m, EnumerateOptions{}); got != 4 {
-		t.Errorf("CountExecutions(no SC) = %d, want 4", got)
-	}
-	scSeen := map[string]bool{}
-	Enumerate(m, EnumerateOptions{UseSC: true}, func(x *Execution) bool {
-		if len(x.SC) != 2 {
-			t.Fatalf("SC = %v", x.SC)
-		}
-		scSeen[x.OutcomeString()] = true
-		return true
-	})
-}
-
-// TestSCOrders: SCOrders lists the sc orders UseSC enumeration visits, in
-// the same order, and nothing for fewer than two FSC fences.
+// TestSCOrders: SCOrders lists every total order of the FSC fences, and
+// nothing for fewer than two.
 func TestSCOrders(t *testing.T) {
-	m := sb()
-	var visited []string
-	Enumerate(m, EnumerateOptions{UseSC: true}, func(x *Execution) bool {
-		if len(visited) < 2 {
-			visited = append(visited, fmt.Sprint(x.SC))
-		}
-		return true
-	})
-	if got := fmt.Sprint(SCOrders(m)); got != "[[1 4] [4 1]]" || fmt.Sprint(visited) != "[[1 4] [4 1]]" {
-		t.Errorf("SCOrders = %s, UseSC visits %v, want both [[1 4] [4 1]]", got, visited)
+	if got := fmt.Sprint(SCOrders(sb())); got != "[[1 4] [4 1]]" {
+		t.Errorf("SCOrders = %s, want [[1 4] [4 1]]", got)
 	}
 	one := litmus.New("one-fence", [][]litmus.Op{{litmus.W(0), litmus.F(litmus.FSC)}, {litmus.R(0)}})
 	if got := SCOrders(one); got != nil {
@@ -146,17 +132,19 @@ func TestValues(t *testing.T) {
 	}
 }
 
-// TestWellFormed accepts every execution the enumerator visits, sc orders
-// included, and rejects each way a witness rebuilt from untrusted bytes
+// TestWellFormed accepts every execution the enumerator visits, under each
+// sc order, and rejects each way a witness rebuilt from untrusted bytes
 // can break: a short rf, a read from a write to another address or from
 // a non-write, a co that drops, repeats or adds a write, and an sc that
 // is not an order of the sc fences.
 func TestWellFormed(t *testing.T) {
 	for _, m := range []*litmus.Test{mp(), sb()} {
-		Enumerate(m, EnumerateOptions{UseSC: true}, func(x *Execution) bool {
-			if err := x.WellFormed(); err != nil {
-				t.Errorf("%s: enumerated execution rejected: %v", x, err)
-			}
+		Enumerate(m, EnumerateOptions{}, func(x *Execution) bool {
+			forEachSCOrder(x, func(x *Execution) {
+				if err := x.WellFormed(); err != nil {
+					t.Errorf("%s: enumerated execution rejected: %v", x, err)
+				}
+			})
 			return true
 		})
 	}

@@ -74,19 +74,21 @@ func TestRebindMatchesNew(t *testing.T) {
 				if err := sameCtx(c, want); err != nil {
 					t.Fatalf("%s under %v: %v", tt.Name, p, err)
 				}
-				Enumerate(tt, EnumerateOptions{UseSC: true}, func(x *Execution) bool {
-					v.Reset(x)
-					w := want.NewView()
-					w.Reset(x)
-					for name, r := range map[string][2]relation.Rel{
-						"rf": {v.RF(), w.RF()}, "co": {v.CO(), w.CO()}, "fr": {v.FR(), w.FR()},
-						"rfe": {v.RFE(), w.RFE()}, "com": {v.Com(), w.Com()},
-						"sc": {v.SCRel(), w.SCRel()},
-					} {
-						if !r[0].Equal(r[1]) {
-							t.Fatalf("%s under %v, execution %s: %s = %v, want %v", tt.Name, p, x, name, r[0], r[1])
+				Enumerate(tt, EnumerateOptions{}, func(x *Execution) bool {
+					forEachSCOrder(x, func(x *Execution) {
+						v.Reset(x)
+						w := want.NewView()
+						w.Reset(x)
+						for name, r := range map[string][2]relation.Rel{
+							"rf": {v.RF(), w.RF()}, "co": {v.CO(), w.CO()}, "fr": {v.FR(), w.FR()},
+							"rfe": {v.RFE(), w.RFE()}, "com": {v.Com(), w.Com()},
+							"sc": {v.SCRel(), w.SCRel()},
+						} {
+							if !r[0].Equal(r[1]) {
+								t.Fatalf("%s under %v, execution %s: %s = %v, want %v", tt.Name, p, x, name, r[0], r[1])
+							}
 						}
-					}
+					})
 					return true
 				})
 			}
@@ -183,7 +185,10 @@ func TestRebindAllocs(t *testing.T) {
 	var bindings []binding
 	for _, tt := range progs {
 		var x *Execution
-		Enumerate(tt, EnumerateOptions{UseSC: true}, func(e *Execution) bool { x = e.Clone(); return false })
+		Enumerate(tt, EnumerateOptions{}, func(e *Execution) bool { x = e.Clone(); return false })
+		if orders := SCOrders(tt); orders != nil {
+			x.SC = orders[0]
+		}
 		for _, p := range rebindPerturbs(tt) {
 			bindings = append(bindings, binding{tt, p, x})
 		}

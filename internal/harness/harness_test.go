@@ -221,32 +221,38 @@ func TestDetectionMatrixContextCancellation(t *testing.T) {
 }
 
 // TestAllowedKeysQuantifySCOrders: on scc's SB with sc fences,
-// allowedKeys (one enumeration without sc orders, each execution valid
-// under some order of exec.SCOrders) must return exactly the union of
-// allowed outcomes that enumerating every sc order as part of the
-// execution (UseSC) gives.
+// allowedKeys (one enumeration, each execution valid under some order of
+// memmodel.Vocab.SCOrders) must return exactly the union of allowed
+// outcomes over every (execution, sc order) pair.
 func TestAllowedKeysQuantifySCOrders(t *testing.T) {
 	scc := memmodel.SCC()
 	lt := litmus.New("SB+scfences", [][]litmus.Op{
 		{litmus.W(0), litmus.F(litmus.FSC), litmus.R(1)},
 		{litmus.W(1), litmus.F(litmus.FSC), litmus.R(0)},
 	})
+	orders := exec.SCOrders(lt)
+	if len(orders) != 2 {
+		t.Fatalf("SB+scfences has %d sc orders, want 2", len(orders))
+	}
 	want := make(map[string]bool)
-	exec.Enumerate(lt, exec.EnumerateOptions{UseSC: true}, func(x *exec.Execution) bool {
-		if memmodel.Valid(scc, exec.NewView(x, exec.NoPerturb)) {
-			o := tsosim.Outcome{ReadsFrom: append([]int(nil), x.RF...), FinalWrite: make([]int, lt.NumAddrs())}
-			for a := range o.FinalWrite {
-				o.FinalWrite[a] = x.CO[a][len(x.CO[a])-1]
+	exec.Enumerate(lt, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+		for _, sc := range orders {
+			x.SC = sc
+			if memmodel.Valid(scc, exec.NewView(x, exec.NoPerturb)) {
+				o := tsosim.Outcome{ReadsFrom: append([]int(nil), x.RF...), FinalWrite: make([]int, lt.NumAddrs())}
+				for a := range o.FinalWrite {
+					o.FinalWrite[a] = x.CO[a][len(x.CO[a])-1]
+				}
+				want[o.Key()] = true
 			}
-			want[o.Key()] = true
 		}
 		return true
 	})
 	got := allowedKeys(scc, lt)
-	if len(want) == 0 || len(want) == exec.CountExecutions(lt, exec.EnumerateOptions{}) {
-		t.Fatalf("the UseSC union allows %d outcomes: the program does not separate allowed from forbidden", len(want))
+	if len(want) == 0 || len(want) == exec.CountExecutions(lt) {
+		t.Fatalf("the union over sc orders allows %d outcomes: the program does not separate allowed from forbidden", len(want))
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("allowedKeys = %v, want the UseSC union %v", got, want)
+		t.Errorf("allowedKeys = %v, want the union over sc orders %v", got, want)
 	}
 }

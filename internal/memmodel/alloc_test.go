@@ -8,7 +8,8 @@ import (
 )
 
 // warmAllocs binds one pooled view to every program of progs in turn, with
-// each program's perturbations, and evaluates eval on every execution. It
+// each program's perturbations, and evaluates eval on every execution,
+// under each of its sc orders when useSC is set. It
 // returns the allocations of a pass after a first pass has sized every
 // buffer.
 func warmAllocs(progs []*litmus.Test, useSC bool, eval func(v *exec.View)) float64 {
@@ -20,8 +21,12 @@ func warmAllocs(progs []*litmus.Test, useSC bool, eval func(v *exec.View)) float
 	var bindings []binding
 	for _, tt := range progs {
 		var execs []*exec.Execution
-		exec.Enumerate(tt, exec.EnumerateOptions{UseSC: useSC}, func(x *exec.Execution) bool {
-			execs = append(execs, x.Clone())
+		orders := Vocab{UsesSC: useSC}.SCOrders(tt)
+		exec.Enumerate(tt, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+			for _, sc := range orders {
+				x.SC = sc
+				execs = append(execs, x.Clone())
+			}
 			return true
 		})
 		perturbs := []exec.Perturb{exec.NoPerturb}

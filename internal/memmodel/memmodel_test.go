@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"fmt"
 	"testing"
 
 	"memsynth/internal/exec"
@@ -23,14 +24,13 @@ func readVals(vals map[int]int) cond {
 	}
 }
 
-// allowed reports whether any valid execution of t under m matches c.
+// allowed reports whether any execution of t that matches c is valid under
+// m for some sc order.
 func allowed(m Model, t *Test, c cond) bool {
 	found := false
-	exec.Enumerate(t, exec.EnumerateOptions{UseSC: m.Vocab().UsesSC}, func(x *exec.Execution) bool {
-		if !c(x) {
-			return true
-		}
-		if Valid(m, exec.NewView(x, exec.NoPerturb)) {
+	valid := ValidUnderSomeSC(m, t)
+	exec.Enumerate(t, exec.EnumerateOptions{}, func(x *exec.Execution) bool {
+		if c(x) && valid(x) {
 			found = true
 			return false
 		}
@@ -436,6 +436,38 @@ func TestSCCModel(t *testing.T) {
 		{R(1), F(FAcqRel), R(0)},
 	})
 	expect(t, scc, mpFences, readVals(map[int]int{3: 1, 5: 0}), false)
+}
+
+// TestVocabSCOrders: a vocabulary that consults an sc order quantifies
+// over every order of two or more FSC fences; otherwise, or with fewer
+// fences, over the one shared nil order, which costs no allocation.
+func TestVocabSCOrders(t *testing.T) {
+	sb := New("SB+scfences", [][]Op{{W(0), F(FSC), R(1)}, {W(1), F(FSC), R(0)}})
+	one := New("one-fence", [][]Op{{W(0), F(FSC)}, {R(0)}})
+	for _, tc := range []struct {
+		m    Model
+		t    *Test
+		want string
+	}{
+		{SCC(), sb, "[[1 4] [4 1]]"},
+		{SCC(), one, "[[]]"},
+		{TSO(), sb, "[[]]"},
+	} {
+		orders := tc.m.Vocab().SCOrders(tc.t)
+		if got := fmt.Sprint(orders); got != tc.want {
+			t.Errorf("%s on %s: SCOrders = %s, want %s", tc.m.Name(), tc.t.Name, got, tc.want)
+		}
+		if tc.want == "[[]]" && orders[0] != nil {
+			t.Errorf("%s on %s: SCOrders = %v, want the nil order", tc.m.Name(), tc.t.Name, orders)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	vocab := TSO().Vocab()
+	if allocs := testing.AllocsPerRun(20, func() { vocab.SCOrders(sb) }); allocs != 0 {
+		t.Errorf("SCOrders without an sc order allocates %.1f times", allocs)
+	}
 }
 
 func TestC11Model(t *testing.T) {

@@ -165,8 +165,30 @@ type Vocab struct {
 	DepTypes []litmus.DepType
 	// Scopes are the synchronization scopes; empty for non-scoped models.
 	Scopes []litmus.Scope
-	// UsesSC requests enumeration of total orders over FSC fences.
+	// UsesSC reports that the model's axioms consult an sc order over
+	// FSC fences. The order is auxiliary, not part of an execution:
+	// SCOrders lists the orders the model quantifies over.
 	UsesSC bool
+}
+
+// noSCOrder is SCOrders' answer when there is nothing to quantify over:
+// the one nil order. It is shared, so callers must not modify it.
+var noSCOrder = [][]int{nil}
+
+// SCOrders returns the sc orders a model with this vocabulary quantifies
+// over on test t: every total order of t's FSC fences (exec.SCOrders)
+// when UsesSC is set and t has two or more, else the one nil order. The
+// order is auxiliary (paper §6.3): an (rf, co) outcome is allowed when the
+// model holds under some order and forbidden when it fails under every
+// one. Callers range over the result, set each order as x.SC and must not
+// modify it.
+func (v Vocab) SCOrders(t *litmus.Test) [][]int {
+	if v.UsesSC {
+		if orders := exec.SCOrders(t); orders != nil {
+			return orders
+		}
+	}
+	return noSCOrder
 }
 
 // RelaxSpec describes which instruction relaxations a model admits
@@ -210,16 +232,12 @@ func Valid(m Model, v *exec.View) bool {
 
 // ValidUnderSomeSC returns the validity check of t's executions under m,
 // with the sc order auxiliary (paper §6.3): it binds one unperturbed view
-// to t, and the check sets x.SC to each order of exec.SCOrders in turn
-// (when m consults one) and reports whether m holds under some order,
-// leaving x.SC at that order, or at the first order when none admits x.
-// Callers enumerate without UseSC, since the check supplies the orders.
-// The check is not safe for concurrent use.
+// to t, and the check sets x.SC to each order of m.Vocab().SCOrders(t) in
+// turn and reports whether m holds under some order, leaving x.SC at that
+// order, or at the first order when none admits x. The check is not safe
+// for concurrent use.
 func ValidUnderSomeSC(m Model, t *litmus.Test) func(x *exec.Execution) bool {
-	orders := [][]int{nil}
-	if all := exec.SCOrders(t); all != nil && m.Vocab().UsesSC {
-		orders = all
-	}
+	orders := m.Vocab().SCOrders(t)
 	v := exec.NewStaticCtx(t, exec.NoPerturb).NewView()
 	return func(x *exec.Execution) bool {
 		for _, sc := range orders {

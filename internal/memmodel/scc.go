@@ -168,7 +168,7 @@ func sccAxioms(scoped bool) []Axiom {
 		rmwAtomicity(false), // no fr.co & rmw (Fig. 17)
 		{
 			// The sc order this axiom consults is auxiliary; callers
-			// quantify over exec.SCOrders (the general form of the
+			// quantify over Vocab.SCOrders (the general form of the
 			// paper's Fig. 19 lone-edge workaround).
 			Name: "causality",
 			Holds: func(v *exec.View) bool {

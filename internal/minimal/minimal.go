@@ -15,7 +15,7 @@
 // explicit enumerator, we implement the general solution directly:
 //
 //   - an outcome is forbidden for an axiom iff the axiom is violated under
-//     every total sc order (exec.SCOrders), and
+//     every total sc order (memmodel.Vocab.SCOrders), and
 //   - a relaxed outcome is observable iff the full perturbed model holds
 //     under some total sc order.
 //
@@ -23,11 +23,11 @@
 //
 // The evaluation-context machinery is amortized for the synthesis explore
 // hot path: a Checker binds to one program, computes the relaxation
-// applications and the sc orders (exec.SCOrders) once, rebinds one pooled
-// evaluation context (exec.StaticCtx plus an exec.View) per perturbation
-// in place, and then stamps every execution of the program through those
-// contexts. The contexts outlive the program: the next Bind rebinds them
-// into the same buffers instead of allocating new ones.
+// applications and the sc orders (memmodel.Vocab.SCOrders) once, rebinds
+// one pooled evaluation context (exec.StaticCtx plus an exec.View) per
+// perturbation in place, and then stamps every execution of the program
+// through those contexts. The contexts outlive the program: the next Bind
+// rebinds them into the same buffers instead of allocating new ones.
 package minimal
 
 import (
@@ -64,19 +64,19 @@ func (v Verdict) MinimalFor() []int {
 
 // Checker amortizes the static work of the minimality criterion across the
 // executions of one program. Bind computes the relaxation applications and
-// the sc orders (exec.SCOrders) and rebinds the base view's context; the view
-// of each relaxation-application slot is rebound lazily, on the slot's
-// first use in the program. The views and their contexts are kept across
-// Bind calls, so a warm Checker rebinds in place instead of allocating.
-// Check then rebuilds only the dynamic relations (rf, co, fr) per
-// execution into the pooled views.
+// the sc orders (memmodel.Vocab.SCOrders) and rebinds the base view's
+// context; the view of each relaxation-application slot is rebound
+// lazily, on the slot's first use in the program. The views and their
+// contexts are kept across Bind calls, so a warm Checker rebinds in place
+// instead of allocating. Check then rebuilds only the dynamic relations
+// (rf, co, fr) per execution into the pooled views.
 //
 // A Checker is not safe for concurrent use; the synthesis engine gives
 // each worker its own.
 type Checker struct {
 	m      memmodel.Model
 	axioms []memmodel.Axiom
-	usesSC bool
+	vocab  memmodel.Vocab
 
 	t    *litmus.Test
 	apps []exec.Perturb
@@ -87,8 +87,7 @@ type Checker struct {
 	// per-program verdict streams independent of which worker processed
 	// which earlier program (suites stay identical for any worker count).
 	order    []int
-	allSC    [][]int    // exec.SCOrders of the bound test (UsesSC models only)
-	oneOrder [1][]int   // scratch for the single-order case
+	orders   [][]int    // the sc orders of the bound test (vocab.SCOrders)
 	base     *exec.View // pooled NoPerturb view
 	slots    []appSlot  // slots[i] serves apps[i]; grows to the most apps seen
 	program  uint64     // counts bind calls
@@ -105,7 +104,7 @@ type appSlot struct {
 
 // NewChecker returns a Checker for model m; Bind points it at a program.
 func NewChecker(m memmodel.Model) *Checker {
-	return &Checker{m: m, axioms: m.Axioms(), usesSC: m.Vocab().UsesSC}
+	return &Checker{m: m, axioms: m.Axioms(), vocab: m.Vocab()}
 }
 
 // Bind points the checker at test t, computing the relaxation applications
@@ -128,10 +127,7 @@ func (c *Checker) bind(t *litmus.Test, apps []exec.Perturb) {
 	for i := range apps {
 		c.order = append(c.order, i)
 	}
-	c.allSC = nil
-	if c.usesSC {
-		c.allSC = exec.SCOrders(t)
-	}
+	c.orders = c.vocab.SCOrders(t)
 	if c.base == nil {
 		c.base = new(exec.StaticCtx).NewView()
 	}
@@ -140,17 +136,6 @@ func (c *Checker) bind(t *litmus.Test, apps []exec.Perturb) {
 	for len(c.slots) < len(apps) {
 		c.slots = append(c.slots, appSlot{View: new(exec.StaticCtx).NewView()})
 	}
-}
-
-// ordersFor returns the sc orders to quantify over for execution x: the
-// bound test's sc orders, or just x's own (possibly nil) order when there
-// is nothing to quantify over.
-func (c *Checker) ordersFor(x *exec.Execution) [][]int {
-	if c.allSC != nil {
-		return c.allSC
-	}
-	c.oneOrder[0] = x.SC
-	return c.oneOrder[:]
 }
 
 // appView returns the pooled view for relaxation application i, rebinding
@@ -167,14 +152,13 @@ func (c *Checker) appView(i int) *exec.View {
 }
 
 // Check evaluates the minimality criterion for execution x of the bound
-// test. x.SC is treated as existentially quantified for models that use an
-// sc order; x is restored before Check returns. The verdict's
-// ViolatedAxioms (and so MinimalFor) lives in a buffer the checker owns:
-// it is valid until the next Check, so a caller that keeps it must copy
-// it first.
+// test. The sc order is existentially quantified over the bound test's
+// orders, whatever x.SC holds; x.SC is restored before Check returns. The
+// verdict's ViolatedAxioms (and so MinimalFor) lives in a buffer the
+// checker owns: it is valid until the next Check, so a caller that keeps
+// it must copy it first.
 func (c *Checker) Check(x *exec.Execution) Verdict {
 	var verdict Verdict
-	orders := c.ordersFor(x)
 	savedSC := x.SC
 	defer func() { x.SC = savedSC }()
 
@@ -188,7 +172,7 @@ func (c *Checker) Check(x *exec.Execution) Verdict {
 	for i := range violated {
 		violated[i] = true
 	}
-	for _, sc := range orders {
+	for _, sc := range c.orders {
 		x.SC = sc
 		c.base.Reset(x)
 		for i, a := range c.axioms {
@@ -218,7 +202,7 @@ func (c *Checker) Check(x *exec.Execution) Verdict {
 		ai := c.order[pos]
 		pv := c.appView(ai)
 		observable := false
-		for _, sc := range orders {
+		for _, sc := range c.orders {
 			x.SC = sc
 			pv.Reset(x)
 			if c.valid(pv) {
@@ -251,9 +235,9 @@ func (c *Checker) valid(v *exec.View) bool {
 // Check evaluates the minimality criterion for execution x against model m.
 // apps must be the relaxation applications of m to x.Test (as computed by
 // memmodel.Applications); passing them in lets callers amortize the
-// computation across the executions of one test. x.SC is treated as
-// existentially quantified for models that use an sc order; x is restored
-// before Check returns. Callers checking many executions of many programs
+// computation across the executions of one test. The sc order is
+// existentially quantified as in Checker.Check; x.SC is restored before
+// Check returns. Callers checking many executions of many programs
 // should hold a Checker instead, which amortizes the evaluation contexts.
 func Check(m memmodel.Model, apps []exec.Perturb, x *exec.Execution) Verdict {
 	c := NewChecker(m)

@@ -301,11 +301,11 @@ func TestIsMinimalUnknownAxiom(t *testing.T) {
 }
 
 // boundOrders returns the sc orders a Checker for m bound to lt quantifies
-// over for execution x — the orders Check sweeps.
-func boundOrders(m memmodel.Model, lt *Test, x *exec.Execution) [][]int {
+// over — the orders Check sweeps.
+func boundOrders(m memmodel.Model, lt *Test) [][]int {
 	c := NewChecker(m)
 	c.Bind(lt)
-	return c.ordersFor(x)
+	return c.orders
 }
 
 // TestSCOrdersPermutationCounts: with k >= 2 FSC fences, a bound Checker
@@ -326,8 +326,7 @@ func TestSCOrdersPermutationCounts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			lt := New("perm-"+tc.name, tc.threads)
-			x := mustFind(t, lt, func(*exec.Execution) bool { return true })
-			orders := boundOrders(scc, lt, x)
+			orders := boundOrders(scc, lt)
 			if len(orders) != tc.want {
 				t.Fatalf("Checker quantifies over %d orders, want %d", len(orders), tc.want)
 			}
@@ -356,8 +355,8 @@ func TestSCOrdersPermutationCounts(t *testing.T) {
 }
 
 // TestSCOrdersDegenerate: with fewer than two FSC fences there is nothing
-// to quantify over — a bound Checker must sweep exactly the execution's
-// own (possibly nil) order, for sc-using and plain models alike.
+// to quantify over — a bound Checker must sweep exactly the one nil
+// order, for sc-using and plain models alike.
 func TestSCOrdersDegenerate(t *testing.T) {
 	scc := memmodel.SCC()
 	for _, tc := range []struct {
@@ -369,11 +368,9 @@ func TestSCOrdersDegenerate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lt := New(tc.name, tc.threads)
-			x := mustFind(t, lt, func(*exec.Execution) bool { return true })
-			x.SC = nil
-			orders := boundOrders(scc, lt, x)
+			orders := boundOrders(scc, lt)
 			if len(orders) != 1 || orders[0] != nil {
-				t.Errorf("Checker quantifies over %v, want the execution's own nil order", orders)
+				t.Errorf("Checker quantifies over %v, want the one nil order", orders)
 			}
 		})
 	}
@@ -381,13 +378,11 @@ func TestSCOrdersDegenerate(t *testing.T) {
 	// A model without an sc order never quantifies, fences or not.
 	tso := memmodel.TSO()
 	lt := New("tso-mfences", [][]Op{{W(0), F(FMFence)}, {R(0), F(FMFence)}})
-	x := mustFind(t, lt, func(*exec.Execution) bool { return true })
-	if orders := boundOrders(tso, lt, x); len(orders) != 1 {
+	if orders := boundOrders(tso, lt); len(orders) != 1 {
 		t.Errorf("non-sc model: %d orders, want 1", len(orders))
 	}
 	sb := New("sb-scfences", [][]Op{{W(0), F(FSC), R(1)}, {W(1), F(FSC), R(0)}})
-	x = mustFind(t, sb, func(*exec.Execution) bool { return true })
-	if orders := boundOrders(tso, sb, x); len(orders) != 1 {
+	if orders := boundOrders(tso, sb); len(orders) != 1 {
 		t.Errorf("non-sc model on sc fences: %d orders, want 1", len(orders))
 	}
 }
@@ -444,9 +439,11 @@ func TestSCOrdersRestored(t *testing.T) {
 		{W(1), F(FSC), R(0)},
 	})
 	x := mustFind(t, sb, func(*exec.Execution) bool { return true })
-	x.SC = nil
-	Check(scc, memmodel.Applications(scc, sb), x)
-	if x.SC != nil {
-		t.Error("Check did not restore x.SC")
+	for _, sc := range [][]int{nil, {4, 1}} {
+		x.SC = sc
+		Check(scc, memmodel.Applications(scc, sb), x)
+		if fmt.Sprint(x.SC) != fmt.Sprint(sc) {
+			t.Errorf("Check left x.SC = %v, want it restored to %v", x.SC, sc)
+		}
 	}
 }

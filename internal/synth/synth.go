@@ -535,12 +535,14 @@ func (e *engine) generateAndDedupe(n int, shard ShardSpec) []*litmus.Test {
 		}
 	}
 	batch := make([]keyedProgram, 0, dedupeBatch)
+	raw := 0
 	t0 := time.Now()
 	completed := gen.run(n, func(t *litmus.Test) bool {
 		if e.stopped.Load() {
 			return false
 		}
 		e.programsRaw.Add(1)
+		raw++
 		batch = append(batch, keyedProgram{t: t})
 		if len(batch) == dedupeBatch {
 			send(batch)
@@ -560,9 +562,11 @@ func (e *engine) generateAndDedupe(n int, shard ShardSpec) []*litmus.Test {
 		return nil
 	}
 
+	// Every raw program may be a winner, so sizing both from the raw
+	// count spares their growth.
 	t0 = time.Now()
-	seen := make(map[string]struct{})
-	var winners []*litmus.Test
+	seen := make(map[string]struct{}, raw)
+	winners := make([]*litmus.Test, 0, raw)
 	for _, batch := range batches {
 		for _, p := range batch {
 			if _, dup := seen[p.key]; !dup {

@@ -242,8 +242,8 @@ func Outcomes(m Model, t *Test) []Outcome {
 // OutcomesContext is Outcomes with cancellation: it stops early when ctx
 // is done and returns the outcomes classified so far along with ctx.Err().
 // Each (rf, co) execution is listed once. The sc order is auxiliary: an
-// outcome is valid when the model holds under some order of
-// exec.SCOrders, and its execution then carries the first such order.
+// outcome is valid when the model holds under some order of its
+// Vocab().SCOrders, and its execution then carries the first such order.
 func OutcomesContext(ctx context.Context, m Model, t *Test) ([]Outcome, error) {
 	var out []Outcome
 	n := 0
