@@ -60,6 +60,14 @@
 // least fixpoint as rebuilding and reclosing every graph each round: the
 // verdict and the forced edges Extends reads are the same
 // (TestIncrementalSaturationMatchesReference).
+//
+// A slot saturates only its active graphs. When it is rebound, a graph is
+// dropped if another graph subsumes it: on the memory events every pair of
+// its closed base is in the other's, and the other contains every rf edge
+// it contains. Every dynamic edge joins memory events, so the dropped
+// graph could derive no forced edge and close no cycle the other does not
+// (DESIGN.md §15). On single-address tso, sc_per_loc subsumes causality in
+// every slot.
 package admit
 
 import (
@@ -132,7 +140,10 @@ func Models() []Capability {
 // model's graphs in it.
 type appCtx struct {
 	exec.StaticCtx
-	graphs  []graph
+	graphs []graph
+	// active lists, in index order, the graphs saturate ranges over: every
+	// graph no other graph subsumes (see subsumes).
+	active  []int
 	cyclic  bool   // some graph's static base is cyclic: every rf is refuted
 	program uint64 // the Bind the context was last rebound for
 }
@@ -164,7 +175,7 @@ type Checker struct {
 
 	// Saturation scratch, sized to the bound test's universe.
 	fco     relation.Rel   // forced coherence edges of the current app
-	cls     []relation.Rel // cls[k]: closed lower bound on graph k of the current app
+	cls     []relation.Rel // cls[t]: closed lower bound on graph active[t] of the current app
 	unionCo relation.Rel   // forced co edges across all apps of one Decide
 }
 
@@ -192,7 +203,10 @@ func (c *Checker) Bind(t *litmus.Test, apps []exec.Perturb) {
 		c.order = append(c.order, i)
 	}
 	for len(c.slots) < len(apps) {
-		c.slots = append(c.slots, &appCtx{graphs: make([]graph, len(c.decls))})
+		c.slots = append(c.slots, &appCtx{
+			graphs: make([]graph, len(c.decls)),
+			active: make([]int, 0, len(c.decls)),
+		})
 	}
 	if c.fco.N() != c.n {
 		c.fco.Resize(c.n)
@@ -203,10 +217,10 @@ func (c *Checker) Bind(t *litmus.Test, apps []exec.Perturb) {
 	}
 }
 
-// appCtxFor returns application i's slot, rebinding its context and
-// closing each graph's static base on the slot's first use in this
-// program. Rebinding is lazy because the fail-fast order usually refutes
-// with the front application alone.
+// appCtxFor returns application i's slot, rebinding its context, closing
+// each graph's static base and choosing the active graphs on the slot's
+// first use in this program. Rebinding is lazy because the fail-fast
+// order usually refutes with the front application alone.
 func (c *Checker) appCtxFor(i int) *appCtx {
 	a := c.slots[i]
 	if a.program != c.program {
@@ -220,9 +234,45 @@ func (c *Checker) appCtxFor(i int) *appCtx {
 			g.closed.CloseIn()
 			a.cyclic = a.cyclic || !g.closed.Irreflexive()
 		}
+		a.active = a.active[:0]
+		if !a.cyclic {
+			mem := a.Reads().Union(a.Writes())
+		graphs:
+			for k := range a.graphs {
+				for j := range a.graphs {
+					if j != k && subsumes(&a.graphs[j], &a.graphs[k], mem) &&
+						(j < k || !subsumes(&a.graphs[k], &a.graphs[j], mem)) {
+						continue graphs
+					}
+				}
+				a.active = append(a.active, k)
+			}
+		}
 		a.program = c.program
 	}
 	return a
+}
+
+// subsumes reports whether graph k can be left out of saturation because
+// graph j derives everything k does: j contains every rf edge k contains,
+// and on the memory events mem every pair of k's closed base is in j's.
+// Every dynamic edge (rf, co, fr) joins memory events, and a static path
+// through a fence is a memory-to-memory pair of the closure, so every path
+// of k's lower bound between memory events is one of j's: each forcing
+// rule that fires on k fires on j, and a cycle in k is a cycle in j
+// (a purely static cycle is caught as appCtx.cyclic first). The least
+// fixpoint, and so the verdict and the forced edges, are unchanged.
+func subsumes(j, k *graph, mem relation.Set) bool {
+	if j.rfExternal && !k.rfExternal {
+		return false
+	}
+	for m := mem; m != 0; m &= m - 1 {
+		e := bits.TrailingZeros64(uint64(m))
+		if !k.closed.Successors(e).Intersect(mem).Minus(j.closed.Successors(e)).IsEmpty() {
+			return false
+		}
+	}
+	return true
 }
 
 // Decide reports whether some coherence order extending rf (indexed by
@@ -277,11 +327,13 @@ func (c *Checker) Extends(co [][]int) bool {
 // application's acyclicity graphs). On a false return c.fco holds the
 // edges every satisfying order must contain.
 //
-// c.cls[k] is kept equal to the closure of graph k's lower bound — static
-// base, the rf edges the graph includes, and every co and fr edge forced
-// so far — by closed inserts (relation.Rel.AddClosed), so no graph is
-// rebuilt or reclosed inside the fixpoint, and an insert that closes a
-// cycle refutes at once.
+// Only the application's active graphs are saturated. c.cls[t] is kept
+// equal to the closure of graph a.active[t]'s lower bound — static base,
+// the rf edges the graph includes, and every co and fr edge forced so far
+// — by closed inserts (relation.Rel.AddClosed), so no graph is rebuilt or
+// reclosed inside the fixpoint, and an insert that closes a cycle refutes
+// at once. A rule skips the edges already forced, a word at a time where
+// the rule's candidates form a set.
 func (c *Checker) saturate(a *appCtx, rf []int) bool {
 	if a.cyclic {
 		return true
@@ -289,8 +341,8 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 	c.fco.Clear()
 	reads, live, ext := a.Reads(), a.Live(), a.Ext()
 
-	for k := range a.graphs {
-		g, cl := &a.graphs[k], c.cls[k]
+	for t, k := range a.active {
+		g, cl := &a.graphs[k], c.cls[t]
 		cl.CopyFrom(g.closed)
 		for m := reads; m != 0; m &= m - 1 {
 			r := bits.TrailingZeros64(uint64(m))
@@ -315,7 +367,7 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 			continue
 		}
 		for mw := a.LiveWrites(c.t.Events[r].Addr); mw != 0; mw &= mw - 1 {
-			if c.addForced(r, bits.TrailingZeros64(uint64(mw))) {
+			if c.addForced(a, r, bits.TrailingZeros64(uint64(mw))) {
 				return true
 			}
 		}
@@ -323,8 +375,8 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 
 	for {
 		progress := false
-		for k := range a.graphs {
-			g, cl := &a.graphs[k], c.cls[k]
+		for t, k := range a.active {
+			g, cl := &a.graphs[k], c.cls[t]
 			// (ww) A path w1 →+ w2 between live same-address writes forces
 			// co(w1, w2): the opposite orientation would put the co edge
 			// w2→w1 on the path's cycle.
@@ -335,7 +387,7 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 				}
 				for m1 := ws; m1 != 0; m1 &= m1 - 1 {
 					w1 := bits.TrailingZeros64(uint64(m1))
-					reach := cl.Successors(w1).Intersect(ws).Remove(w1)
+					reach := cl.Successors(w1).Intersect(ws).Remove(w1).Minus(c.fco.Successors(w1))
 					for m2 := reach; m2 != 0; m2 &= m2 - 1 {
 						w2 := bits.TrailingZeros64(uint64(m2))
 						ok, p := c.force(a, rf, w1, w2)
@@ -353,28 +405,31 @@ func (c *Checker) saturate(a *appCtx, rf []int) bool {
 				if src < 0 || !live.Has(src) {
 					continue
 				}
-				rfInGraph := !g.rfExternal || ext.Has(src, r)
-				for mw := a.LiveWrites(c.t.Events[r].Addr).Remove(src); mw != 0; mw &= mw - 1 {
+				ws := a.LiveWrites(c.t.Events[r].Addr).Remove(src)
+				// (wr) A path w →+ r forces co(w, src): co(src, w) would
+				// derive fr(r, w), closing the cycle w →+ r → w.
+				for mw := ws; mw != 0; mw &= mw - 1 {
 					w := bits.TrailingZeros64(uint64(mw))
-					// (wr) A path w →+ r forces co(w, src): co(src, w)
-					// would derive fr(r, w), closing the cycle w →+ r → w.
-					if cl.Has(w, r) {
+					if cl.Has(w, r) && !c.fco.Has(w, src) {
 						ok, p := c.force(a, rf, w, src)
 						if !ok {
 							return true
 						}
 						progress = progress || p
 					}
-					// (rw) A path r →+ w forces co(src, w) when the graph
-					// contains the rf edge src → r: co(w, src) would close
-					// the cycle r →+ w → src → r.
-					if rfInGraph && cl.Has(r, w) {
-						ok, p := c.force(a, rf, src, w)
-						if !ok {
-							return true
-						}
-						progress = progress || p
+				}
+				// (rw) A path r →+ w forces co(src, w) when the graph
+				// contains the rf edge src → r: co(w, src) would close the
+				// cycle r →+ w → src → r.
+				if g.rfExternal && !ext.Has(src, r) {
+					continue
+				}
+				for mw := cl.Successors(r).Intersect(ws).Minus(c.fco.Successors(src)); mw != 0; mw &= mw - 1 {
+					ok, p := c.force(a, rf, src, bits.TrailingZeros64(uint64(mw)))
+					if !ok {
+						return true
 					}
+					progress = progress || p
 				}
 			}
 		}
@@ -397,23 +452,23 @@ func (c *Checker) force(a *appCtx, rf []int, w1, w2 int) (bool, bool) {
 		return false, false
 	}
 	c.fco.Add(w1, w2)
-	if c.addForced(w1, w2) {
+	if c.addForced(a, w1, w2) {
 		return false, false
 	}
 	for m := a.Reads(); m != 0; m &= m - 1 {
 		r := bits.TrailingZeros64(uint64(m))
-		if rf[r] == w1 && c.addForced(r, w2) {
+		if rf[r] == w1 && c.addForced(a, r, w2) {
 			return false, false
 		}
 	}
 	return true, true
 }
 
-// addForced inserts a forced co or fr edge into every graph's closure,
-// since every graph contains co and fr. It reports whether the edge
-// closes a cycle in any of them.
-func (c *Checker) addForced(i, j int) bool {
-	for _, cl := range c.cls {
+// addForced inserts a forced co or fr edge into every active graph's
+// closure, since every graph contains co and fr. It reports whether the
+// edge closes a cycle in any of them.
+func (c *Checker) addForced(a *appCtx, i, j int) bool {
+	for _, cl := range c.cls[:len(a.active)] {
 		if cl.AddClosed(i, j) {
 			return true
 		}

@@ -56,8 +56,10 @@ func decideCorpus(b *testing.B, m memmodel.Model, opts synth.Options, stride int
 
 // BenchmarkDecide replays Decide over a pinned corpus, one op per call:
 // every rf assignment of a fixed sample of the single-address tso@7
-// stream and of the power@5 stream, binding each program before its
-// first assignment as the engine does.
+// stream, of the multi-address tso@6 stream and of the power@5 stream,
+// binding each program before its first assignment as the engine does.
+// On single-address tso sc_per_loc subsumes causality in every slot, so
+// one graph is saturated; on multi-address tso@6 both graphs often stay.
 func BenchmarkDecide(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -66,6 +68,7 @@ func BenchmarkDecide(b *testing.B) {
 		stride int
 	}{
 		{"tso7-a1", "tso", synth.Options{MaxEvents: 7, MaxAddrs: 1}, 40},
+		{"tso6", "tso", synth.Options{MaxEvents: 6}, 20},
 		{"power5", "power", synth.Options{MaxEvents: 5}, 1000},
 	} {
 		m, err := memmodel.ByName(c.model)

@@ -25,3 +25,10 @@ func AppGraphs(c *Checker, i int) (bases []relation.Rel, rfExternal []bool) {
 // UnionCo returns the co edges c's last Decide forced across
 // applications, which Extends reads.
 func UnionCo(c *Checker) relation.Rel { return c.unionCo }
+
+// ActiveGraphs returns the indices, in declaration order, of the graphs
+// Decide saturates for relaxation application i of the bound program:
+// those no other graph subsumes.
+func ActiveGraphs(c *Checker, i int) []int {
+	return append([]int(nil), c.appCtxFor(i).active...)
+}

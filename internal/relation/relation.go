@@ -91,10 +91,23 @@ func (r Rel) Has(i, j int) bool {
 	return r.rows[i]&(1<<uint(j)) != 0
 }
 
+// check panics unless (i, j) lies in r's universe. The unsigned compare
+// folds the negative case into the upper bound, and the panic is built out
+// of line, so check inlines into every accessor.
 func (r Rel) check(i, j int) {
-	if i < 0 || i >= r.n || j < 0 || j >= r.n {
-		panic(fmt.Sprintf("relation: pair (%d,%d) out of universe [0,%d)", i, j, r.n))
+	if uint(i) >= uint(r.n) || uint(j) >= uint(r.n) {
+		pairOutOfRange(i, j, r.n)
 	}
+}
+
+//go:noinline
+func pairOutOfRange(i, j, n int) {
+	panic(fmt.Sprintf("relation: pair (%d,%d) out of universe [0,%d)", i, j, n))
+}
+
+//go:noinline
+func atomOutOfRange(i, n int) {
+	panic(fmt.Sprintf("relation: atom %d out of universe [0,%d)", i, n))
 }
 
 // Clone returns a deep copy of r.
@@ -354,8 +367,8 @@ func (r Rel) MinusCross(dom, rng Set) {
 
 // UnionRow adds an edge from i to every atom of s in place.
 func (r Rel) UnionRow(i int, s Set) {
-	if i < 0 || i >= r.n {
-		panic(fmt.Sprintf("relation: atom %d out of universe [0,%d)", i, r.n))
+	if uint(i) >= uint(r.n) {
+		atomOutOfRange(i, r.n)
 	}
 	r.mustMatchSet(s, "row union")
 	r.rows[i] |= uint64(s)
@@ -445,46 +458,24 @@ func (r Rel) Irreflexive() bool {
 }
 
 // Acyclic reports whether the relation, viewed as a directed graph, has no
-// cycle (equivalently, its transitive closure is irreflexive).
+// cycle (equivalently, its transitive closure is irreflexive). It peels
+// sinks: an atom with no edge into the remaining set lies on no cycle
+// among them, so it is removed, and the relation is cyclic iff some pass
+// over the remaining atoms removes nothing. Each pass is one AND per
+// remaining row and the check needs no scratch state, so it stays off the
+// heap (it is the single most-called predicate in axiom evaluation).
 func (r Rel) Acyclic() bool {
-	// Iterative DFS with colors; avoids the O(n^3) closure when a cycle
-	// exists early. Fixed-size backing arrays keep the check off the heap
-	// (it is the single most-called predicate in axiom evaluation).
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	var colorArr [MaxUniverse]uint8
-	color := colorArr[:r.n]
-	type frame struct {
-		node int
-		rest uint64
-	}
-	var stackArr [MaxUniverse]frame
-	stack := stackArr[:0]
-	for start := 0; start < r.n; start++ {
-		if color[start] != white {
-			continue
+	rem := uint64(UniverseSet(r.n))
+	for rem != 0 {
+		before := rem
+		for m := rem; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if r.rows[i]&rem == 0 {
+				rem &^= 1 << uint(i)
+			}
 		}
-		color[start] = gray
-		stack = append(stack, frame{start, r.rows[start]})
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			if top.rest == 0 {
-				color[top.node] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			j := bits.TrailingZeros64(top.rest)
-			top.rest &= top.rest - 1
-			switch color[j] {
-			case gray:
-				return false
-			case white:
-				color[j] = gray
-				stack = append(stack, frame{j, r.rows[j]})
-			}
+		if rem == before {
+			return false
 		}
 	}
 	return true
@@ -542,8 +533,8 @@ func (r Rel) Image(s Set) Set {
 
 // Successors returns the set of atoms j with (i, j) in r.
 func (r Rel) Successors(i int) Set {
-	if i < 0 || i >= r.n {
-		panic(fmt.Sprintf("relation: atom %d out of universe [0,%d)", i, r.n))
+	if uint(i) >= uint(r.n) {
+		atomOutOfRange(i, r.n)
 	}
 	return Set(r.rows[i])
 }

@@ -335,14 +335,74 @@ func TestQuickClosureIdempotent(t *testing.T) {
 	}
 }
 
+// TestQuickAcyclicMatchesClosureIrreflexive: Acyclic must agree with the
+// definition (the transitive closure is irreflexive) on random 9-atom
+// relations and on every universe size from 0 through MaxUniverse, where
+// UniverseSet(64) is the sink peel's edge case. Each size draws random
+// DAGs over a shuffled atom order, each as is, with one random edge added
+// and with one edge added that closes a cycle. Both outcomes are counted,
+// so neither passes vacuously.
 func TestQuickAcyclicMatchesClosureIrreflexive(t *testing.T) {
+	var acyclic, cyclic int
+	check := func(r Rel) bool {
+		want := r.Closure().Irreflexive()
+		if want {
+			acyclic++
+		} else {
+			cyclic++
+		}
+		return r.Acyclic() == want
+	}
 	f := func(seed int64) bool {
-		r := randomRel(rand.New(rand.NewSource(seed)), 9, 0.15)
-		return r.Acyclic() == r.Closure().Irreflexive()
+		return check(randomRel(rand.New(rand.NewSource(seed)), 9, 0.15))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= MaxUniverse; n++ {
+		for draw := 0; draw < 8; draw++ {
+			dag := randomDAG(rng, n, rng.Float64()*4/float64(n+1))
+			if !check(dag) {
+				t.Errorf("n=%d: Acyclic disagrees on DAG %v", n, dag)
+			}
+			if n == 0 {
+				continue
+			}
+			r := dag.Clone()
+			r.Add(rng.Intn(n), rng.Intn(n))
+			if !check(r) {
+				t.Errorf("n=%d: Acyclic disagrees on %v", n, r)
+			}
+			// An edge into j from j or from an atom j reaches closes a cycle.
+			j := rng.Intn(n)
+			reach := dag.Closure().Successors(j).Add(j).Members()
+			r = dag.Clone()
+			r.Add(reach[rng.Intn(len(reach))], j)
+			if !check(r) {
+				t.Errorf("n=%d: Acyclic disagrees on %v", n, r)
+			}
+		}
+	}
+	if acyclic == 0 || cyclic == 0 {
+		t.Errorf("drew %d acyclic and %d cyclic relations; want both outcomes", acyclic, cyclic)
+	}
+	t.Logf("%d acyclic, %d cyclic relations", acyclic, cyclic)
+}
+
+// randomDAG returns a random acyclic relation over n atoms: each pair
+// that goes forward in a shuffled atom order is an edge with probability p.
+func randomDAG(rng *rand.Rand, n int, p float64) Rel {
+	r := New(n)
+	perm := rng.Perm(n)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if rng.Float64() < p {
+				r.Add(perm[a], perm[b])
+			}
+		}
+	}
+	return r
 }
 
 func TestQuickJoinAssociative(t *testing.T) {
