@@ -68,6 +68,14 @@
 // graph could derive no forced edge and close no cycle the other does not
 // (DESIGN.md §15). On single-address tso, sc_per_loc subsumes causality in
 // every slot.
+//
+// Decide also saturates the unperturbed program, in one more pooled slot,
+// once the first application admits. Every relaxation only removes static
+// edges, so each application's forced co edges lie among the unperturbed
+// program's (TestApplicationGraphsWithinBase); once the applications'
+// union reaches that set, the rest can add nothing and Decide admits
+// without saturating them. The verdict and the forced edges Extends reads
+// are those of saturating every application.
 package admit
 
 import (
@@ -149,10 +157,11 @@ type appCtx struct {
 }
 
 // Checker decides fast admissibility for the rf assignments of one bound
-// program. It keeps one static context per relaxation-application slot
-// across programs: Bind only records the program, and a slot's context is
-// rebound in place to its application on first use (mirroring
-// minimal.Checker), so a warm Checker allocates nothing per program.
+// program. It keeps one static context per relaxation-application slot,
+// and one for the unperturbed program, across programs: Bind only records
+// the program, and a slot's context is rebound in place on first use
+// (mirroring minimal.Checker), so a warm Checker allocates nothing per
+// program.
 // Decide then runs pure bitset saturation per assignment. A Checker is
 // not safe for concurrent use; the synthesis engine gives each worker its
 // own.
@@ -171,12 +180,14 @@ type Checker struct {
 	// worker count.
 	order   []int
 	slots   []*appCtx // slots[i] serves apps[i]; grows to the most apps seen
+	base    *appCtx   // the unperturbed program (exec.NoPerturb)
 	program uint64    // counts Bind calls
 
 	// Saturation scratch, sized to the bound test's universe.
 	fco     relation.Rel   // forced coherence edges of the current app
 	cls     []relation.Rel // cls[t]: closed lower bound on graph active[t] of the current app
 	unionCo relation.Rel   // forced co edges across all apps of one Decide
+	baseCo  relation.Rel   // forced co edges of the unperturbed program
 }
 
 // NewChecker returns a Checker for model m, or nil when the model declares
@@ -186,7 +197,13 @@ func NewChecker(m memmodel.Model) *Checker {
 	if len(decls) == 0 {
 		return nil
 	}
-	return &Checker{decls: decls, cls: make([]relation.Rel, len(decls))}
+	return &Checker{decls: decls, cls: make([]relation.Rel, len(decls)), base: newAppCtx(len(decls))}
+}
+
+// newAppCtx returns an unbound slot for a model that declares the given
+// number of graphs.
+func newAppCtx(graphs int) *appCtx {
+	return &appCtx{graphs: make([]graph, graphs), active: make([]int, 0, graphs)}
 }
 
 // Bind points the checker at test t with the model's relaxation
@@ -203,28 +220,34 @@ func (c *Checker) Bind(t *litmus.Test, apps []exec.Perturb) {
 		c.order = append(c.order, i)
 	}
 	for len(c.slots) < len(apps) {
-		c.slots = append(c.slots, &appCtx{
-			graphs: make([]graph, len(c.decls)),
-			active: make([]int, 0, len(c.decls)),
-		})
+		c.slots = append(c.slots, newAppCtx(len(c.decls)))
 	}
 	if c.fco.N() != c.n {
 		c.fco.Resize(c.n)
 		c.unionCo.Resize(c.n)
+		c.baseCo.Resize(c.n)
 		for k := range c.cls {
 			c.cls[k].Resize(c.n)
 		}
 	}
 }
 
-// appCtxFor returns application i's slot, rebinding its context, closing
-// each graph's static base and choosing the active graphs on the slot's
-// first use in this program. Rebinding is lazy because the fail-fast
-// order usually refutes with the front application alone.
-func (c *Checker) appCtxFor(i int) *appCtx {
-	a := c.slots[i]
+// appCtxFor returns application i's slot, rebound to it on the slot's
+// first use in this program (see bindSlot).
+func (c *Checker) appCtxFor(i int) *appCtx { return c.bindSlot(c.slots[i], c.apps[i]) }
+
+// baseCtx returns the unperturbed program's slot, rebound on its first
+// use in this program (see bindSlot).
+func (c *Checker) baseCtx() *appCtx { return c.bindSlot(c.base, exec.NoPerturb) }
+
+// bindSlot returns slot a bound to perturbation p of the bound program,
+// rebinding its context, closing each graph's static base and choosing
+// the active graphs on the slot's first use in this program. Rebinding is
+// lazy because the fail-fast order usually refutes with the front
+// application alone.
+func (c *Checker) bindSlot(a *appCtx, p exec.Perturb) *appCtx {
 	if a.program != c.program {
-		a.Rebind(c.t, c.apps[i])
+		a.Rebind(c.t, p)
 		a.cyclic = false
 		for k, d := range c.decls {
 			g := &a.graphs[k]
@@ -285,6 +308,7 @@ func (c *Checker) Decide(rf []int) bool {
 		panic("admit: Decide before Bind")
 	}
 	c.unionCo.Clear()
+	covered := false // the unperturbed program admits rf, forcing c.baseCo
 	for pos := 0; pos < len(c.order); pos++ {
 		ai := c.order[pos]
 		if c.saturate(c.appCtxFor(ai), rf) {
@@ -293,6 +317,18 @@ func (c *Checker) Decide(rf []int) bool {
 			return false
 		}
 		c.unionCo.UnionWith(c.fco)
+		if pos == 0 && len(c.order) > 1 && !c.saturate(c.baseCtx(), rf) {
+			c.baseCo.CopyFrom(c.fco)
+			covered = true
+		}
+		// Every relaxation only removes static edges, so each
+		// application's forced edges lie within the unperturbed
+		// program's (TestApplicationGraphsWithinBase): once the union
+		// reaches them, the remaining applications can add nothing, and
+		// the union lies in one acyclic closure.
+		if covered && c.unionCo.Equal(c.baseCo) {
+			return true
+		}
 	}
 	// Each application admits some coherence order on its own, but a
 	// minimal execution carries a single order valid under all of them,

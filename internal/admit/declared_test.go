@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"memsynth/internal/admit"
-	"memsynth/internal/canon"
 	"memsynth/internal/exec"
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
@@ -88,29 +87,9 @@ func TestDeclaredAxiomsMatchReference(t *testing.T) {
 }
 
 func checkDeclaredAxioms(t *testing.T, m memmodel.Model, axioms []memmodel.Axiom, refs map[string]func(*exec.View) bool) {
-	opts := synth.Options{MaxEvents: 4}
-	every := 1
-	if raceEnabled || testing.Short() {
-		total := 0
-		if err := synth.EnumeratePrograms(m.Vocab(), opts, func(*litmus.Test) bool { total++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		every = max(1, total/3000)
-	}
 	adm := admit.NewChecker(m)
-	seen := make(map[string]bool)
-	raw, programs, checks := 0, 0, 0
-	err := synth.EnumeratePrograms(m.Vocab(), opts, func(tt *litmus.Test) bool {
-		raw++
-		if (raw-1)%every != 0 {
-			return true
-		}
-		key := canon.ProgramKey(tt)
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		programs++
+	checks := 0
+	programs := distinctPrograms(t, m, synth.Options{MaxEvents: 4}, func(tt *litmus.Test) bool {
 		apps := memmodel.Applications(m, tt)
 		if adm != nil {
 			adm.Bind(tt, apps)
@@ -148,9 +127,6 @@ func checkDeclaredAxioms(t *testing.T, m memmodel.Model, axioms []memmodel.Axiom
 		})
 		return !t.Failed()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if checks == 0 {
 		t.Fatal("no axiom evaluations; the gate is vacuous")
 	}

@@ -32,3 +32,27 @@ func UnionCo(c *Checker) relation.Rel { return c.unionCo }
 func ActiveGraphs(c *Checker, i int) []int {
 	return append([]int(nil), c.appCtxFor(i).active...)
 }
+
+// ClosedGraphs returns the closed static base of each graph, as Decide's
+// slot keeps it, and whether each includes only the cross-thread rf edges,
+// for relaxation application i of the bound program, or for the
+// unperturbed program when i < 0, with the slot's live events.
+func ClosedGraphs(c *Checker, i int) (closed []relation.Rel, rfExternal []bool, live relation.Set) {
+	a := c.baseCtx()
+	if i >= 0 {
+		a = c.appCtxFor(i)
+	}
+	for _, g := range a.graphs {
+		closed = append(closed, g.closed.Clone())
+		rfExternal = append(rfExternal, g.rfExternal)
+	}
+	return closed, rfExternal, a.Live()
+}
+
+// BaseForcedCo saturates the unperturbed program for rf, reporting
+// whether it admits rf and the co edges it forces. It leaves the result
+// of c's last Decide as it was.
+func BaseForcedCo(c *Checker, rf []int) (bool, relation.Rel) {
+	refuted := c.saturate(c.baseCtx(), rf)
+	return !refuted, c.fco.Clone()
+}

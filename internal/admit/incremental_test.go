@@ -75,6 +75,20 @@ func compareSaturation(t *testing.T, name string, opts synth.Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := newSatCompare(m)
+	distinctPrograms(t, m, opts, func(tt *litmus.Test) bool {
+		s.program(t, tt)
+		return !t.Failed()
+	})
+	s.check(t)
+}
+
+// distinctPrograms calls f on the first program of each symmetry class of
+// m's stream under opts until f returns false, and returns how many
+// programs it called f on. Under the race detector or -short it takes
+// only every k-th program of the stream, about 3,000 in all.
+func distinctPrograms(t *testing.T, m memmodel.Model, opts synth.Options, f func(*litmus.Test) bool) int {
+	t.Helper()
 	every := 1
 	if raceEnabled || testing.Short() {
 		total := 0
@@ -83,10 +97,9 @@ func compareSaturation(t *testing.T, name string, opts synth.Options) {
 		}
 		every = max(1, total/3000)
 	}
-	s := newSatCompare(m)
 	seen := make(map[string]bool)
 	raw := 0
-	err = synth.EnumeratePrograms(m.Vocab(), opts, func(tt *litmus.Test) bool {
+	err := synth.EnumeratePrograms(m.Vocab(), opts, func(tt *litmus.Test) bool {
 		raw++
 		if (raw-1)%every != 0 {
 			return true
@@ -96,13 +109,12 @@ func compareSaturation(t *testing.T, name string, opts synth.Options) {
 			return true
 		}
 		seen[key] = true
-		s.program(t, tt)
-		return !t.Failed()
+		return f(tt)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.check(t)
+	return len(seen)
 }
 
 // satCompare runs Checker and ReferenceChecker side by side and counts

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"memsynth/internal/admit"
-	"memsynth/internal/canon"
 	"memsynth/internal/litmus"
 	"memsynth/internal/memmodel"
 	"memsynth/internal/synth"
@@ -71,28 +70,9 @@ func graphNames(m memmodel.Model) []string {
 func activeGraphs(t *testing.T, m memmodel.Model, opts synth.Options) map[string]int {
 	t.Helper()
 	graphs := graphNames(m)
-	every := 1
-	if raceEnabled || testing.Short() {
-		total := 0
-		if err := synth.EnumeratePrograms(m.Vocab(), opts, func(*litmus.Test) bool { total++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		every = max(1, total/3000)
-	}
 	c := admit.NewChecker(m)
 	slots := make(map[string]int)
-	seen := make(map[string]bool)
-	raw := 0
-	err := synth.EnumeratePrograms(m.Vocab(), opts, func(tt *litmus.Test) bool {
-		raw++
-		if (raw-1)%every != 0 {
-			return true
-		}
-		key := canon.ProgramKey(tt)
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
+	programs := distinctPrograms(t, m, opts, func(tt *litmus.Test) bool {
 		apps := memmodel.Applications(m, tt)
 		c.Bind(tt, apps)
 		for i := range apps {
@@ -104,9 +84,6 @@ func activeGraphs(t *testing.T, m memmodel.Model, opts synth.Options) map[string
 		}
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d programs, slots by active graphs: %v", len(seen), slots)
+	t.Logf("%d programs, slots by active graphs: %v", programs, slots)
 	return slots
 }
